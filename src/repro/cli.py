@@ -596,6 +596,8 @@ def _command_jobs(args: argparse.Namespace) -> int:
             )
         if "method" in row:
             extra += f" method={row['method']}"
+        if "engine" in row:
+            extra += f" engine={row['engine']}"
         print(
             f"{row['key'][:16]}… [{row['source']}] "
             f"{row.get('circuit', '?')} {done}/{total} trajectories{extra}"
@@ -616,9 +618,11 @@ def _command_history(args: argparse.Namespace) -> int:
     reports, per circuit family: run counts by method, observed peak DD
     node sizes (the measured dispatch cost model's inputs), throughput,
     and node-ceiling fallbacks.  ``--trend`` compares each family's latest
-    stochastic rate against its histogram-mean baseline and exits 1 when
-    any family dropped more than 20% — the same gate ``benchmarks/trend.py``
-    applies to the BENCH_*.json series, but against live service history.
+    stochastic rate against the histogram-mean rate of the family's runs on
+    the same trajectory engine (an ``auto`` family may run dense or on DD)
+    and exits 1 when any family dropped more than 20% — the same gate
+    ``benchmarks/trend.py`` applies to the BENCH_*.json series, but against
+    live service history.
     """
     import json as _json
 
@@ -636,18 +640,14 @@ def _command_history(args: argparse.Namespace) -> int:
             continue
         recent = state.recent.get(fingerprint, [])
         latest_rate = None
+        baseline = None
         for record in reversed(recent):
             if record.get("rec") == "run" and record.get("method") != "exact":
                 rate = record.get("trajectories_per_second")
                 if isinstance(rate, (int, float)) and rate > 0:
                     latest_rate = float(rate)
+                    baseline = aggregate.mean_rate(str(record.get("engine", "")))
                 break
-        rate_hist = aggregate.rate_hist
-        baseline = (
-            float(rate_hist["sum"]) / rate_hist["count"]
-            if rate_hist["count"] > 0
-            else None
-        )
         regression = None
         if args.trend and latest_rate is not None and baseline:
             drop = 1.0 - latest_rate / baseline

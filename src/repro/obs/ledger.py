@@ -41,10 +41,12 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
 =============  ==========================================================
 ``header``     ``{"rec","schema"}`` — first line after creation/rotation
-``run``        one finished job: ``{"rec","job","fp","method","qubits",
-               "depth","peak_nodes","cpu_seconds","elapsed_seconds",
-               "trajectories","effective_trajectories",
-               "trajectories_per_second","p_clean","halfwidths"}``
+``run``        one finished job: ``{"rec","job","fp","method","engine",
+               "qubits","depth","peak_nodes","cpu_seconds",
+               "elapsed_seconds","trajectories","effective_trajectories",
+               "trajectories_per_second","p_clean","halfwidths"}`` —
+               ``engine`` names the trajectory engine a stochastic run
+               used (absent on exact runs and on older records)
 ``fallback``   node-ceiling misprediction: ``{"rec","job","fp","nodes",
                "ceiling"}`` — fed back so dispatch learns
 ``aggregate``  rotation product: ``{"rec","fp","agg":{...}}``
@@ -169,6 +171,27 @@ def _empty_hist(bounds: Sequence[float]) -> Dict[str, object]:
     }
 
 
+def _hist_copy(hist: Mapping[str, object]) -> Dict[str, object]:
+    return {
+        "bounds": list(hist["bounds"]),
+        "counts": list(hist["counts"]),
+        "sum": hist["sum"],
+        "count": hist["count"],
+    }
+
+
+def _hist_from(raw: object, default_bounds: Sequence[float]) -> Dict[str, object]:
+    """A histogram read back from a serialised aggregate (empty if absent)."""
+    if isinstance(raw, Mapping) and raw.get("bounds"):
+        return {
+            "bounds": [float(b) for b in raw["bounds"]],
+            "counts": [int(c) for c in raw["counts"]],
+            "sum": float(raw.get("sum", 0.0)),
+            "count": int(raw.get("count", 0)),
+        }
+    return _empty_hist(default_bounds)
+
+
 def _hist_observe(hist: Dict[str, object], value: float) -> None:
     import bisect
 
@@ -228,7 +251,7 @@ class FamilyAggregate:
         "exact_runs", "stochastic_runs", "fallbacks",
         "exact_peak_nodes", "state_peak_nodes", "fallback_peak_nodes",
         "exact_nodes_hist", "state_nodes_hist", "rate_hist",
-        "cpu_seconds", "elapsed_seconds",
+        "engine_rate_hists", "cpu_seconds", "elapsed_seconds",
         "trajectories", "effective_trajectories",
         "p_clean_sum", "p_clean_count",
     )
@@ -250,6 +273,9 @@ class FamilyAggregate:
         self.state_nodes_hist = _empty_hist(NODE_BUCKETS)
         #: Effective trajectories/second per stochastic run (quantile-able).
         self.rate_hist = _empty_hist(RATE_BUCKETS)
+        #: The same rates split by trajectory engine (``""`` for records
+        #: that predate engine recording), so a trend compares like with like.
+        self.engine_rate_hists: Dict[str, Dict[str, object]] = {}
         self.cpu_seconds = 0.0
         self.elapsed_seconds = 0.0
         self.trajectories = 0
@@ -278,6 +304,10 @@ class FamilyAggregate:
             rate = record.get("trajectories_per_second")
             if isinstance(rate, (int, float)) and rate > 0.0:
                 _hist_observe(self.rate_hist, float(rate))
+                engine = str(record.get("engine", ""))
+                if engine not in self.engine_rate_hists:
+                    self.engine_rate_hists[engine] = _empty_hist(RATE_BUCKETS)
+                _hist_observe(self.engine_rate_hists[engine], float(rate))
         self.cpu_seconds += float(record.get("cpu_seconds", 0.0) or 0.0)
         self.elapsed_seconds += float(record.get("elapsed_seconds", 0.0) or 0.0)
         self.trajectories += int(record.get("trajectories", 0) or 0)
@@ -312,6 +342,11 @@ class FamilyAggregate:
         _hist_merge(self.exact_nodes_hist, other.exact_nodes_hist)
         _hist_merge(self.state_nodes_hist, other.state_nodes_hist)
         _hist_merge(self.rate_hist, other.rate_hist)
+        for engine, hist in other.engine_rate_hists.items():
+            if engine in self.engine_rate_hists:
+                _hist_merge(self.engine_rate_hists[engine], hist)
+            else:
+                self.engine_rate_hists[engine] = _hist_copy(hist)
         self.cpu_seconds += other.cpu_seconds
         self.elapsed_seconds += other.elapsed_seconds
         self.trajectories += other.trajectories
@@ -327,8 +362,16 @@ class FamilyAggregate:
         return self.p_clean_sum / self.p_clean_count
 
     def median_rate(self) -> float:
-        """Bucket-resolution median effective throughput (trend baseline)."""
+        """Bucket-resolution median effective throughput."""
         return _hist_quantile(self.rate_hist, 0.5)
+
+    def mean_rate(self, engine: str) -> Optional[float]:
+        """Mean effective throughput of the family's runs on ``engine``
+        (the ``--trend`` baseline), or None before any such run."""
+        hist = self.engine_rate_hists.get(engine)
+        if hist is None or hist["count"] == 0:
+            return None
+        return float(hist["sum"]) / hist["count"]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -342,23 +385,12 @@ class FamilyAggregate:
             "exact_peak_nodes": self.exact_peak_nodes,
             "state_peak_nodes": self.state_peak_nodes,
             "fallback_peak_nodes": self.fallback_peak_nodes,
-            "exact_nodes_hist": {
-                "bounds": list(self.exact_nodes_hist["bounds"]),
-                "counts": list(self.exact_nodes_hist["counts"]),
-                "sum": self.exact_nodes_hist["sum"],
-                "count": self.exact_nodes_hist["count"],
-            },
-            "state_nodes_hist": {
-                "bounds": list(self.state_nodes_hist["bounds"]),
-                "counts": list(self.state_nodes_hist["counts"]),
-                "sum": self.state_nodes_hist["sum"],
-                "count": self.state_nodes_hist["count"],
-            },
-            "rate_hist": {
-                "bounds": list(self.rate_hist["bounds"]),
-                "counts": list(self.rate_hist["counts"]),
-                "sum": self.rate_hist["sum"],
-                "count": self.rate_hist["count"],
+            "exact_nodes_hist": _hist_copy(self.exact_nodes_hist),
+            "state_nodes_hist": _hist_copy(self.state_nodes_hist),
+            "rate_hist": _hist_copy(self.rate_hist),
+            "engine_rate_hists": {
+                engine: _hist_copy(hist)
+                for engine, hist in sorted(self.engine_rate_hists.items())
             },
             "cpu_seconds": self.cpu_seconds,
             "elapsed_seconds": self.elapsed_seconds,
@@ -385,16 +417,16 @@ class FamilyAggregate:
             ("state_nodes_hist", NODE_BUCKETS),
             ("rate_hist", RATE_BUCKETS),
         ):
-            raw = data.get(attr)
-            if isinstance(raw, Mapping) and raw.get("bounds"):
-                setattr(aggregate, attr, {
-                    "bounds": [float(b) for b in raw["bounds"]],
-                    "counts": [int(c) for c in raw["counts"]],
-                    "sum": float(raw.get("sum", 0.0)),
-                    "count": int(raw.get("count", 0)),
-                })
-            else:
-                setattr(aggregate, attr, _empty_hist(default_bounds))
+            setattr(aggregate, attr, _hist_from(data.get(attr), default_bounds))
+        engine_hists = data.get("engine_rate_hists")
+        if isinstance(engine_hists, Mapping):
+            aggregate.engine_rate_hists = {
+                str(engine): _hist_from(raw, RATE_BUCKETS)
+                for engine, raw in engine_hists.items()
+            }
+        elif aggregate.rate_hist["count"]:
+            # An aggregate folded before engines were recorded.
+            aggregate.engine_rate_hists = {"": _hist_copy(aggregate.rate_hist)}
         aggregate.cpu_seconds = float(data.get("cpu_seconds", 0.0))
         aggregate.elapsed_seconds = float(data.get("elapsed_seconds", 0.0))
         aggregate.trajectories = int(data.get("trajectories", 0))
@@ -598,8 +630,10 @@ class RunLedger:
         trajectories_per_second: float,
         p_clean: Optional[float] = None,
         halfwidths: Optional[Dict[str, float]] = None,
+        engine: Optional[str] = None,
     ) -> None:
-        """Append one finished job's run profile."""
+        """Append one finished job's run profile (``engine``: the trajectory
+        engine a stochastic run used)."""
         record: Dict[str, object] = {
             "rec": "run",
             "job": key,
@@ -614,6 +648,8 @@ class RunLedger:
             "effective_trajectories": effective_trajectories,
             "trajectories_per_second": trajectories_per_second,
         }
+        if engine is not None:
+            record["engine"] = engine
         if p_clean is not None:
             record["p_clean"] = p_clean
         if halfwidths:

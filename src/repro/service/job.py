@@ -33,8 +33,9 @@ from ..stochastic.properties import (
     PropertySpec,
     StateFidelity,
 )
+from ..stochastic.runner import AUTO_ENGINE, BACKEND_KINDS
 
-__all__ = ["JobSpec", "JobState", "JobStatus", "StreamingEstimate"]
+__all__ = ["JobSpec", "JobState", "JobStatus", "StreamingEstimate", "job_engine"]
 
 #: Canonical-format version; bump when the serialised layout changes so
 #: stale cache entries can never be misread as current ones.
@@ -157,6 +158,11 @@ class JobSpec:
             raise ValueError(
                 f"method must be 'stochastic', 'exact', or 'auto', got {self.method!r}"
             )
+        if self.backend_kind not in BACKEND_KINDS:
+            # The engine selector is reachable only through method="auto".
+            raise ValueError(
+                f"backend_kind must be one of {BACKEND_KINDS}, got {self.backend_kind!r}"
+            )
         object.__setattr__(self, "properties", tuple(self.properties))
 
     @classmethod
@@ -225,6 +231,16 @@ class JobSpec:
             method=str(data.get("method", "stochastic")),
         )
 
+    @property
+    def chunk_backend(self) -> str:
+        """``backend_kind`` this job's chunks run under: ``method="auto"``
+        DD jobs leave the trajectory engine to each span's compile step
+        (:data:`~repro.stochastic.runner.AUTO_ENGINE`); every other spec
+        runs on the backend it names."""
+        if self.method == "auto" and self.backend_kind == "dd":
+            return AUTO_ENGINE
+        return self.backend_kind
+
     def canonical_json(self) -> str:
         """Deterministic serialisation: sorted keys, no whitespace."""
         return json.dumps(
@@ -234,6 +250,16 @@ class JobSpec:
     def job_key(self) -> str:
         """SHA-256 content address of the canonical form."""
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+
+
+def job_engine(spec: Optional[JobSpec], ran_on: Optional[str] = None) -> str:
+    """Trajectory engine to report for a job: ``ran_on``, the engine of the
+    trajectories it already holds, when known; else the spec's
+    :attr:`JobSpec.chunk_backend` (``auto`` until an auto job's first span
+    has picked); else ``"?"``."""
+    if ran_on:
+        return ran_on
+    return "?" if spec is None else spec.chunk_backend
 
 
 @dataclass(frozen=True)
@@ -266,6 +292,10 @@ class JobStatus:
     #: The *resolved* execution method ("stochastic" or "exact") — for
     #: ``method="auto"`` specs this records what the cost model chose.
     method: str = "stochastic"
+    #: Trajectory engine of a stochastic job (see :func:`job_engine`):
+    #: ``dd`` or ``statevector``, or ``auto`` before an auto job's first
+    #: chunk has chosen; empty when unknown.
+    engine: str = ""
     error: Optional[str] = None
     #: Observability snapshot merged from the chunk results seen so far
     #: (see :mod:`repro.obs`); empty until the first chunk reports.
@@ -286,6 +316,8 @@ class JobStatus:
             f"  circuit: {self.circuit_name}",
             f"  method: {self.method}",
         ]
+        if self.method != "exact" and self.engine:
+            lines.append(f"  engine: {self.engine}")
         if self.method != "exact":
             lines.append(
                 f"  trajectories: {self.completed_trajectories}/"

@@ -49,6 +49,15 @@ Key behaviours:
   *falls back* to the stochastic path with the job's original chunk plan,
   so the fallback result is bit-identical to a job that was never
   dispatched exact at all (``dispatch.fallback`` counts these).
+* **Engine choice** — the chunks of a ``method="auto"`` DD job leave the
+  trajectory engine to each span's compile step
+  (:data:`~repro.stochastic.runner.AUTO_ENGINE`): a pure function of the
+  spec, so every chunk of a job — fresh, fallen back, resumed from a
+  checkpoint or from the journal — runs on the same engine, which the
+  merged result reports and outcome validation enforces.  A resume whose
+  restored trajectories ran on an engine the spec would no longer pick
+  (a partial left by an older build) ships its remaining chunks on that
+  engine instead, so the job finishes rather than rejecting every chunk.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from ..obs.ledger import RunLedger, circuit_fingerprint
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
-from .job import JobSpec, JobState, JobStatus, StreamingEstimate
+from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
 from .journal import ChunkPlanEntry, JobJournal
 from .store import ResultStore, Span
 from .worker import ChunkOutcome, ChunkTask, worker_main
@@ -118,16 +127,24 @@ def _remaining_spans(total: int, done: List[Span]) -> List[Span]:
     return remaining
 
 
-def _outcome_anomaly(outcome: ChunkOutcome) -> Optional[str]:
+def _outcome_anomaly(
+    outcome: ChunkOutcome, aggregate: StochasticResult
+) -> Optional[str]:
     """Internal-consistency check on a successful chunk result.
 
     Returns a human-readable reason when the result cannot be trusted
-    (a worker bug, a torn queue write that still unpickled, or an
-    injected ``corrupt-outcome`` fault), else ``None``.
+    (a worker bug, a torn queue write that still unpickled, an injected
+    ``corrupt-outcome`` fault, or a chunk whose engine differs from the
+    one the job's merged trajectories ran on), else ``None``.
     """
     result = outcome.result
     if result is None:
         return None  # error outcomes are handled by the requeue path
+    if aggregate.completed_trajectories and result.backend_kind != aggregate.backend_kind:
+        return (
+            f"chunk ran on the {result.backend_kind} engine, the job's merged "
+            f"trajectories on {aggregate.backend_kind}"
+        )
     completed = result.completed_trajectories
     if completed < 0 or completed > outcome.num_trajectories:
         return (
@@ -258,6 +275,15 @@ class _Job:
 
     def finished(self) -> bool:
         return self.done.is_set()
+
+    def chunk_backend(self) -> str:
+        """``backend_kind`` the job's chunks ship with: the engine its
+        restored trajectories ran on, if any (a checkpoint or journal left
+        by a build that chose another engine takes no chunks of a second
+        one), else the spec's :attr:`~repro.service.job.JobSpec.chunk_backend`."""
+        if self.aggregate.completed_trajectories:
+            return self.aggregate.backend_kind
+        return self.spec.chunk_backend
 
 
 class Scheduler:
@@ -462,6 +488,11 @@ class Scheduler:
                 return key  # identical job already in flight — join it
 
             job = _Job(spec, key)
+            if existing is not None:
+                # Resubmitted after a cancel or timeout: keep the fencing
+                # tokens monotonic so the earlier run's in-flight chunks
+                # can never commit into this one.
+                job.next_token = existing.next_token
             cached = self.store.get(key)
             if cached is not None:
                 self.metrics.counter("store.hits").inc()
@@ -539,6 +570,8 @@ class Scheduler:
             if existing is not None and not existing.finished():
                 return key
             job = _Job(spec, key)
+            if existing is not None:
+                job.next_token = existing.next_token  # as in submit()
             cached = self.store.get(key)
             if cached is not None:
                 # The final result landed before the crash (the journal's
@@ -553,11 +586,21 @@ class Scheduler:
                 job.done.set()
             else:
                 job.method = "stochastic"
-                job.next_token = max(0, token_base)
+                job.next_token = max(job.next_token, token_base)
                 job.base_spans = list(base_spans or [])
                 job.base_partial = base_partial
                 if base_partial is not None:
                     job.aggregate.merge(base_partial)
+                planned = {index for index, _, _ in plan}
+                restored = 0
+                for index in sorted(completed):
+                    if index not in planned:
+                        continue
+                    result = completed[index]
+                    job.completed[index] = result
+                    job.aggregate.merge(result)
+                    restored += result.completed_trajectories
+                backend_kind = job.chunk_backend()
                 for index, first, count in plan:
                     job.chunks[index] = ChunkTask(
                         job_key=key,
@@ -565,21 +608,13 @@ class Scheduler:
                         circuit=spec.circuit,
                         noise_model=spec.noise_model,
                         properties=spec.properties,
-                        backend_kind=spec.backend_kind,
+                        backend_kind=backend_kind,
                         first_trajectory=first,
                         num_trajectories=count,
                         master_seed=spec.seed,
                         sample_shots=spec.sample_shots,
                         deadline=job.deadline,
                     )
-                restored = 0
-                for index in sorted(completed):
-                    if index not in job.chunks:
-                        continue
-                    result = completed[index]
-                    job.completed[index] = result
-                    job.aggregate.merge(result)
-                    restored += result.completed_trajectories
                 job.pending.extend(
                     index for index in sorted(job.chunks)
                     if index not in job.completed
@@ -670,6 +705,12 @@ class Scheduler:
                 retries=job.total_retries,
                 cached=job.cached,
                 method=job.method,
+                # An aggregate without trajectories still names the spec's
+                # backend, not an engine that ran.
+                engine=job_engine(
+                    job.spec,
+                    source.backend_kind if source.completed_trajectories else None,
+                ),
                 error=job.error,
                 metrics=merge_snapshots(source.metrics),
             )
@@ -912,6 +953,7 @@ class Scheduler:
         # naive index-derived seeds.  Job keys are unaffected either way.
         size = self.chunk_size or self._default_chunk_size(job.spec.trajectories)
         remaining = _remaining_spans(job.spec.trajectories, job.base_spans)
+        backend_kind = job.chunk_backend()
         index = 0
         for first, count in remaining:
             offset = 0
@@ -923,7 +965,7 @@ class Scheduler:
                     circuit=job.spec.circuit,
                     noise_model=job.spec.noise_model,
                     properties=job.spec.properties,
-                    backend_kind=job.spec.backend_kind,
+                    backend_kind=backend_kind,
                     first_trajectory=first + offset,
                     num_trajectories=take,
                     master_seed=job.spec.seed,
@@ -994,6 +1036,7 @@ class Scheduler:
                 trajectories_per_second=rate,
                 p_clean=p_clean,
                 halfwidths=halfwidths,
+                engine=None if result.method == "exact" else result.backend_kind,
             )
         except Exception:
             # Telemetry must never take a finished job down with it.
@@ -1385,12 +1428,13 @@ class Scheduler:
         expected_token = job.lease_tokens.get(outcome.chunk_index)
         if (
             outcome.fencing_token is not None
-            and expected_token is not None
             and outcome.fencing_token != expected_token
         ):
-            # The chunk's lease expired and ownership moved on; this is a
-            # zombie holder's report.  Rejecting it (success or error) is
-            # what makes re-executions at-most-once-committed.
+            # The chunk's lease expired and ownership moved on, or this job
+            # never leased the chunk at all (the report is from an earlier
+            # run of the same key, cancelled while the chunk was in flight);
+            # either way a zombie holder's report.  Rejecting it (success or
+            # error) is what makes re-executions at-most-once-committed.
             self.metrics.counter("lease.fenced").inc()
             self.tracer.event(
                 "lease.fenced", job=outcome.job_key[:16],
@@ -1401,7 +1445,7 @@ class Scheduler:
         if outcome.error is not None:
             self._requeue(job.chunks[outcome.chunk_index], outcome.error)
             return
-        anomaly = _outcome_anomaly(outcome)
+        anomaly = _outcome_anomaly(outcome, job.aggregate)
         if anomaly is not None:
             self.metrics.counter("scheduler.outcomes.rejected").inc()
             self.metrics.counter("faults.recovered.outcome_rejected").inc()

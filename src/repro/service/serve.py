@@ -23,7 +23,7 @@ from ..obs.export import EventLogWriter, MetricsExporter, to_openmetrics
 from ..obs.ledger import RunLedger, ledger_path, replay_ledger
 from ..obs.metrics import MetricsRegistry, derive_rates, merge_snapshots
 from ..stochastic.results import StochasticResult
-from .job import JobSpec, JobState, JobStatus, StreamingEstimate
+from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
 from .journal import JobJournal, JournalJob, journal_path, replay_journal
 from .scheduler import Scheduler, SchedulerError
 from .store import ResultStore
@@ -102,7 +102,9 @@ def list_jobs(store: ResultStore) -> List[dict]:
     (an orphaned partial with no journal entry, resumable by plain
     resubmission).  Each row carries its resolved ``method`` and, for
     ``auto`` specs, the one-line ``dispatch`` evidence the cost model
-    would cite — scored against the store's run-ledger history.
+    would cite — scored against the store's run-ledger history.  Rows
+    bound for trajectories also name their ``engine`` (:func:`job_engine`:
+    what committed chunks ran on, else ``auto`` for an undecided auto job).
     """
     rows: List[dict] = []
     seen = set()
@@ -133,6 +135,11 @@ def list_jobs(store: ResultStore) -> List[dict]:
                 row["method"] = method
                 if evidence is not None:
                     row["dispatch"] = evidence
+                # Every committed chunk names the engine its span ran on.
+                committed = next(iter(job.completed.values()), {})
+                ran_on = committed.get("backend_kind")
+                if ran_on is not None or not method.endswith("exact"):
+                    row["engine"] = job_engine(journaled_spec, ran_on)
             rows.append(row)
             seen.add(job.key)
     for key in list_queue(store):
@@ -148,6 +155,8 @@ def list_jobs(store: ResultStore) -> List[dict]:
             "completed_trajectories": 0,
             "method": method,
         }
+        if not method.endswith("exact"):
+            row["engine"] = job_engine(spec)
         if evidence is not None:
             row["dispatch"] = evidence
         rows.append(row)
@@ -168,6 +177,7 @@ def list_jobs(store: ResultStore) -> List[dict]:
                 "completed_trajectories": partial.completed_trajectories,
                 # Checkpoints only ever come from stochastic execution.
                 "method": "stochastic",
+                "engine": job_engine(None, partial.backend_kind),
             }
         )
     return rows
@@ -214,6 +224,7 @@ def query_status(store: ResultStore, key: str) -> JobStatus:
             estimates=estimates_of(final),
             elapsed_seconds=final.elapsed_seconds,
             method=final.method,
+            engine=job_engine(None, final.backend_kind),
             metrics=dict(final.metrics),
         )
     checkpoint = store.get_partial(key)
@@ -227,6 +238,7 @@ def query_status(store: ResultStore, key: str) -> JobStatus:
             completed_trajectories=partial.completed_trajectories,
             estimates=estimates_of(partial),
             elapsed_seconds=partial.elapsed_seconds,
+            engine=job_engine(None, partial.backend_kind),
             metrics=dict(partial.metrics),
         )
     if key in store.queued_keys():
@@ -236,6 +248,7 @@ def query_status(store: ResultStore, key: str) -> JobStatus:
             state=JobState.QUEUED,
             circuit_name=spec.circuit.name if spec else "?",
             requested_trajectories=spec.trajectories if spec else 0,
+            engine=job_engine(spec),
         )
     raise KeyError(f"unknown job {key!r}")
 
@@ -319,6 +332,8 @@ class _Telemetry:
                 "elapsed_seconds": result.elapsed_seconds,
                 "method": result.method,
             }
+            if result.method != "exact":
+                fields["engine"] = result.backend_kind
             if decision is not None:
                 # Auto-dispatch evidence trail: what basis the cost model
                 # routed on, citing ledger history when it was measured.
@@ -508,7 +523,8 @@ def _run_one(
         log(
             f"[serve] job {key[:16]}… done: "
             f"{result.completed_trajectories}/{spec.trajectories} "
-            f"trajectories in {result.elapsed_seconds:.3f} s"
+            f"trajectories on the {result.backend_kind} engine "
+            f"in {result.elapsed_seconds:.3f} s"
         )
     decision = scheduler.decision_for(key)
     if decision is not None:

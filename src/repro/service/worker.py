@@ -156,27 +156,32 @@ def _corrupt_outcome_fault(
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Worker process entry point: loop on tasks until the None sentinel."""
     injector = get_injector()
-    warm: "OrderedDict[str, tuple]" = OrderedDict()
+    warm: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
     while True:
         task = task_queue.get()
         if task is None:
             break
         crash_mid = _pre_execution_faults(injector, worker_id, task)
         try:
-            entry = warm.get(task.job_key)
+            # Keyed by engine too: a resume may ship one job's remaining
+            # chunks on the engine its restored trajectories ran on, which
+            # need not be the engine of the chunks this worker ran before.
+            warm_key = (task.job_key, task.backend_kind)
+            entry = warm.get(warm_key)
             if entry is None:
                 # The context carries the job's compiled gate plan and
                 # prefix-sharing plan (plus the ideal-state snapshot), so
                 # chunks after the first skip compilation entirely — the
-                # prefix engine rides the warm cache with no extra plumbing.
+                # prefix engine rides the warm cache with no extra plumbing,
+                # as does an auto chunk's engine choice and dense context.
                 backend = _make_backend(task.backend_kind, task.circuit.num_qubits)
                 context = _EvaluationContext(task.circuit, task.backend_kind)
-                warm[task.job_key] = (backend, context)
+                warm[warm_key] = (backend, context)
                 while len(warm) > _WARM_CACHE_LIMIT:
                     warm.popitem(last=False)
             else:
                 backend, context = entry
-                warm.move_to_end(task.job_key)
+                warm.move_to_end(warm_key)
             if crash_mid:
                 # Burn part of the chunk so the death is mid-execution,
                 # then die hard without reporting; the partial work is

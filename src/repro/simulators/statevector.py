@@ -106,8 +106,7 @@ class StatevectorBackend:
         index = [slice(None)] * self.num_qubits
         index[qubit] = 1
         slice_one = self._state[tuple(index)]
-        total = float(np.vdot(self._state, self._state).real)
-        return float(np.vdot(slice_one, slice_one).real) / total
+        return float(np.vdot(slice_one, slice_one).real) / self.squared_norm()
 
     def measure(self, qubit: int, rng: random.Random) -> int:
         p_one = self.probability_of_one(qubit)
@@ -115,8 +114,7 @@ class StatevectorBackend:
         index = [slice(None)] * self.num_qubits
         index[qubit] = 1 - outcome
         self._state[tuple(index)] = 0.0
-        norm = math.sqrt(float(np.vdot(self._state, self._state).real))
-        self._state /= norm
+        self.renormalize()
         return outcome
 
     def reset(self, qubit: int, rng: random.Random) -> None:
@@ -160,6 +158,19 @@ class StatevectorBackend:
     def probability_of_basis(self, bits: Sequence[int]) -> float:
         amplitude = self._state[tuple(int(b) for b in bits)]
         return float(abs(amplitude) ** 2)
+
+    def squared_norm(self) -> float:
+        """Squared norm of the current state (the runner's drift guard)."""
+        return float(np.vdot(self._state, self._state).real)
+
+    def scale_state(self, factor: complex) -> None:
+        """Multiply the state by a scalar (breaks normalisation on purpose;
+        the drift-fault injection site and numerical-guard tests use this)."""
+        self._state *= factor
+
+    def renormalize(self) -> None:
+        """Rescale the state back to unit norm."""
+        self._state /= math.sqrt(self.squared_norm())
 
     def snapshot(self) -> np.ndarray:
         return self._state.reshape(-1).copy()

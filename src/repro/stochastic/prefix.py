@@ -133,6 +133,9 @@ class PrefixPlan:
         self.ideal_final = None
         self.ideal_norm_squared = 1.0
         self.ideal_run_result: Optional[RunResult] = None
+        #: Largest state DD the ideal execution built (nodes) — what the
+        #: runner's engine choice for ``auto`` jobs reads.
+        self.peak_nodes = 0
         self._property_cache: Dict[str, float] = {}
 
     # -- dry-run ------------------------------------------------------
@@ -206,12 +209,14 @@ def compile_prefix_plan(
     plan's package), recording per-slot error rates and ideal P(1) values,
     pinning checkpoint states every ``interval`` steps, and pinning the
     ideal output state.  The backend is left holding the ideal state; the
-    caller resumes trajectories via ``load_state``.
+    caller resumes trajectories via ``load_state``.  The backend's peak
+    restarts at |0...0>, so ``plan.peak_nodes`` is the ideal run's own peak.
     """
     plan = PrefixPlan(gate_plan, noise_model)
     steps = gate_plan.steps
     plan.interval, plan.invalid_interval_override = _resolve_interval(len(steps))
     backend.reset_all()
+    backend.reset_peak_nodes()
     classical_bits = [0] * gate_plan.num_clbits
     plan.checkpoints.append((0, backend.snapshot()))
     for index, step in enumerate(steps):
@@ -233,6 +238,7 @@ def compile_prefix_plan(
             )
         )
         plan.executed_prefix.append(plan.executed_prefix[-1] + 1)
+    plan.peak_nodes = backend.peak_nodes
     plan._checkpoint_steps = [step_index for step_index, _ in plan.checkpoints]
     if plan.stop_index is None:
         plan.ideal_final = backend.snapshot()

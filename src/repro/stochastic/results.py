@@ -297,7 +297,19 @@ class StochasticResult:
     profile: Dict[str, object] = field(default_factory=dict)
 
     def merge(self, other: "StochasticResult") -> None:
-        """Fold a worker's partial result into this aggregate."""
+        """Fold a worker's partial result into this aggregate.
+
+        An aggregate without trajectories takes ``other``'s engine
+        (``backend_kind``); one that holds trajectories refuses a different
+        engine, as it refuses a ``p_clean`` mismatch.
+        """
+        if other.backend_kind != self.backend_kind:
+            if self.completed_trajectories:
+                raise ValueError(
+                    f"engine mismatch merging results: {other.backend_kind!r} "
+                    f"into {self.backend_kind!r} trajectories"
+                )
+            self.backend_kind = other.backend_kind
         self.completed_trajectories += other.completed_trajectories
         for name, estimate in other.estimates.items():
             if name in self.estimates:

@@ -3,7 +3,8 @@
 This module implements the paper's two key ideas (Section IV-A):
 
 1. each *individual* simulation run executes on a decision-diagram backend
-   (or, for baseline comparison, the dense state-vector backend), and
+   (or, for baseline comparison and DD-hostile ``auto`` jobs, the dense
+   state-vector backend), and
 2. *independent* runs are distributed across worker processes — concurrency
    across runs rather than within the matrix-vector multiplication
    (Section IV-C).  Python processes are used because DD manipulation is
@@ -50,11 +51,31 @@ __all__ = [
     "StochasticSimulator",
     "simulate_stochastic",
     "run_trajectory_span",
+    "choose_engine",
     "BACKEND_KINDS",
+    "AUTO_ENGINE",
     "NORM_GUARD_ENV",
 ]
 
 BACKEND_KINDS = ("dd", "statevector")
+
+#: Span ``backend_kind`` that delegates the engine choice to the compile
+#: step (what the scheduler ships for ``method="auto"`` DD jobs): the span
+#: runs the ideal DD execution the prefix plan needs anyway, then keeps its
+#: trajectories on ``"dd"`` or moves them to ``"statevector"`` per
+#: :func:`choose_engine`.  Results always name the engine that ran.
+AUTO_ENGINE = "auto"
+
+
+def choose_engine(ideal_peak_nodes: int, num_qubits: int) -> str:
+    """Trajectory engine for an ``auto`` span, from its ideal run's DD peak.
+
+    A fully dense n-qubit state DD has 2^n - 1 nodes; once the noiseless
+    run reaches half of that, 2^(n-1), the DD has no redundancy left to
+    exploit and already outweighs the 2^n x 16-byte array, so the dense
+    state-vector engine takes the trajectories.
+    """
+    return "statevector" if ideal_peak_nodes >= 2 ** (num_qubits - 1) else "dd"
 
 #: Stride between per-trajectory seeds; any constant works, a large odd
 #: value keeps derived seeds far apart in the Mersenne sequence space.
@@ -110,7 +131,12 @@ def _resolve_norm_guard(
 
 
 class _EvaluationContext:
-    """Per-worker cache of reference-state handles for property evaluation."""
+    """Per-worker cache of reference-state handles for property evaluation.
+
+    An :data:`AUTO_ENGINE` context caches DD state like a ``"dd"`` one (its
+    plans come from the ideal DD run) plus, once that run picks the dense
+    engine, the ``"statevector"`` context the trajectories evaluate in.
+    """
 
     def __init__(self, circuit: QuantumCircuit, backend_kind: str) -> None:
         self.circuit = circuit
@@ -121,6 +147,14 @@ class _EvaluationContext:
         self._prefix_plan = None
         self._prefix_model: Optional[NoiseModel] = None
         self._strata_plan: Optional[StrataPlan] = None
+        self._dense: Optional[_EvaluationContext] = None
+
+    def dense(self) -> "_EvaluationContext":
+        """The statevector context an auto job's dense trajectories use
+        (built once, so warm chunks keep its gate plan and ideal vector)."""
+        if self._dense is None:
+            self._dense = _EvaluationContext(self.circuit, "statevector")
+        return self._dense
 
     def gate_plan(self, backend):
         """The circuit compiled into a :class:`~repro.simulators.gateplan.GatePlan`
@@ -160,7 +194,7 @@ class _EvaluationContext:
                 raise ValueError(
                     "IdealFidelity is undefined for circuits with measurements"
                 )
-            if self.backend_kind == "dd":
+            if self.backend_kind != "statevector":
                 reference = DDBackend(self.circuit.num_qubits, package=backend.package)
                 execute_circuit(reference, self.circuit, random.Random(0))
                 self._ideal = reference.snapshot()
@@ -181,7 +215,7 @@ class _EvaluationContext:
         handle = self._targets.get(key)
         if handle is None:
             vector = np.asarray(spec.target, dtype=complex)
-            if self.backend_kind == "dd":
+            if self.backend_kind != "statevector":
                 handle = backend.package.inc_ref(backend.package.from_state_vector(vector))
             else:
                 handle = vector
@@ -190,7 +224,8 @@ class _EvaluationContext:
 
 
 def _make_backend(backend_kind: str, num_qubits: int, package=None):
-    if backend_kind == "dd":
+    if backend_kind in ("dd", AUTO_ENGINE):
+        # An auto span starts on DD: its engine choice needs the ideal run.
         return DDBackend(num_qubits, package=package)
     if backend_kind == "statevector":
         return StatevectorBackend(num_qubits)
@@ -252,7 +287,12 @@ def run_trajectory_span(
     property-evaluation histograms, completion/timeout/error counters, and
     — on the DD backend — this span's unique/compute/complex-table deltas).
 
-    On the DD backend every trajectory's state is checked for norm drift
+    ``backend_kind`` may also be :data:`AUTO_ENGINE`: the span then starts
+    on a DD backend, compiles the prefix plan (one ideal DD run), and runs
+    its trajectories on the engine :func:`choose_engine` picks from that
+    run's peak; the result's ``backend_kind`` names the engine that ran.
+
+    On either engine every trajectory's state is checked for norm drift
     *before* any property is evaluated against it: ``on_drift="raise"``
     (default) raises a typed :class:`~repro.errors.NumericalDriftError`,
     ``"renorm"`` rescales the state back to unit norm and counts a
@@ -322,6 +362,9 @@ def _run_span_body(
     on_drift: Optional[str],
     norm_tolerance: Optional[float],
 ) -> StochasticResult:
+    # Wall and CPU time cover the same window: compile step plus trajectories.
+    started = time.perf_counter()
+    cpu_started = time.process_time()
     result = StochasticResult(
         circuit_name=circuit.name,
         backend_kind=backend_kind,
@@ -330,16 +373,13 @@ def _run_span_body(
     for prop in properties:
         result.estimates[prop.name] = PropertyEstimate(prop.name)
 
-    warm = backend is not None
-    if backend is None:
+    if backend is None or backend_kind == "statevector":
         backend = _make_backend(backend_kind, circuit.num_qubits)
-    elif backend_kind == "dd":
+    else:
         # A warm backend starts every span from |0...0> and a fresh peak:
         # the previous job's state width must not leak into this report.
         backend.reset_all()
         backend.reset_peak_nodes()
-    else:
-        backend = _make_backend(backend_kind, circuit.num_qubits)
     if context is None:
         context = _EvaluationContext(circuit, backend_kind)
 
@@ -348,33 +388,62 @@ def _run_span_body(
     property_hist = registry.histogram("property.eval_seconds", TIME_BUCKETS)
     completed_counter = registry.counter("trajectory.completed")
     evaluation_counter = registry.counter("property.evaluations")
-    dd_before = backend.package.metrics_snapshot() if backend_kind == "dd" else None
+    # The DD package this span starts on ("dd" and auto spans), whose
+    # table/GC deltas the span reports whichever engine ends up running.
+    package = getattr(backend, "package", None)
+    dd_before = package.metrics_snapshot() if package is not None else None
     guard_action, guard_tolerance = _resolve_norm_guard(on_drift, norm_tolerance)
-    injector = get_injector() if backend_kind == "dd" else None
+    injector = get_injector()
     prof = _profile.ACTIVE
+
+    def compile_gate_plan(plan_context, plan_backend):
+        plan_was_cached = plan_context._gate_plan is not None
+        plan = plan_context.gate_plan(plan_backend)
+        if not plan_was_cached:
+            registry.counter("gateplan.compiled").inc(plan.compiled_gates)
+        return plan
 
     # Compile-once work hoisted out of the Monte-Carlo loop: the gate plan
     # (per-operation matrices / operator DDs) and — on the DD backend, unless
-    # REPRO_PREFIX_SHARING=off — the prefix-sharing plan (one instrumented
-    # ideal execution yielding error sites, checkpoints, the shared ideal
-    # state).  Both are cached on the context, so warm workers compile once
-    # per job, not once per chunk.
+    # REPRO_PREFIX_SHARING=off, and always for auto spans — the prefix-sharing
+    # plan (one instrumented ideal execution yielding error sites,
+    # checkpoints, the shared ideal state and its peak DD size).  Both are
+    # cached on the context, so warm workers compile once per job, not once
+    # per chunk.
     if prof is not None:
         prof.push("<compile>")
-    plan_was_cached = context._gate_plan is not None
-    gate_plan = context.gate_plan(backend)
-    if not plan_was_cached:
-        registry.counter("gateplan.compiled").inc(gate_plan.compiled_gates)
+    gate_plan = compile_gate_plan(context, backend)
     prefix_plan = None
-    if backend_kind == "dd" and prefix_sharing_enabled():
+    prefix_was_cached = True
+    if backend_kind == AUTO_ENGINE or (backend_kind == "dd" and prefix_sharing_enabled()):
         prefix_was_cached = (
             context._prefix_plan is not None and context._prefix_model == noise_model
         )
         prefix_plan = context.prefix_plan(backend, noise_model)
-        if not prefix_was_cached:
-            registry.counter("prefix.checkpoints").inc(len(prefix_plan.checkpoints))
-            if prefix_plan.invalid_interval_override:
-                registry.counter("prefix.interval_override_invalid").inc()
+    ideal_peak_nodes = 0
+    if backend_kind == AUTO_ENGINE:
+        ideal_peak_nodes = prefix_plan.peak_nodes
+        backend_kind = choose_engine(ideal_peak_nodes, circuit.num_qubits)
+        result.backend_kind = backend_kind
+        if backend_kind == "statevector":
+            # From here on the span is an explicit statevector span: same
+            # context type, gate plan and loop, hence the same estimates.
+            context = context.dense()
+            backend = _make_backend(backend_kind, circuit.num_qubits)
+            gate_plan = compile_gate_plan(context, backend)
+            prefix_plan = None
+        elif not prefix_sharing_enabled():
+            # The ideal run only picked the engine: restart from |0...0>
+            # with a fresh peak, exactly as an explicit sharing-off DD span.
+            backend.reset_all()
+            backend.reset_peak_nodes()
+            prefix_plan = None
+    # Counted only when the trajectories use the plan, so auto spans count
+    # it exactly as often as the explicit DD spans they match.
+    if prefix_plan is not None and not prefix_was_cached:
+        registry.counter("prefix.checkpoints").inc(len(prefix_plan.checkpoints))
+        if prefix_plan.invalid_interval_override:
+            registry.counter("prefix.interval_override_invalid").inc()
     if prof is not None:
         prof.pop()
     prefix_hits = registry.counter("prefix.hits")
@@ -387,7 +456,7 @@ def _run_span_body(
     # spend every trajectory slot of this span on erring-conditioned runs.
     # Falls back to the plain prefix-shared loop when inactive (no clean
     # stratum, negligible erring mass, REPRO_STRATIFIED=off, or the
-    # statevector backend, which has no prefix plan).
+    # statevector engine, which has no prefix plan).
     strata_plan = None
     if prefix_plan is not None and stratified_enabled():
         candidate = context.strata_plan(prefix_plan)
@@ -417,24 +486,23 @@ def _run_span_body(
         """Post-circuit block shared by the naive, replay, and materialise
         paths — kept as ONE function so the guard/eval/sampling sequence (and
         therefore the rng stream and float order) cannot diverge between them."""
-        if backend_kind == "dd":
-            if drift is not None:
-                current_backend.scale_state(drift.factor)
-            if guard_action != "off":
-                norm_squared = current_backend.squared_norm()
-                if abs(norm_squared - 1.0) > guard_tolerance:
-                    if guard_action == "renorm":
-                        current_backend.renormalize()
-                        registry.counter("faults.recovered.renorm").inc()
-                    else:
-                        raise NumericalDriftError(
-                            f"trajectory {trajectory}: squared norm "
-                            f"{norm_squared!r} drifted beyond tolerance "
-                            f"{guard_tolerance:g}",
-                            trajectory=trajectory,
-                            norm_squared=norm_squared,
-                            tolerance=guard_tolerance,
-                        )
+        if drift is not None:
+            current_backend.scale_state(drift.factor)
+        if guard_action != "off":
+            norm_squared = current_backend.squared_norm()
+            if abs(norm_squared - 1.0) > guard_tolerance:
+                if guard_action == "renorm":
+                    current_backend.renormalize()
+                    registry.counter("faults.recovered.renorm").inc()
+                else:
+                    raise NumericalDriftError(
+                        f"trajectory {trajectory}: squared norm "
+                        f"{norm_squared!r} drifted beyond tolerance "
+                        f"{guard_tolerance:g}",
+                        trajectory=trajectory,
+                        norm_squared=norm_squared,
+                        tolerance=guard_tolerance,
+                    )
         if properties:
             if prof is not None:
                 prof.push("<properties>")
@@ -457,7 +525,6 @@ def _run_span_body(
             if count:
                 registry.counter(f"errors.fired.{kind}").inc(count)
 
-    started = time.perf_counter()
     if timeout is not None:
         relative_deadline = time.monotonic() + timeout
         deadline = relative_deadline if deadline is None else min(deadline, relative_deadline)
@@ -607,18 +674,19 @@ def _run_span_body(
             "attempts": strata_attempts_total,
         }
 
-    if backend_kind == "dd":
+    # A dense span's only DD is the ideal run that chose its engine.
+    result.peak_nodes = backend.peak_nodes if backend_kind == "dd" else ideal_peak_nodes
+    if package is not None:
         # Span boundary: force one full sweep regardless of the dead-node
         # watermark so a span never hands accumulated garbage to its
         # successor (the per-gate calls inside the loop are paced).
-        backend.package.garbage_collect(force=True)
-        result.peak_nodes = backend.peak_nodes
-        dd_delta = delta_snapshots(backend.package.metrics_snapshot(), dd_before)
+        package.garbage_collect(force=True)
+        dd_delta = delta_snapshots(package.metrics_snapshot(), dd_before)
         result.metrics = merge_snapshots(registry.snapshot(), dd_delta)
     else:
         result.metrics = registry.snapshot()
     result.elapsed_seconds = time.perf_counter() - started
-    result.cpu_seconds = result.elapsed_seconds
+    result.cpu_seconds = time.process_time() - cpu_started
     return result
 
 

@@ -25,7 +25,9 @@ OTHER_FP = "b" * 16
 KEY = "c" * 64
 
 
-def _record_run(ledger, fp=FP, method="stochastic", peak=30, key=KEY, rate=120.0):
+def _record_run(
+    ledger, fp=FP, method="stochastic", peak=30, key=KEY, rate=120.0, engine=None
+):
     ledger.record_run(
         key=key,
         fingerprint=fp,
@@ -40,6 +42,7 @@ def _record_run(ledger, fp=FP, method="stochastic", peak=30, key=KEY, rate=120.0
         trajectories_per_second=rate,
         p_clean=0.9,
         halfwidths={"P(00000)": 0.01},
+        engine=engine,
     )
 
 
@@ -211,19 +214,21 @@ class TestAggregateMergeAlgebra:
                      "ceiling": rng.randrange(1, 10**5)}
                 )
             else:
-                records.append(
-                    {"rec": "run", "fp": FP,
-                     "method": rng.choice(["exact", "stochastic"]),
-                     "qubits": rng.randrange(2, 20),
-                     "depth": rng.randrange(1, 50),
-                     "peak_nodes": rng.randrange(1, 10**6),
-                     "cpu_seconds": rng.random() * 10,
-                     "elapsed_seconds": rng.random() * 10,
-                     "trajectories": rng.randrange(0, 10**4),
-                     "effective_trajectories": rng.random() * 10**4,
-                     "trajectories_per_second": rng.random() * 10**5,
-                     "p_clean": rng.random()}
-                )
+                record = {"rec": "run", "fp": FP,
+                          "method": rng.choice(["exact", "stochastic"]),
+                          "qubits": rng.randrange(2, 20),
+                          "depth": rng.randrange(1, 50),
+                          "peak_nodes": rng.randrange(1, 10**6),
+                          "cpu_seconds": rng.random() * 10,
+                          "elapsed_seconds": rng.random() * 10,
+                          "trajectories": rng.randrange(0, 10**4),
+                          "effective_trajectories": rng.random() * 10**4,
+                          "trajectories_per_second": rng.random() * 10**5,
+                          "p_clean": rng.random()}
+                engine = rng.choice(["dd", "statevector", None])
+                if engine is not None:  # None: a record older than engines
+                    record["engine"] = engine
+                records.append(record)
         return records
 
     @staticmethod
@@ -254,6 +259,14 @@ class TestAggregateMergeAlgebra:
         right.merge(bc)
         _assert_close(left.to_dict(), right.to_dict())
         _assert_close(left.to_dict(), whole.to_dict())
+
+    def test_aggregate_without_engine_split_reads_as_one_legacy_engine(self):
+        aggregate = self._fold(self._random_records(random.Random(7), 25))
+        legacy = aggregate.to_dict()
+        del legacy["engine_rate_hists"]
+        clone = FamilyAggregate.from_dict(legacy)
+        assert set(clone.engine_rate_hists) == {""}
+        assert clone.engine_rate_hists[""] == aggregate.rate_hist
 
     def test_roundtrip_through_dict(self):
         rng = random.Random(99)
@@ -329,3 +342,44 @@ class TestMetricsSurface:
             assert snapshot["gauges"]["ledger.families"] == 2.0
             assert snapshot["gauges"]["ledger.runs.total"] == 2.0
             assert snapshot["counters"]["ledger.records.written"] == 2
+
+
+class TestHistoryTrend:
+    """``repro history --trend`` compares a run only with runs on its engine:
+    an ``auto`` family that runs dense must not make a DD run look slow."""
+
+    @staticmethod
+    def _trend(tmp_path, capsys, runs):
+        from repro.cli import main
+
+        with RunLedger(ledger_path(str(tmp_path))) as ledger:
+            for engine, rate in runs:
+                _record_run(ledger, rate=rate, engine=engine)
+        code = main(["history", "--trend", "--json", "--store", str(tmp_path)])
+        (family,) = json.loads(capsys.readouterr().out)["families"]
+        return code, family["trend"]
+
+    def test_dd_run_after_dense_runs_is_not_a_regression(self, tmp_path, capsys):
+        code, trend = self._trend(
+            tmp_path, capsys,
+            [("dd", 10.0), ("statevector", 400.0), ("statevector", 420.0), ("dd", 9.5)],
+        )
+        assert code == 0
+        assert trend["baseline"] == pytest.approx(9.75)
+        assert not trend["regressed"]
+
+    def test_slower_run_on_the_same_engine_still_regresses(self, tmp_path, capsys):
+        code, trend = self._trend(
+            tmp_path, capsys,
+            [("dd", 10.0), ("statevector", 400.0), ("statevector", 200.0)],
+        )
+        assert code == 1
+        assert trend["baseline"] == pytest.approx(300.0)
+        assert trend["regressed"]
+
+    def test_records_without_an_engine_compare_among_themselves(self, tmp_path, capsys):
+        code, trend = self._trend(
+            tmp_path, capsys, [(None, 100.0), ("statevector", 900.0), (None, 90.0)]
+        )
+        assert code == 0
+        assert trend["baseline"] == pytest.approx(95.0)

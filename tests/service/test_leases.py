@@ -92,6 +92,37 @@ class TestFencing:
                 _counters(scheduler)["scheduler.chunks_completed"] == committed
             )
 
+    def test_report_from_a_cancelled_run_of_the_same_key_is_fenced(self):
+        """A resubmission never leased the cancelled run's in-flight chunk
+        and grants tokens past the cancelled run's, so that chunk's late
+        report cannot commit into it under either condition."""
+        spec = _spec(trajectories=8)
+        plan = [(0, 0, 4), (1, 4, 4)]
+        with Scheduler(workers=1, store=ResultStore(directory=None)) as scheduler:
+            scheduler._draining = True
+            key = scheduler.submit_resumed(spec, plan, {})
+            with scheduler._lock:
+                cancelled = scheduler._jobs[key]
+                cancelled.lease_tokens[0] = cancelled.next_token  # in flight
+                cancelled.next_token += 1
+            assert scheduler.cancel(key)
+            scheduler.submit_resumed(spec, plan, {})
+            stale = ChunkOutcome(
+                worker_id=0, job_key=key, chunk_index=0,
+                first_trajectory=0, num_trajectories=4,
+                result=_real_chunk_result(spec, 0, 4), error=None,
+                fencing_token=0,
+            )
+            with scheduler._lock:
+                job = scheduler._jobs[key]
+                scheduler._handle_outcome(stale)  # chunk not leased yet
+                assert 0 not in job.completed
+                job.lease_tokens[0] = job.next_token  # leased by this run
+                job.next_token += 1
+                scheduler._handle_outcome(stale)
+                assert 0 not in job.completed
+            assert _counters(scheduler)["lease.fenced"] == 2
+
     def test_pre_lease_outcomes_are_not_fenced(self):
         """Tasks dispatched before leasing existed (token None) still commit."""
         spec = _spec(trajectories=4)

@@ -1,5 +1,7 @@
 """Unit tests for the Monte-Carlo runner."""
 
+import time
+
 import pytest
 
 from repro.circuits import QuantumCircuit
@@ -133,6 +135,39 @@ class TestTimeout:
     def test_no_timeout_completes(self):
         result = simulate_stochastic(ghz(2), trajectories=10, timeout=60.0)
         assert not result.timed_out
+
+
+class _SleepyProbability:
+    """``P(|00>)`` whose evaluation also sleeps: wall time without CPU time."""
+
+    name = "sleepy"
+
+    def evaluate(self, backend, run_result, context):
+        time.sleep(0.02)
+        return backend.probability_of_basis([0, 0])
+
+
+class TestCpuSeconds:
+    def test_span_reports_cpu_time_not_wall_time(self):
+        from repro.stochastic.runner import run_trajectory_span
+
+        result = run_trajectory_span(
+            ghz(2), NOISE, [_SleepyProbability()], "statevector", 0, 5, 3
+        )
+        assert result.elapsed_seconds >= 5 * 0.02
+        assert 0.0 < result.cpu_seconds < 0.5 * result.elapsed_seconds
+
+    def test_cpu_and_wall_time_cover_the_compile_step(self):
+        """An auto span's compile step (an ideal DD run, then the dense gate
+        plan) outweighs its one dense trajectory; both times must count it."""
+        from repro.circuits.library import qaoa_maxcut
+        from repro.stochastic.runner import AUTO_ENGINE, run_trajectory_span
+
+        result = run_trajectory_span(
+            qaoa_maxcut(6, measure=False), NOISE, [], AUTO_ENGINE, 0, 1, 3
+        )
+        assert result.backend_kind == "statevector"
+        assert result.cpu_seconds <= 1.1 * result.elapsed_seconds + 0.005
 
 
 class TestPropertyHandling:
