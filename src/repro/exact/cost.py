@@ -61,10 +61,12 @@ from ..circuits.operations import (
     ResetOperation,
 )
 from ..noise.model import NoiseModel
+from ..noise.stochastic import build_noise_site
 from ..obs.ledger import FamilyAggregate, circuit_fingerprint
 from ..stochastic.properties import ClassicalOutcome, PropertySpec
 from ..stochastic.strata import (
     MIN_ERRING_MASS,
+    site_survival_probability,
     stratified_enabled,
     stratified_samples,
 )
@@ -330,13 +332,16 @@ def static_clean_probability(
 ) -> Optional[float]:
     """A-priori clean-stratum weight, or ``None`` when not stratifiable.
 
-    Mirrors :func:`~repro.stochastic.strata.site_survival_probability` over
-    the whole circuit *statically* — before any state exists — so dispatch
-    can size the stratified budget without a dry run.  The one draw it
-    cannot know statically is event-mode damping's occupation ``p_one``;
-    it assumes the worst case ``p_one = 1``, making this a lower bound on
-    the true ``p_clean`` and the resulting budget an upper bound on the
-    true stratified cost (the safe direction for routing).
+    The product of :func:`~repro.stochastic.strata.site_survival_probability`
+    over the circuit's noise sites, in the order
+    :class:`~repro.stochastic.strata.StrataPlan` multiplies them, built
+    *statically* — before any state exists — so dispatch can size the
+    stratified budget without a dry run.  The one draw it cannot know
+    statically is event-mode damping's occupation ``p_one``; it assumes the
+    worst case ``p_one = 1``, making this a lower bound on the true
+    ``p_clean`` and the resulting budget an upper bound on the true
+    stratified cost (the safe direction for routing).  Without damping it
+    equals the runtime plan's ``p_clean`` exactly.
 
     Returns ``None`` for circuits the prefix-sharing plan cannot stratify:
     mid-circuit measure/reset (the plan stops there) or classically
@@ -345,7 +350,7 @@ def static_clean_probability(
     if model is None or model.is_noiseless:
         return 1.0
     exact_damping = model.damping_mode == "exact"
-    survival = 1.0
+    p_clean = 1.0
     for operation in circuit:
         if isinstance(operation, BarrierOperation):
             continue
@@ -354,22 +359,9 @@ def static_clean_probability(
         assert isinstance(operation, GateOperation)
         if operation.condition is not None:
             return None
-        for qubit in operation.qubits:
-            rates = model.rates_for(operation.name, qubit)
-            if rates.depolarizing > 0.0:
-                survival *= 1.0 - 0.75 * rates.depolarizing
-            if rates.amplitude_damping > 0.0:
-                if exact_damping:
-                    return 0.0
-                survival *= 1.0 - rates.amplitude_damping  # p_one = 1
-            if rates.phase_flip > 0.0:
-                survival *= 1.0 - rates.phase_flip
-        touched = operation.qubits
-        for pair in zip(touched, touched[1:]):
-            crosstalk = model.rates_for(operation.name, pair[1]).crosstalk
-            if crosstalk > 0.0:
-                survival *= 1.0 - 0.9375 * crosstalk
-    return survival
+        site = build_noise_site(model, operation.name, operation.qubits, lambda q: 1.0)
+        p_clean *= site_survival_probability(site, exact_damping)
+    return p_clean
 
 
 def stochastic_budget(

@@ -19,7 +19,6 @@ each kind exercises.
 
 from .inject import (
     FaultInjector,
-    LEGACY_CRASH_ONCE_ENV,
     PLAN_ENV,
     get_injector,
     reset_injector_cache,
@@ -31,7 +30,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "LEGACY_CRASH_ONCE_ENV",
     "PLAN_ENV",
     "get_injector",
     "reset_injector_cache",

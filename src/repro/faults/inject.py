@@ -9,12 +9,6 @@ parent without any extra plumbing.  :func:`get_injector` resolves the
 active injector for the calling process, caching one injector per
 distinct plan so firing budgets persist across call sites.
 
-The legacy ``REPRO_SERVICE_CRASH_ONCE`` marker-file variable is kept as
-a **deprecated alias**: when ``REPRO_FAULT_PLAN`` is unset it maps to
-:meth:`FaultPlan.crash_once`, reproducing the old behaviour exactly
-(first worker to pick up a task dies hard, once, coordinated through
-the marker file).
-
 Injection sites call :meth:`FaultInjector.fire`, which returns the
 matched :class:`FaultSpec` (after atomically claiming a firing) or
 ``None``.  Every firing increments a ``faults.injected.<kind>`` counter
@@ -24,14 +18,13 @@ in the injector's metrics registry.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.metrics import MetricsRegistry
 from .plan import FaultPlan
 
 __all__ = [
     "PLAN_ENV",
-    "LEGACY_CRASH_ONCE_ENV",
     "FaultInjector",
     "get_injector",
     "reset_injector_cache",
@@ -39,9 +32,6 @@ __all__ = [
 
 #: Environment variable carrying the active plan (inline JSON or ``@path``).
 PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Deprecated alias (PR 1): a marker-file path requesting one hard crash.
-LEGACY_CRASH_ONCE_ENV = "REPRO_SERVICE_CRASH_ONCE"
 
 
 class FaultInjector:
@@ -97,41 +87,35 @@ class FaultInjector:
         return self.metrics.snapshot()
 
 
-#: Cache: one injector per distinct (plan-env, legacy-env) pair, so firing
-#: budgets survive across call sites within a process while env changes
-#: (tests monkeypatching the variable) still take effect.
-_CACHE: Dict[Tuple[Optional[str], Optional[str]], Optional[FaultInjector]] = {}
+#: Cache: one injector per distinct plan-env value, so firing budgets
+#: survive across call sites within a process while env changes (tests
+#: monkeypatching the variable) still take effect.
+_CACHE: Dict[str, Optional[FaultInjector]] = {}
 
 
-def _resolve_plan(raw: Optional[str], legacy: Optional[str]) -> Optional[FaultPlan]:
-    if raw:
-        text = raw
-        if raw.startswith("@"):
-            try:
-                with open(raw[1:], "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError:
-                return None
+def _resolve_plan(raw: str) -> Optional[FaultPlan]:
+    text = raw
+    if raw.startswith("@"):
         try:
-            return FaultPlan.from_json(text)
-        except (ValueError, KeyError, TypeError):
-            return None  # an unparsable plan injects nothing
-    if legacy:
-        return FaultPlan.crash_once(legacy)
-    return None
+            with open(raw[1:], "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError:
+            return None
+    try:
+        return FaultPlan.from_json(text)
+    except (ValueError, KeyError, TypeError):
+        return None  # an unparsable plan injects nothing
 
 
 def get_injector() -> Optional[FaultInjector]:
     """The calling process's active injector, or ``None`` (no plan set)."""
     raw = os.environ.get(PLAN_ENV)
-    legacy = os.environ.get(LEGACY_CRASH_ONCE_ENV)
-    if not raw and not legacy:
+    if not raw:
         return None
-    key = (raw, legacy)
-    if key not in _CACHE:
-        plan = _resolve_plan(raw, legacy)
-        _CACHE[key] = FaultInjector(plan) if plan is not None else None
-    return _CACHE[key]
+    if raw not in _CACHE:
+        plan = _resolve_plan(raw)
+        _CACHE[raw] = FaultInjector(plan) if plan is not None else None
+    return _CACHE[raw]
 
 
 def reset_injector_cache() -> None:

@@ -60,6 +60,10 @@ FAULT_KINDS: Tuple[str, ...] = (
     "enospc-ledger",    # the ledger append raises OSError(ENOSPC)
 )
 
+#: The record type a generated ``torn-<log>`` / ``enospc-<log>`` fault
+#: strikes: each durable log's commit record.
+LOG_FAULT_OPERATIONS: Dict[str, str] = {"journal": "chunk-done", "ledger": "run"}
+
 #: Aliases accepted by the chaos CLI (friendly name -> canonical kind).
 KIND_ALIASES: Dict[str, str] = {
     "crash": "crash-before",
@@ -106,10 +110,6 @@ class FaultSpec:
     seconds: float = 0.0
     #: Amplitude scale factor for drift injection.
     factor: float = 1.0
-    #: Legacy single-file coordination: firing requires exclusively
-    #: creating this exact file (the pre-FaultPlan ``REPRO_SERVICE_CRASH_ONCE``
-    #: marker semantics).  Overrides ``state_dir`` coordination.
-    marker: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -136,7 +136,7 @@ class FaultSpec:
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {"kind": self.kind, "times": self.times}
         for key in ("job_key", "worker_id", "chunk_index", "trajectory",
-                    "operation", "marker"):
+                    "operation"):
             value = getattr(self, key)
             if value is not None:
                 data[key] = value
@@ -158,7 +158,6 @@ class FaultSpec:
             times=int(data.get("times", 1)),
             seconds=float(data.get("seconds", 0.0)),
             factor=float(data.get("factor", 1.0)),
-            marker=None if data.get("marker") is None else str(data["marker"]),
         )
 
 
@@ -213,9 +212,6 @@ class FaultPlan:
 
     def marker_path(self, spec_index: int, firing: int) -> Optional[str]:
         """Coordination file for the ``firing``-th strike of fault ``spec_index``."""
-        spec = self.faults[spec_index]
-        if spec.marker is not None:
-            return spec.marker if firing == 0 else f"{spec.marker}.{firing}"
         if self.state_dir is None:
             return None
         return os.path.join(self.state_dir, f"fault-{spec_index}-{firing}")
@@ -284,26 +280,12 @@ class FaultPlan:
                 faults.append(FaultSpec(kind=kind, job_key=job_key, operation="put"))
             elif kind == "enospc":
                 faults.append(FaultSpec(kind=kind, job_key=job_key, operation="put_partial"))
-            elif kind == "torn-journal":
-                faults.append(FaultSpec(kind=kind, job_key=job_key, operation="chunk-done"))
-            elif kind == "enospc-journal":
-                faults.append(FaultSpec(kind=kind, job_key=job_key, operation="chunk-done"))
-            elif kind in ("torn-ledger", "enospc-ledger"):
-                faults.append(FaultSpec(kind=kind, job_key=job_key, operation="run"))
             elif kind == "drift":
                 trajectory = rng.randrange(max(1, trajectories))
                 faults.append(FaultSpec(
                     kind=kind, job_key=job_key, trajectory=trajectory, factor=1.01,
                 ))
-            else:  # pragma: no cover - FAULT_KINDS and the branches above agree
-                raise AssertionError(kind)
+            else:  # torn-<log> / enospc-<log>
+                operation = LOG_FAULT_OPERATIONS[kind.partition("-")[2]]
+                faults.append(FaultSpec(kind=kind, job_key=job_key, operation=operation))
         return cls(faults=tuple(faults), seed=seed, state_dir=state_dir)
-
-    @classmethod
-    def crash_once(cls, marker: str) -> "FaultPlan":
-        """The legacy ``REPRO_SERVICE_CRASH_ONCE`` behaviour as a plan.
-
-        The first worker to pick up a task after spawn dies hard, exactly
-        once across the whole pool, coordinated through ``marker``.
-        """
-        return cls(faults=(FaultSpec(kind="crash-before", marker=marker),), seed=0)

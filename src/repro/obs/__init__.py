@@ -29,7 +29,8 @@ On top of the recording primitives sit three exit ramps:
 Persisting across processes and restarts sits :mod:`repro.obs.ledger` —
 the crash-safe per-circuit-family run ledger (``repro.ledger/v1``) whose
 aggregates feed the measured dispatch cost model in
-:mod:`repro.exact.cost` and the ``repro history`` CLI surface.
+:mod:`repro.exact.cost` and the ``repro history`` CLI surface.  It and
+the job journal are both :class:`repro.obs.appendlog.AppendLog` files.
 
 See docs/OBSERVABILITY.md for the metric catalogue.
 """

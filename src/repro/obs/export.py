@@ -32,6 +32,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
+from .appendlog import read_log, read_records
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -295,25 +296,4 @@ def read_event_log(path: str) -> List[Dict[str, object]]:
     that line (and any non-object line) is skipped rather than raised, so
     post-crash logs are always readable.  A missing file reads as empty.
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return []
-    events: List[Dict[str, object]] = []
-    lines = raw.split(b"\n")
-    trailing_complete = raw.endswith(b"\n")
-    if trailing_complete:
-        lines = lines[:-1]
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if position == len(lines) - 1 and not trailing_complete:
-            continue  # torn trailing record — the crash signature
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict):
-            events.append(record)
-    return events
+    return read_records(read_log(path))

@@ -21,21 +21,14 @@ actually observed — the ROADMAP item "feed back observed ``peak_rho_nodes``
 per circuit family from the store so dispatch learns that GHZ-class rho
 stays small and exact keeps winning far past the dense boundary".
 
-Durability follows the journal's rules exactly:
-
-* appends are flushed and ``fsync``'d before returning (configurable
-  interval), shed during a degraded-mode cooldown after a failed write
-  (``ledger.write.errors`` / ``ledger.degraded.skipped``);
-* replay distrusts a **torn tail** — the final line is skipped whenever the
-  file does not end in a newline, even if it happens to parse
-  (``ledger.replay.torn_skipped``); undecodable interior lines are skipped
-  and counted (``ledger.replay.bad_skipped``), never fatal;
-* rotation is atomic (tmp + fsync + ``os.replace``) and *compacts history
-  instead of discarding it*: raw ``run`` records are folded into one
-  mergeable per-fingerprint ``aggregate`` record (counts plus fixed-bucket
-  histograms, associative exactly like
-  :func:`repro.obs.metrics.merge_snapshots`), keeping a bounded window of
-  recent raw records per family for trend display.
+Durability is the :class:`~repro.obs.appendlog.AppendLog` contract the job
+journal follows too (fsync'd appends, torn-tail distrust on replay, ENOSPC
+degraded mode, atomic rotation; counters under ``ledger.*``).  Rotation
+*compacts history instead of discarding it*: raw ``run`` records are folded
+into one mergeable per-fingerprint ``aggregate`` record (counts plus
+fixed-bucket histograms, associative exactly like
+:func:`repro.obs.metrics.merge_snapshots`), keeping a bounded window of
+recent raw records per family for trend display.
 
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
@@ -52,21 +45,18 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 ``aggregate``  rotation product: ``{"rec","fp","agg":{...}}``
 =============  ==========================================================
 
-Fault-injection sites (see :mod:`repro.faults`): ``torn-ledger`` truncates
-the file mid-record after an append and ``enospc-ledger`` fails the append
-with ``ENOSPC``; both match on ``operation=<record type>``.
+Fault-injection sites (see :mod:`repro.faults`): ``torn-ledger`` and
+``enospc-ledger``, both matching on ``operation=<record type>``.
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
-import threading
-import time
-from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .appendlog import AppendLog, fold, read_log, read_records
 from .metrics import MetricsRegistry, NODE_BUCKETS, _remap_counts
 
 __all__ = [
@@ -498,64 +488,36 @@ class LedgerState:
         return sum(a.runs for a in self.aggregates.values())
 
 
-def _fold_lines(
-    raw: bytes,
-    metrics: Optional[MetricsRegistry] = None,
-    recent_limit: int = DEFAULT_RECENT_RECORDS,
-) -> LedgerState:
-    """Fold ledger bytes into replayed state, skipping torn records.
-
-    Mirrors the journal's replay contract: the final line is distrusted
-    whenever the file does not end in a newline — even structurally valid
-    JSON can be a truncation that happens to parse — and undecodable
-    interior lines are skipped and counted, never fatal.
-    """
-    state = LedgerState(recent_limit=recent_limit)
-    if not raw:
-        return state
-    lines = raw.split(b"\n")
-    trailing_complete = raw.endswith(b"\n")
-    if trailing_complete:
-        lines = lines[:-1]  # the split artifact after the final newline
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = position == len(lines) - 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-        except (ValueError, UnicodeDecodeError):
-            if metrics is not None:
-                name = (
-                    "ledger.replay.torn_skipped"
-                    if last and not trailing_complete
-                    else "ledger.replay.bad_skipped"
-                )
-                metrics.counter(name).inc()
-            continue
-        if last and not trailing_complete:
-            if metrics is not None:
-                metrics.counter("ledger.replay.torn_skipped").inc()
-            continue
-        if metrics is not None:
-            metrics.counter("ledger.replay.records").inc()
-        state.apply(record)
-    return state
-
-
 def replay_ledger(
     path: str,
     metrics: Optional[MetricsRegistry] = None,
     recent_limit: int = DEFAULT_RECENT_RECORDS,
 ) -> LedgerState:
     """Replay a ledger file read-only; missing files replay to empty state."""
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return LedgerState(recent_limit=recent_limit)
-    return _fold_lines(raw, metrics, recent_limit)
+    return fold(
+        lambda: LedgerState(recent_limit=recent_limit),
+        read_records(read_log(path), metrics, "ledger"),
+    )
+
+
+def _live_records(state: LedgerState) -> List[Dict[str, object]]:
+    """Compacted view: one aggregate per family + its recent raw window.
+
+    Carried-over raw records are stamped ``"folded": true`` — their
+    telemetry already lives in the aggregate, so replay keeps them for
+    trend display without double counting.
+    """
+    records: List[Dict[str, object]] = []
+    for fingerprint in state.order:
+        aggregate = state.aggregates[fingerprint]
+        records.append(
+            {"rec": "aggregate", "fp": fingerprint, "agg": aggregate.to_dict()}
+        )
+        for raw in state.recent.get(fingerprint, []):
+            carried = dict(raw)
+            carried["folded"] = True
+            records.append(carried)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +532,8 @@ class RunLedger:
     :meth:`aggregates` immediately answers "what does history say about
     this circuit family?".  The open also rotates, folding old raw records
     into per-family ``aggregate`` records so replay cost stays bounded
-    while no observation is ever lost.
+    while no observation is ever lost.  The mechanics — and the
+    durability contract — are :class:`~repro.obs.appendlog.AppendLog`'s.
     """
 
     def __init__(
@@ -583,35 +546,18 @@ class RunLedger:
         recent_records: int = DEFAULT_RECENT_RECORDS,
     ) -> None:
         self.path = path
-        self.fsync_interval = fsync_interval
-        self.max_bytes = max_bytes
-        self.degraded_cooldown = degraded_cooldown
-        self.recent_records = recent_records
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for name in (
-            "ledger.records.written",
-            "ledger.write.errors",
-            "ledger.degraded.skipped",
-            "ledger.rotations",
-            "ledger.replay.records",
-            "ledger.replay.torn_skipped",
-            "ledger.replay.bad_skipped",
-        ):
-            self.metrics.counter(name)
-        self._lock = threading.RLock()
-        self._handle: Optional[IO[bytes]] = None
-        self._last_fsync = 0.0
-        self._degraded_until = 0.0
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            raw = b""
-        self._state = _fold_lines(raw, self.metrics, recent_records)
-        # Rotate on open: compacts raw history into aggregates and leaves a
-        # clean, fully newline-terminated file to append to.
-        self._rotate_locked()
+        self._log = AppendLog(
+            path,
+            "ledger",
+            LEDGER_SCHEMA,
+            lambda: LedgerState(recent_limit=recent_records),
+            _live_records,
+            fsync_interval,
+            max_bytes,
+            degraded_cooldown,
+            self.metrics,
+        )
 
     # -- record appends ----------------------------------------------------
 
@@ -654,13 +600,13 @@ class RunLedger:
             record["p_clean"] = p_clean
         if halfwidths:
             record["halfwidths"] = dict(sorted(halfwidths.items()))
-        self._append(record)
+        self._log.append(record)
 
     def record_fallback(
         self, key: str, fingerprint: str, nodes: int, ceiling: int
     ) -> None:
         """Append a node-ceiling misprediction so dispatch learns from it."""
-        self._append(
+        self._log.append(
             {
                 "rec": "fallback",
                 "job": key,
@@ -674,184 +620,37 @@ class RunLedger:
 
     def aggregates(self) -> Dict[str, FamilyAggregate]:
         """Live per-family aggregates (treat as read-only)."""
-        with self._lock:
-            return dict(self._state.aggregates)
+        with self._log.lock:
+            return dict(self._log.state.aggregates)
 
     def family(self, fingerprint: str) -> Optional[FamilyAggregate]:
-        with self._lock:
-            return self._state.aggregates.get(fingerprint)
+        with self._log.lock:
+            return self._log.state.aggregates.get(fingerprint)
 
     def recent(self, fingerprint: str) -> List[Dict[str, object]]:
         """The family's recent raw records (newest last)."""
-        with self._lock:
-            return [dict(r) for r in self._state.recent.get(fingerprint, [])]
+        with self._log.lock:
+            return [dict(r) for r in self._log.state.recent.get(fingerprint, [])]
 
     @property
     def degraded(self) -> bool:
         """True while appends are being shed after a write failure."""
-        return time.monotonic() < self._degraded_until
+        return self._log.degraded
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Metrics snapshot with live occupancy gauges refreshed."""
-        with self._lock:
-            self.metrics.gauge("ledger.families").set(
-                float(len(self._state.aggregates))
-            )
-            self.metrics.gauge("ledger.runs.total").set(
-                float(self._state.total_runs())
-            )
+        with self._log.lock:
+            state = self._log.state
+            self.metrics.gauge("ledger.families").set(float(len(state.aggregates)))
+            self.metrics.gauge("ledger.runs.total").set(float(state.total_runs()))
             return self.metrics.snapshot()
-
-    # -- mechanics ---------------------------------------------------------
-
-    def _ensure_open(self) -> IO[bytes]:
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-        return self._handle
-
-    def _append(self, record: Dict[str, object]) -> None:
-        line = (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        with self._lock:
-            # The in-memory mirror advances even when the disk write is
-            # shed: this process keeps dispatching on fresh history, only
-            # crash durability for the shed record is lost (and counted).
-            self._state.apply(record)
-            now = time.monotonic()
-            if now < self._degraded_until:
-                self.metrics.counter("ledger.degraded.skipped").inc()
-                return
-            from ..faults.inject import get_injector
-
-            injector = get_injector()
-            try:
-                if injector is not None and injector.fire(
-                    "enospc-ledger",
-                    operation=str(record.get("rec")),
-                    job_key=record.get("job"),
-                ):
-                    raise OSError(errno.ENOSPC, "No space left on device [injected]")
-                handle = self._ensure_open()
-                handle.write(line)
-                handle.flush()
-                if self.fsync_interval <= 0.0 or (
-                    now - self._last_fsync >= self.fsync_interval
-                ):
-                    os.fsync(handle.fileno())
-                    self._last_fsync = now
-            except OSError:
-                self.metrics.counter("ledger.write.errors").inc()
-                self._degraded_until = now + self.degraded_cooldown
-                return
-            self.metrics.counter("ledger.records.written").inc()
-            if injector is not None and injector.fire(
-                "torn-ledger",
-                operation=str(record.get("rec")),
-                job_key=record.get("job"),
-            ):
-                self._tear_tail_locked(len(line))
-                return
-            self._maybe_rotate_for_size_locked()
-
-    def _tear_tail_locked(self, line_length: int) -> None:
-        """Simulate a torn write: cut the freshly appended record short."""
-        try:
-            handle = self._ensure_open()
-            handle.flush()
-            size = os.path.getsize(self.path)
-            with open(self.path, "r+b") as tear:
-                tear.truncate(max(0, size - line_length // 2))
-            handle.close()
-            self._handle = None
-        except OSError:
-            pass
-
-    def _maybe_rotate_for_size_locked(self) -> None:
-        try:
-            if os.path.getsize(self.path) > self.max_bytes:
-                self._rotate_locked()
-        except OSError:
-            pass
-
-    def _live_records(self) -> List[Dict[str, object]]:
-        """Compacted view: one aggregate per family + its recent raw window.
-
-        Carried-over raw records are stamped ``"folded": true`` — their
-        telemetry already lives in the aggregate, so replay keeps them for
-        trend display without double counting.
-        """
-        records: List[Dict[str, object]] = []
-        for fingerprint in self._state.order:
-            aggregate = self._state.aggregates[fingerprint]
-            records.append(
-                {
-                    "rec": "aggregate",
-                    "fp": fingerprint,
-                    "agg": aggregate.to_dict(),
-                }
-            )
-            for raw in self._state.recent.get(fingerprint, []):
-                carried = dict(raw)
-                carried["folded"] = True
-                records.append(carried)
-        return records
-
-    def _rotate_locked(self) -> None:
-        """Atomically rewrite the ledger as aggregates + recent raw records."""
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                header = json.dumps(
-                    {"rec": "header", "schema": LEDGER_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                handle.write((header + "\n").encode("utf-8"))
-                for record in self._live_records():
-                    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-                    handle.write((line + "\n").encode("utf-8"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            os.replace(tmp, self.path)
-            self.metrics.counter("ledger.rotations").inc()
-            # Keep the mirror equal to the rotated file's replay: the raw
-            # records written out carry the folded stamp, so the in-memory
-            # copies must carry it too.
-            for window in self._state.recent.values():
-                for record in window:
-                    record["folded"] = True
-        except OSError:
-            self.metrics.counter("ledger.write.errors").inc()
-            self._degraded_until = time.monotonic() + self.degraded_cooldown
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
 
     def flush(self) -> None:
         """Force any buffered bytes to disk (drain path)."""
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    self.metrics.counter("ledger.write.errors").inc()
+        self._log.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    pass
-                self._handle.close()
-                self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "RunLedger":
         return self

@@ -13,24 +13,18 @@ merge folds chunk results in chunk-index order, the resumed result is
 **bit-identical** to an uninterrupted run no matter which chunk subset
 had completed when the process died.
 
-Durability rules:
-
-* every appended record is flushed and ``fsync``'d before the append
-  returns (configurable to a small interval for high-rate streams), so
-  a committed chunk result can never be lost to the page cache;
-* replay tolerates a **torn trailing record** — a line cut short by the
-  crash — by skipping it (counted in ``journal.replay.torn_skipped``);
-  undecodable mid-file lines are likewise skipped, never fatal;
-* compaction is **atomic**: live records are rewritten to a temporary
-  file, fsync'd, and ``os.replace``'d over the journal, so readers (and
-  a crash mid-rotation) see the old journal or the new one, never a
-  partial mix;
-* writes degrade, they do not kill the service: an ``ENOSPC`` (or any
-  ``OSError``) puts the journal in a cooldown window during which
-  appends are shed and counted (``journal.write.errors`` /
-  ``journal.degraded.skipped``) — checkpoint granularity is lost before
-  results are (the store applies the same policy to its checkpoint
-  writes; see docs/ROBUSTNESS.md "Durability & restart semantics").
+Durability is the :class:`~repro.obs.appendlog.AppendLog` contract:
+every record is flushed and ``fsync``'d before the append returns, so a
+committed chunk result can never be lost to the page cache; replay
+skips a torn trailing record (``journal.replay.torn_skipped``) and
+undecodable interior lines (``journal.replay.bad_skipped``); a torn or
+failed append never takes the next record with it; compaction is
+atomic; and an ``ENOSPC`` sheds appends for a cooldown
+(``journal.write.errors`` / ``journal.degraded.skipped``) rather than
+killing the service — checkpoint granularity is lost before results
+are (the store applies the same policy to its checkpoint writes; see
+docs/ROBUSTNESS.md "Durability & restart semantics").  Compaction keeps
+only the records of incomplete jobs.
 
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
@@ -44,23 +38,17 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 ``job-done``    ``{"rec","job","status","error"?}``
 ==============  =========================================================
 
-Fault-injection sites (see :mod:`repro.faults`): ``torn-journal``
-truncates the file mid-record after an append (replay must skip the torn
-tail) and ``enospc-journal`` fails the append with ``ENOSPC`` (the
-degraded mode must engage).  Both match on ``operation=<record type>``.
+Fault-injection sites (see :mod:`repro.faults`): ``torn-journal`` and
+``enospc-journal``, both matching on ``operation=<record type>``.
 """
 
 from __future__ import annotations
 
-import errno
-import json
 import os
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, IO, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..faults.inject import get_injector
+from ..obs.appendlog import AppendLog, fold, read_log, read_records
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -197,54 +185,6 @@ class _ReplayState:
         return [self.jobs[key] for key in self.order if not self.jobs[key].done]
 
 
-def _fold_lines(
-    raw: bytes, metrics: Optional[MetricsRegistry] = None
-) -> _ReplayState:
-    """Fold journal bytes into replayed job state, skipping torn records.
-
-    The final line, when undecodable or not newline-terminated, is a torn
-    trailing record (the documented crash signature) and is skipped.
-    Undecodable *interior* lines — torn writes that later appends wrote
-    past — are skipped too; both cases are counted, never fatal.
-    """
-    state = _ReplayState()
-    if not raw:
-        return state
-    lines = raw.split(b"\n")
-    trailing_complete = raw.endswith(b"\n")
-    if trailing_complete:
-        lines = lines[:-1]  # the split artifact after the final newline
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        last = position == len(lines) - 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("record is not a JSON object")
-        except (ValueError, UnicodeDecodeError):
-            if metrics is not None:
-                name = (
-                    "journal.replay.torn_skipped"
-                    if last and not trailing_complete
-                    else "journal.replay.bad_skipped"
-                )
-                metrics.counter(name).inc()
-            continue
-        if last and not trailing_complete:
-            # Structurally valid JSON can still be a torn record whose
-            # truncation happens to parse (e.g. a trailing digit lost
-            # from a token).  Only fully newline-terminated records are
-            # trusted; an unterminated tail is always skipped.
-            if metrics is not None:
-                metrics.counter("journal.replay.torn_skipped").inc()
-            continue
-        if metrics is not None:
-            metrics.counter("journal.replay.records").inc()
-        state.apply(record)
-    return state
-
-
 def replay_journal(
     path: str, metrics: Optional[MetricsRegistry] = None
 ) -> Dict[str, JournalJob]:
@@ -255,12 +195,55 @@ def replay_journal(
     ``chunk-done`` for an already-completed chunk and repeated
     ``job-done`` records are no-ops).
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError:
-        return {}
-    return _fold_lines(raw, metrics).jobs
+    return fold(_ReplayState, read_records(read_log(path), metrics, "journal")).jobs
+
+
+def _live_records(state: _ReplayState) -> List[Dict[str, object]]:
+    """The records a rotation keeps: those of incomplete jobs."""
+    records: List[Dict[str, object]] = []
+    for job in state.incomplete():
+        if job.spec_dict is not None:
+            records.append({"rec": "submit", "job": job.key, "spec": job.spec_dict})
+        if job.plan:
+            plan_record: Dict[str, object] = {
+                "rec": "plan",
+                "job": job.key,
+                "chunks": [[i, f, c] for i, f, c in job.plan],
+                "base": [[f, c] for f, c in job.base_spans],
+            }
+            if job.base_result is not None:
+                plan_record["base_result"] = job.base_result
+            records.append(plan_record)
+        if job.max_token >= 0:
+            # One summary lease record preserves the token horizon.
+            records.append(
+                {
+                    "rec": "lease",
+                    "job": job.key,
+                    "chunk": -1,
+                    "owner": "compaction",
+                    "token": job.max_token,
+                    "deadline": 0.0,
+                }
+            )
+        for index in sorted(job.completed):
+            first, count = 0, 0
+            for i, f, c in job.plan:
+                if i == index:
+                    first, count = f, c
+                    break
+            records.append(
+                {
+                    "rec": "chunk-done",
+                    "job": job.key,
+                    "chunk": index,
+                    "first": first,
+                    "count": count,
+                    "token": job.max_token,
+                    "result": job.completed[index],
+                }
+            )
+    return records
 
 
 class JobJournal:
@@ -270,7 +253,8 @@ class JobJournal:
     so :meth:`incomplete_jobs` immediately answers "what should
     ``--resume`` restart?".  The open also compacts: records belonging
     to finished jobs are dropped in one atomic rotation, bounding replay
-    cost over the service's lifetime.
+    cost over the service's lifetime.  The mechanics — and the
+    durability contract — are :class:`~repro.obs.appendlog.AppendLog`'s.
     """
 
     def __init__(
@@ -282,39 +266,23 @@ class JobJournal:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.path = path
-        self.fsync_interval = fsync_interval
-        self.max_bytes = max_bytes
-        self.degraded_cooldown = degraded_cooldown
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for name in (
-            "journal.records.written",
-            "journal.write.errors",
-            "journal.degraded.skipped",
-            "journal.rotations",
-            "journal.replay.records",
-            "journal.replay.torn_skipped",
-            "journal.replay.bad_skipped",
-        ):
-            self.metrics.counter(name)
-        self._lock = threading.RLock()
-        self._handle: Optional[IO[bytes]] = None
-        self._last_fsync = 0.0
-        self._degraded_until = 0.0
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            raw = b""
-        self._state = _fold_lines(raw, self.metrics)
-        # Compact away finished jobs (and any torn tail) on open, then
-        # append from a clean, fully-terminated file.
-        self._rotate_locked()
+        self._log = AppendLog(
+            path,
+            "journal",
+            JOURNAL_SCHEMA,
+            _ReplayState,
+            _live_records,
+            fsync_interval,
+            max_bytes,
+            degraded_cooldown,
+            self.metrics,
+        )
 
     # -- record appends ----------------------------------------------------
 
     def job_submitted(self, key: str, spec_dict: Dict[str, object]) -> None:
-        self._append({"rec": "submit", "job": key, "spec": spec_dict})
+        self._log.append({"rec": "submit", "job": key, "spec": spec_dict})
 
     def plan_recorded(
         self,
@@ -331,12 +299,12 @@ class JobJournal:
         }
         if base_result is not None:
             record["base_result"] = base_result
-        self._append(record)
+        self._log.append(record)
 
     def lease_granted(
         self, key: str, chunk: int, owner: str, token: int, deadline: float
     ) -> None:
-        self._append(
+        self._log.append(
             {
                 "rec": "lease",
                 "job": key,
@@ -356,7 +324,7 @@ class JobJournal:
         token: int,
         result_dict: Dict[str, object],
     ) -> None:
-        self._append(
+        self._log.append(
             {
                 "rec": "chunk-done",
                 "job": key,
@@ -372,211 +340,32 @@ class JobJournal:
         record: Dict[str, object] = {"rec": "job-done", "job": key, "status": status}
         if error is not None:
             record["error"] = error
-        self._append(record)
+        # Job completion makes its records dead weight: compact once the
+        # file outgrows a slice of the rotation budget.
+        self._log.append(record, rotate_above=self._log.max_bytes // 8)
 
     # -- queries -----------------------------------------------------------
 
     def incomplete_jobs(self) -> List[JournalJob]:
         """Jobs with a ``submit`` but no ``job-done`` record, in order."""
-        with self._lock:
-            return list(self._state.incomplete())
+        with self._log.lock:
+            return list(self._log.state.incomplete())
 
     def job(self, key: str) -> Optional[JournalJob]:
-        with self._lock:
-            return self._state.jobs.get(key)
+        with self._log.lock:
+            return self._log.state.jobs.get(key)
 
     @property
     def degraded(self) -> bool:
         """True while appends are being shed after a write failure."""
-        return time.monotonic() < self._degraded_until
-
-    # -- mechanics ---------------------------------------------------------
-
-    def _ensure_open(self) -> IO[bytes]:
-        if self._handle is None:
-            self._handle = open(self.path, "ab")
-        return self._handle
-
-    def _append(self, record: Dict[str, object]) -> None:
-        line = (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        with self._lock:
-            # The in-memory mirror advances even when the disk write is
-            # shed: the running process stays correct, only crash
-            # durability for the shed record is lost (and counted).
-            self._state.apply(record)
-            now = time.monotonic()
-            if now < self._degraded_until:
-                self.metrics.counter("journal.degraded.skipped").inc()
-                return
-            injector = get_injector()
-            try:
-                if injector is not None and injector.fire(
-                    "enospc-journal",
-                    operation=str(record.get("rec")),
-                    job_key=record.get("job"),
-                ):
-                    raise OSError(errno.ENOSPC, "No space left on device [injected]")
-                handle = self._ensure_open()
-                handle.write(line)
-                handle.flush()
-                if self.fsync_interval <= 0.0 or (
-                    now - self._last_fsync >= self.fsync_interval
-                ):
-                    os.fsync(handle.fileno())
-                    self._last_fsync = now
-            except OSError:
-                self.metrics.counter("journal.write.errors").inc()
-                self._degraded_until = now + self.degraded_cooldown
-                return
-            self.metrics.counter("journal.records.written").inc()
-            if injector is not None and injector.fire(
-                "torn-journal",
-                operation=str(record.get("rec")),
-                job_key=record.get("job"),
-            ):
-                self._tear_tail_locked(len(line))
-                return
-            if record.get("rec") == "job-done":
-                self._maybe_compact_locked()
-            else:
-                self._maybe_rotate_for_size_locked()
-
-    def _tear_tail_locked(self, line_length: int) -> None:
-        """Simulate a torn write: cut the freshly appended record short."""
-        try:
-            handle = self._ensure_open()
-            handle.flush()
-            size = os.path.getsize(self.path)
-            with open(self.path, "r+b") as tear:
-                tear.truncate(max(0, size - line_length // 2))
-            # Reopen in append mode so later writes land after the tear
-            # (exactly what a real crash-then-restart interleaving does).
-            handle.close()
-            self._handle = None
-        except OSError:
-            pass
-
-    def _maybe_compact_locked(self) -> None:
-        """Job completion makes its records dead weight — compact when
-        the dead fraction plausibly dominates (cheap heuristic: any
-        finished job plus a file above a slice of the rotation budget)."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        finished = len(self._state.jobs) - len(self._state.incomplete())
-        if finished and size > self.max_bytes // 8:
-            self._rotate_locked()
-
-    def _maybe_rotate_for_size_locked(self) -> None:
-        try:
-            if os.path.getsize(self.path) > self.max_bytes:
-                self._rotate_locked()
-        except OSError:
-            pass
-
-    def _live_records(self) -> List[Dict[str, object]]:
-        records: List[Dict[str, object]] = []
-        for job in self._state.incomplete():
-            if job.spec_dict is not None:
-                records.append({"rec": "submit", "job": job.key, "spec": job.spec_dict})
-            if job.plan:
-                plan_record: Dict[str, object] = {
-                    "rec": "plan",
-                    "job": job.key,
-                    "chunks": [[i, f, c] for i, f, c in job.plan],
-                    "base": [[f, c] for f, c in job.base_spans],
-                }
-                if job.base_result is not None:
-                    plan_record["base_result"] = job.base_result
-                records.append(plan_record)
-            if job.max_token >= 0:
-                # One summary lease record preserves the token horizon.
-                records.append(
-                    {
-                        "rec": "lease",
-                        "job": job.key,
-                        "chunk": -1,
-                        "owner": "compaction",
-                        "token": job.max_token,
-                        "deadline": 0.0,
-                    }
-                )
-            for index in sorted(job.completed):
-                first, count = 0, 0
-                for i, f, c in job.plan:
-                    if i == index:
-                        first, count = f, c
-                        break
-                records.append(
-                    {
-                        "rec": "chunk-done",
-                        "job": job.key,
-                        "chunk": index,
-                        "first": first,
-                        "count": count,
-                        "token": job.max_token,
-                        "result": job.completed[index],
-                    }
-                )
-        return records
-
-    def _rotate_locked(self) -> None:
-        """Atomically rewrite the journal with only live records."""
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                header = json.dumps(
-                    {"rec": "header", "schema": JOURNAL_SCHEMA},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                handle.write((header + "\n").encode("utf-8"))
-                for record in self._live_records():
-                    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-                    handle.write((line + "\n").encode("utf-8"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            os.replace(tmp, self.path)
-            self.metrics.counter("journal.rotations").inc()
-            # Drop finished jobs from the mirror — they are gone on disk.
-            for key in list(self._state.jobs):
-                if self._state.jobs[key].done:
-                    del self._state.jobs[key]
-            self._state.order = [k for k in self._state.order if k in self._state.jobs]
-        except OSError:
-            self.metrics.counter("journal.write.errors").inc()
-            self._degraded_until = time.monotonic() + self.degraded_cooldown
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
+        return self._log.degraded
 
     def flush(self) -> None:
         """Force any buffered bytes to disk (drain path)."""
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    self.metrics.counter("journal.write.errors").inc()
+        self._log.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                except OSError:
-                    pass
-                self._handle.close()
-                self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "JobJournal":
         return self

@@ -21,8 +21,7 @@ chunk), ``crash-mid-chunk`` (execute part of the chunk, then die),
 ``hang`` (sleep past the scheduler's chunk timeout so the reaper fires),
 ``slow-chunk`` (added latency without death), and ``corrupt-outcome``
 (tamper with the reported result so the scheduler's outcome validation
-must catch it).  The pre-plan ``REPRO_SERVICE_CRASH_ONCE`` marker-file
-variable remains as a deprecated alias mapping to a crash-once plan.
+must catch it).
 """
 
 from __future__ import annotations
@@ -34,17 +33,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
-from ..faults.inject import LEGACY_CRASH_ONCE_ENV, FaultInjector, get_injector
+from ..faults.inject import FaultInjector, get_injector
 from ..noise.model import NoiseModel
 from ..obs.context import TraceContext
 from ..stochastic.properties import PropertySpec
 from ..stochastic.results import StochasticResult
 from ..stochastic.runner import _EvaluationContext, _make_backend, run_trajectory_span
 
-__all__ = ["ChunkTask", "ChunkOutcome", "worker_main", "CRASH_ONCE_ENV"]
-
-#: Deprecated alias (see module docstring); prefer ``REPRO_FAULT_PLAN``.
-CRASH_ONCE_ENV = LEGACY_CRASH_ONCE_ENV
+__all__ = ["ChunkTask", "ChunkOutcome", "worker_main"]
 
 #: Warm (backend, context) pairs kept per worker, LRU-evicted beyond this.
 _WARM_CACHE_LIMIT = 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.circuits.library import ghz
+from repro.circuits.library import ghz, qft
 from repro.exact import estimate_costs, exact_unsupported_reason
 from repro.exact.cost import (
     MEASURED_COST_ENV,
@@ -14,8 +14,11 @@ from repro.exact.cost import (
 )
 from repro.noise import ErrorRates, NoiseModel
 from repro.obs.ledger import FamilyAggregate, circuit_fingerprint
+from repro.simulators.ddsim import DDBackend
+from repro.simulators.gateplan import compile_plan
 from repro.stochastic import BasisProbability, ClassicalOutcome
-from repro.stochastic.strata import STRATIFIED_ENV, stratified_samples
+from repro.stochastic.prefix import compile_prefix_plan
+from repro.stochastic.strata import STRATIFIED_ENV, StrataPlan, stratified_samples
 
 PAPER_NOISE = NoiseModel.paper_defaults()
 
@@ -110,6 +113,27 @@ class TestStochasticBudget:
         assert static_clean_probability(ghz(4), PAPER_NOISE) == pytest.approx(
             expected
         )
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [ghz(4), ghz(8), ghz(15), qft(5), qft(8)],
+        ids=["ghz4", "ghz8", "ghz15", "qft5", "qft8"],
+    )
+    @pytest.mark.parametrize("crosstalk", [0.0, 0.01])
+    def test_static_p_clean_is_the_runtime_plans_without_damping(
+        self, circuit, crosstalk
+    ):
+        """Without damping no draw depends on the state, so dispatch's
+        a-priori weight is the stratified runtime's, bit for bit."""
+        model = NoiseModel(
+            default=ErrorRates(
+                depolarizing=0.003, phase_flip=0.002, crosstalk=crosstalk
+            )
+        )
+        backend = DDBackend(circuit.num_qubits)
+        gate_plan = compile_plan(circuit, package=backend.package)
+        runtime = StrataPlan(compile_prefix_plan(backend, gate_plan, model))
+        assert static_clean_probability(circuit, model) == runtime.p_clean
 
     def test_noiseless_is_certainly_clean(self):
         assert static_clean_probability(ghz(4), None) == 1.0

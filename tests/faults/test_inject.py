@@ -1,14 +1,11 @@
 """Tests for FaultInjector: budgets, marker claiming, env activation."""
 
-import os
-
 import pytest
 
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    LEGACY_CRASH_ONCE_ENV,
     PLAN_ENV,
     get_injector,
     reset_injector_cache,
@@ -18,7 +15,6 @@ from repro.faults import (
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(PLAN_ENV, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ONCE_ENV, raising=False)
     reset_injector_cache()
     yield
     reset_injector_cache()
@@ -107,22 +103,3 @@ class TestEnvActivation:
     def test_unparsable_plan_injects_nothing(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "{not json")
         assert get_injector() is None
-
-    def test_legacy_crash_once_alias(self, monkeypatch, tmp_path):
-        marker = str(tmp_path / "crashed")
-        monkeypatch.setenv(LEGACY_CRASH_ONCE_ENV, marker)
-        injector = get_injector()
-        assert injector is not None
-        spec = injector.fire("crash-before", worker_id=0, chunk_index=0)
-        assert spec is not None
-        # The legacy contract: the marker file records the claim, and the
-        # fault never fires twice (even from a fresh injector).
-        assert os.path.exists(marker)
-        reset_injector_cache()
-        assert get_injector().fire("crash-before") is None
-
-    def test_plan_env_wins_over_legacy(self, monkeypatch, tmp_path):
-        plan = FaultPlan(faults=(FaultSpec(kind="hang"),))
-        monkeypatch.setenv(PLAN_ENV, plan.to_json())
-        monkeypatch.setenv(LEGACY_CRASH_ONCE_ENV, str(tmp_path / "m"))
-        assert get_injector().plan == plan

@@ -138,11 +138,6 @@ class TestMarkerCoordination:
         assert len(paths) == 3
         assert all(path.startswith(str(tmp_path)) for path in paths)
 
-    def test_explicit_marker_is_used_verbatim_for_first_firing(self, tmp_path):
-        marker = str(tmp_path / "crashed")
-        plan = FaultPlan.crash_once(marker)
-        assert plan.marker_path(0, 0) == marker
-
     def test_claimed_counts_reflect_marker_files(self, tmp_path):
         plan = FaultPlan(
             faults=(FaultSpec(kind="hang"), FaultSpec(kind="crash-before", times=2)),

@@ -102,6 +102,16 @@ class TestWorkerFaultRecovery:
         assert snap["faults.recovered.requeue"] >= 1
         assert plan.claimed_counts() == {"faults.injected.crash-before": 1}
 
+    def test_unfiltered_crash_fires_once_per_pool(self, monkeypatch, tmp_path):
+        plan = arm(monkeypatch, tmp_path, FaultSpec(kind="crash-before"))
+        spec = ghz_spec()
+        with Scheduler(workers=2, chunk_size=8) as scheduler:
+            result = scheduler.run(spec, timeout=60)
+            snap = wait_counter(scheduler, "scheduler.worker_respawns")
+        assert plan.claimed_counts() == {"faults.injected.crash-before": 1}
+        assert snap["scheduler.worker_respawns"] == 1
+        assert_reference_equal(result, spec)
+
     def test_crash_mid_chunk_discards_partial_work(self, monkeypatch, tmp_path):
         arm(monkeypatch, tmp_path, FaultSpec(kind="crash-mid-chunk", chunk_index=1))
         spec = ghz_spec()
@@ -275,19 +285,3 @@ class TestSelfProtection:
         assert drained == 0
         assert snap["scheduler.drain.errors"] == 1
         assert any(event["name"] == "drain.error" for event in events)
-
-
-class TestLegacyCrashOnceAlias:
-    def test_marker_env_still_crashes_exactly_once(self, monkeypatch, tmp_path):
-        from repro.service.worker import CRASH_ONCE_ENV
-
-        marker = str(tmp_path / "crash-marker")
-        monkeypatch.setenv(CRASH_ONCE_ENV, marker)
-        reset_injector_cache()
-        spec = ghz_spec()
-        with Scheduler(workers=2, chunk_size=8) as scheduler:
-            result = scheduler.run(spec, timeout=60)
-            snap = wait_counter(scheduler, "scheduler.worker_respawns")
-        assert os.path.exists(marker)
-        assert snap["scheduler.worker_respawns"] == 1
-        assert_reference_equal(result, spec)

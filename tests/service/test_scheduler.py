@@ -1,11 +1,11 @@
 """Tests for the sharded scheduler: streaming, caching, resume, faults."""
 
-import os
 import time
 
 import pytest
 
 from repro.circuits.library import ghz
+from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.service import (
     JobCancelledError,
@@ -16,7 +16,6 @@ from repro.service import (
     Scheduler,
 )
 from repro.service.scheduler import _remaining_spans
-from repro.service.worker import CRASH_ONCE_ENV
 from repro.stochastic import BasisProbability, simulate_stochastic
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
@@ -200,15 +199,20 @@ class TestCaching:
 
 class TestFaultTolerance:
     def test_injected_worker_crash_is_retried(self, tmp_path, monkeypatch):
-        marker = str(tmp_path / "crash-marker")
-        monkeypatch.setenv(CRASH_ONCE_ENV, marker)
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="crash-before"),), state_dir=str(tmp_path)
+        )
+        monkeypatch.setenv(PLAN_ENV, plan.to_json())
+        reset_injector_cache()
         spec = ghz_spec(n=8, trajectories=60, seed=3)
         ref = reference(spec)
         name = spec.properties[0].name
         with Scheduler(workers=2, chunk_size=5) as scheduler:
             result = scheduler.run(spec)
             status = scheduler.status(spec.job_key())
-        assert os.path.exists(marker), "the crash was never triggered"
+        assert plan.claimed_counts() == {
+            "faults.injected.crash-before": 1
+        }, "the crash was never triggered"
         assert status.retries >= 1
         assert result.completed_trajectories == spec.trajectories
         assert result.mean(name) == pytest.approx(ref.mean(name), abs=1e-12)
