@@ -11,6 +11,8 @@ everything stochastic simulation needs:
 * construction of (multi-)controlled gate DDs over the full register,
 * measurement: single-qubit outcome probabilities, collapsing measurement,
   and O(n)-per-shot sampling of complete basis states,
+* memoised state queries — P(1) per qubit, node count and depth — which
+  the simulators ask after every gate, damping slot and measurement,
 * reference counting and garbage collection.
 
 Normalisation schemes
@@ -44,7 +46,7 @@ import numpy as np
 from ..obs import profile as _profile
 from ..obs.metrics import MetricsRegistry
 from .complex_table import ComplexTable, ComplexValue, DEFAULT_TOLERANCE
-from .compute_table import ComputeTable
+from .compute_table import ComputeTable, WalkMemo
 from .edge import Edge
 from .node import TERMINAL_VAR, Node
 from .unique_table import UniqueTable
@@ -96,6 +98,13 @@ class DDPackage:
         self._mat_vec_table: ComputeTable[Edge] = ComputeTable("mat_vec", size)
         self._mat_mat_table: ComputeTable[Edge] = ComputeTable("mat_mat", size)
         self._inner_table: ComputeTable[ComplexValue] = ComputeTable("inner", size)
+        # State queries, memoised on the queried node's id.  Nodes are
+        # immutable and hash-consed, so each answer is a pure function of
+        # the node, and the unique table keeps every node (and so its id)
+        # alive until the garbage-collection sweep that clears these.
+        self._p_one_memo: WalkMemo[float] = WalkMemo(size)
+        self._node_count_memo: ComputeTable[int] = ComputeTable("node_count", size)
+        self._depth_memo: ComputeTable[int] = ComputeTable("depth", size)
         self._gate_cache: Dict[tuple, Edge] = {}
         #: Engine-local observability registry (GC sweeps, node growth, ...).
         #: Table hit/miss counters live in the tables themselves and are
@@ -593,18 +602,10 @@ class DDPackage:
                 prof.op_end(token, "kron")
 
     def _depth(self, edge: Edge) -> int:
-        depth = 0
-        node = edge.node
-        while not node.is_terminal:
-            depth = max(depth, node.var + 1)
-            next_node = None
-            for child in node.edges:
-                if not child.node.is_terminal:
-                    next_node = child.node
-                    break
-            if next_node is None:
-                break
-            node = next_node
+        key = id(edge.node)
+        depth = self._depth_memo.lookup(key)
+        if depth is None:
+            depth = self._depth_memo.insert(key, _depth_of(edge.node))
         return depth
 
     def _shift_levels(self, edge: Edge, offset: int, memo: Dict[int, Edge]) -> Edge:
@@ -781,15 +782,23 @@ class DDPackage:
     # ------------------------------------------------------------------
 
     def probability_of_one(self, edge: Edge, qubit: int) -> float:
-        """Probability that measuring ``qubit`` yields 1 (state unchanged)."""
-        memo: Dict[int, float] = {}
+        """Probability that measuring ``qubit`` yields 1 (state unchanged).
+
+        The P(1) mass below each node is memoised per qubit across calls
+        (``dd.memo.p_one.*``), so asking again about a state, or about one
+        that shares sub-diagrams with an earlier one, skips the shared part
+        of the walk.
+        """
+        if edge.is_zero:
+            raise ValueError("cannot measure the zero vector")
+        memo = self._p_one_memo.table(qubit)
 
         def mass(node: Node) -> float:
-            if node.is_terminal:
+            result = memo.get(id(node))
+            if result is not None:
+                return result
+            if node.var == TERMINAL_VAR:
                 raise ValueError("qubit index beyond DD depth")
-            cached = memo.get(id(node))
-            if cached is not None:
-                return cached
             if node.var == qubit:
                 result = node.edges[1].weight.magnitude_squared()
             else:
@@ -801,10 +810,9 @@ class DDPackage:
             memo[id(node)] = result
             return result
 
-        if edge.is_zero:
-            raise ValueError("cannot measure the zero vector")
         total = self.squared_norm(edge)
-        return mass(edge.node) * edge.weight.magnitude_squared() / total
+        root_mass = self._p_one_memo.answer(memo, edge.node, mass)
+        return root_mass * edge.weight.magnitude_squared() / total
 
     def measure_qubit(
         self, edge: Edge, qubit: int, rng, collapse: bool = True
@@ -934,7 +942,15 @@ class DDPackage:
         try:
             collected = self.vector_table.garbage_collect()
             collected += self.matrix_table.garbage_collect()
-            for table in (self._add_table, self._mat_vec_table, self._mat_mat_table, self._inner_table):
+            for table in (
+                self._add_table,
+                self._mat_vec_table,
+                self._mat_mat_table,
+                self._inner_table,
+                self._p_one_memo,
+                self._node_count_memo,
+                self._depth_memo,
+            ):
                 table.clear()
             self.metrics.counter("dd.gc.sweeps").inc()
             self.metrics.counter("dd.gc.reclaimed_nodes").inc(collected)
@@ -948,18 +964,17 @@ class DDPackage:
     # ------------------------------------------------------------------
 
     def node_count(self, edge: Edge) -> int:
-        """Number of distinct nodes reachable from ``edge`` (excl. terminal)."""
-        seen: set = set()
+        """Number of distinct nodes reachable from ``edge`` (excl. terminal).
 
-        def walk(node: Node) -> None:
-            if node.is_terminal or id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.edges:
-                walk(child.node)
-
-        walk(edge.node)
-        return len(seen)
+        Memoised per root node (``dd.memo.node_count.*``): the simulators
+        ask after every gate for peak tracking, and a warm package sees the
+        same states again across trajectories.
+        """
+        key = id(edge.node)
+        count = self._node_count_memo.lookup(key)
+        if count is None:
+            count = self._node_count_memo.insert(key, _count_nodes(edge.node))
+        return count
 
     def stats(self) -> Dict[str, Dict]:
         """Aggregated statistics of all internal tables."""
@@ -977,8 +992,10 @@ class DDPackage:
         """One observability snapshot covering every engine table.
 
         Extends the package's own registry (GC sweeps, node growth) with
-        the hit/miss counters the unique, compute, and complex tables keep
-        themselves, under the canonical ``dd.*`` metric names.  Callers
+        the hit/miss counters the unique, compute, complex, and state-query
+        memo tables keep themselves, under the canonical ``dd.*`` metric
+        names.  The memo tables report as ``dd.memo.*``, apart from the
+        arithmetic tables' ``dd.compute.*``.  Callers
         wanting per-chunk numbers on a warm package should snapshot before
         and after and take :func:`repro.obs.delta_snapshots`.
         """
@@ -993,21 +1010,56 @@ class DDPackage:
             counters[f"{prefix}.misses"] = table.misses
             counters[f"{prefix}.collections"] = table.collections
             gauges[f"{prefix}.entries"] = len(table)
-        for name, table in (
-            ("add", self._add_table),
-            ("mat_vec", self._mat_vec_table),
-            ("mat_mat", self._mat_mat_table),
-            ("inner", self._inner_table),
+        for prefix, table in (
+            ("dd.compute.add", self._add_table),
+            ("dd.compute.mat_vec", self._mat_vec_table),
+            ("dd.compute.mat_mat", self._mat_mat_table),
+            ("dd.compute.inner", self._inner_table),
+            ("dd.memo.p_one", self._p_one_memo),
+            ("dd.memo.node_count", self._node_count_memo),
+            ("dd.memo.depth", self._depth_memo),
         ):
-            counters[f"dd.compute.{name}.hits"] = table.hits
-            counters[f"dd.compute.{name}.misses"] = table.misses
-            counters[f"dd.compute.{name}.evictions"] = table.evictions
-            gauges[f"dd.compute.{name}.entries"] = len(table)
+            counters[f"{prefix}.hits"] = table.hits
+            counters[f"{prefix}.misses"] = table.misses
+            counters[f"{prefix}.evictions"] = table.evictions
+            gauges[f"{prefix}.entries"] = len(table)
         complex_stats = self.complex_table.stats()
         counters["dd.complex.real.hits"] = complex_stats["real_hits"]
         counters["dd.complex.real.misses"] = complex_stats["real_misses"]
         gauges["dd.complex.entries"] = complex_stats["entries"]
         return snapshot
+
+
+def _count_nodes(root: Node) -> int:
+    """Distinct non-terminal nodes reachable from ``root`` (one DAG walk)."""
+    if root.var == TERMINAL_VAR:
+        return 0
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in stack.pop().edges:
+            node = child.node
+            if node.var != TERMINAL_VAR and id(node) not in seen:
+                seen.add(id(node))
+                stack.append(node)
+    return len(seen)
+
+
+def _depth_of(node: Node) -> int:
+    """Register width of the DD under ``node``: one past the deepest level
+    on a walk down the first non-terminal child of each level."""
+    depth = 0
+    while node.var != TERMINAL_VAR:
+        depth = max(depth, node.var + 1)
+        next_node = None
+        for child in node.edges:
+            if child.node.var != TERMINAL_VAR:
+                next_node = child.node
+                break
+        if next_node is None:
+            break
+        node = next_node
+    return depth
 
 
 def _log2_size(size: int, what: str) -> int:

@@ -47,7 +47,7 @@ from typing import Callable, Dict, IO, Iterable, List, Optional
 
 from .metrics import MetricsRegistry
 
-__all__ = ["AppendLog", "fold", "read_log", "read_records"]
+__all__ = ["AppendLog", "complete_length", "fold", "read_log", "read_records"]
 
 Record = Dict[str, object]
 
@@ -59,6 +59,15 @@ def read_log(path: str) -> bytes:
             return handle.read()
     except OSError:
         return b""
+
+
+def complete_length(raw: bytes) -> int:
+    """Bytes up to the end of the last complete (newline-terminated) line.
+
+    Whatever follows is a torn tail: replay skips it, and a writer cuts
+    the file back to this length before it appends.
+    """
+    return raw.rfind(b"\n") + 1
 
 
 def read_records(
@@ -73,7 +82,7 @@ def read_records(
     With ``metrics``, counts ``<name>.replay.records`` /
     ``.torn_skipped`` / ``.bad_skipped``.
     """
-    end = raw.rfind(b"\n") + 1
+    end = complete_length(raw)
     torn = 1 if raw[end:].strip() else 0
     bad = 0
     records: List[Record] = []
@@ -156,7 +165,7 @@ class AppendLog:
         raw = read_log(path)
         #: File size at the end of the last complete record: an append
         #: that (re)opens the file truncates back to it first.
-        self._size = raw.rfind(b"\n") + 1
+        self._size = complete_length(raw)
         self.state = fold(new_state, read_records(raw, metrics, name))
         self._rotate()
 

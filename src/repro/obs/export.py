@@ -32,7 +32,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
-from .appendlog import read_log, read_records
+from .appendlog import complete_length, read_log, read_records
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -221,7 +221,9 @@ class EventLogWriter:
 
     Thread-safe, flushed *and fsync'd* per event (default) so the log
     survives a hard process death with at worst one torn trailing line —
-    which :func:`read_event_log` skips on the way back in.  For very
+    which :func:`read_event_log` skips on the way back in, and which the
+    next writer cuts off at open, so its first event starts a line of its
+    own instead of being glued onto the fragment.  For very
     high event rates, ``fsync_interval`` batches the fsync (the flush
     still happens per event, so ``tail -f`` pipelines stay live; only
     crash durability is amortised).  Events are plain dictionaries; the
@@ -241,6 +243,7 @@ class EventLogWriter:
         self._lock = threading.Lock()
         self._last_fsync = 0.0
         self._handle: Optional[IO[str]] = open(path, "a", encoding="utf-8")
+        self._handle.truncate(complete_length(read_log(path)))
 
     def write(self, event: Dict[str, object]) -> None:
         line = json.dumps(event, sort_keys=True, default=str)

@@ -151,6 +151,16 @@ class TestEventLog:
         with open(path, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1
 
+    def test_reopen_cuts_a_crash_torn_tail(self, tmp_path):
+        # A serve killed mid-event leaves a fragment; the next writer's
+        # first event must not be glued onto it (and skipped with it).
+        path = str(tmp_path / "events.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"a": 1}\n{"b": 2')
+        with EventLogWriter(path) as writer:
+            writer.write({"c": 3})
+        assert read_event_log(path) == [{"a": 1}, {"c": 3}]
+
     def test_fsync_interval_batches_durability_not_visibility(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLogWriter(path, fsync_interval=60.0) as writer:

@@ -1,5 +1,6 @@
 """Tests for the sharded scheduler: streaming, caching, resume, faults."""
 
+import gc
 import time
 
 import pytest
@@ -250,6 +251,13 @@ class TestFaultTolerance:
         spec = ghz_spec(n=14, trajectories=100000, timeout=0.4)
         store = ResultStore(directory=None)
         with Scheduler(workers=2, store=store, chunk_size=8) as scheduler:
+            # Warm the pool, then collect this process's garbage, so the
+            # 0.4 s job budget is spent on trajectories: late in a full
+            # test run, one full collection of the heap can hold the
+            # interpreter lock for most of the budget, and the scheduler's
+            # dispatcher thread cannot hand out a chunk meanwhile.
+            scheduler.run(ghz_spec(trajectories=16), timeout=120)
+            gc.collect()
             result = scheduler.run(spec, timeout=120)
         assert result.timed_out
         assert 0 < result.completed_trajectories < spec.trajectories
