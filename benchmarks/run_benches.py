@@ -3,19 +3,19 @@
 Three series share this entry point:
 
 * ``prefix`` (PR 4) — the paper's stochastic workload (GHZ and QFT under
-  the default noise configuration) run twice, ``REPRO_PREFIX_SHARING=off``
-  (naive: every trajectory re-executes the whole circuit) and ``on``
-  (clean trajectories served from the shared ideal DD, erring ones
-  replayed from checkpoints); asserts the two modes are **bit identical**.
-  Both legs pin ``REPRO_STRATIFIED=off`` so the series keeps measuring
-  the naive estimator it has always measured.
+  the default noise configuration) run twice, ``REPRO_TRAJECTORY_MODE=naive``
+  (every trajectory re-executes the whole circuit) and ``shared`` (clean
+  trajectories served from the shared ideal DD, erring ones replayed from
+  checkpoints); asserts the two modes are **bit identical**.  Neither mode
+  stratifies, so the series keeps measuring the naive estimator it has
+  always measured.
 * ``exact`` (PR 6) — the exact density-matrix DD backend
   (:mod:`repro.exact`) over GHZ/QFT at growing qubit counts with paper
   noise, recording peak rho-DD nodes (machine-independent, gated by
   ``trend.py``) and wall time per one-pass evaluation.
 * ``stratified`` (PR 9) — the post-stratified estimator
-  (:mod:`repro.stochastic.strata`): a plain run and a stratified run of
-  the same workload, recording the closed-form ``p_clean``, the erring
+  (:mod:`repro.stochastic.strata`): a ``shared`` run and a ``stratified``
+  run of the same workload, recording the closed-form ``p_clean``, the erring
   trajectory count, and ``effective_traj_per_sec`` — effective
   trajectories (``erring / (1 - p_clean)^2``) per wall second, the
   variance-matched throughput.  Asserts the two estimators agree within
@@ -50,8 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.circuits.library import ghz, qasmbench_circuit, qft  # noqa: E402
 from repro.noise import NoiseModel  # noqa: E402
 from repro.stochastic import IdealFidelity, simulate_stochastic  # noqa: E402
-from repro.stochastic.prefix import PREFIX_SHARING_ENV  # noqa: E402
-from repro.stochastic.strata import STRATIFIED_ENV  # noqa: E402
+from repro.stochastic.strata import TRAJECTORY_MODE_ENV  # noqa: E402
 
 FULL_CASES = (
     ("ghz-15", lambda: ghz(15), 2000),
@@ -99,11 +98,10 @@ STRATIFIED_QUICK_CASES = (
 
 
 def run_mode(circuit, trajectories, mode, seed=7):
-    # This series benchmarks (and bit-compares) the naive estimator under
-    # prefix sharing on/off; stratified sampling is a different estimator
-    # with its own series below, so pin it off here.
-    os.environ[STRATIFIED_ENV] = "off"
-    os.environ[PREFIX_SHARING_ENV] = mode
+    # This series benchmarks (and bit-compares) the naive estimator in the
+    # naive and shared modes; stratified sampling is a different estimator
+    # with its own series below.
+    os.environ[TRAJECTORY_MODE_ENV] = mode
     started = time.perf_counter()
     result = simulate_stochastic(
         circuit,
@@ -135,8 +133,8 @@ def assert_bit_identical(name, shared, naive):
 
 def bench_case(name, factory, trajectories):
     circuit = factory()
-    naive_result, naive_elapsed = run_mode(circuit, trajectories, "off")
-    shared_result, shared_elapsed = run_mode(circuit, trajectories, "on")
+    naive_result, naive_elapsed = run_mode(circuit, trajectories, "naive")
+    shared_result, shared_elapsed = run_mode(circuit, trajectories, "shared")
     assert_bit_identical(name, shared_result, naive_result)
     counters = shared_result.metrics.get("counters", {})
     entry = {
@@ -206,9 +204,8 @@ def bench_exact_case(name, factory):
 
 
 def run_stratified_mode(circuit, trajectories, stratified, seed=7):
-    """One stochastic run with stratified sampling forced on or off."""
-    os.environ[STRATIFIED_ENV] = "on" if stratified else "off"
-    os.environ[PREFIX_SHARING_ENV] = "on"
+    """One stochastic run in the stratified or the shared mode."""
+    os.environ[TRAJECTORY_MODE_ENV] = "stratified" if stratified else "shared"
     started = time.perf_counter()
     result = simulate_stochastic(
         circuit,

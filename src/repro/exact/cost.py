@@ -65,10 +65,10 @@ from ..noise.stochastic import build_noise_site
 from ..obs.ledger import FamilyAggregate, circuit_fingerprint
 from ..stochastic.properties import ClassicalOutcome, PropertySpec
 from ..stochastic.strata import (
-    MIN_ERRING_MASS,
     site_survival_probability,
-    stratified_enabled,
     stratified_samples,
+    trajectory_mode,
+    worth_stratifying,
 )
 
 __all__ = [
@@ -371,20 +371,21 @@ def stochastic_budget(
 ) -> Tuple[int, Optional[float]]:
     """Trajectories the stochastic path will actually run, plus ``p_clean``.
 
-    Under stratified sampling (PR 9, default on) the clean stratum folds
-    analytically and only ``ceil(M * (1 - p_clean)**2)`` erring-conditioned
-    trajectories replay; scoring dispatch with the naive ``M`` would
-    overestimate stochastic cost ~100x at paper rates and wrongly route to
-    exact.  Degrades to the naive budget exactly when the runtime plan
-    would: stratification disabled, circuit not stratifiable, ``p_clean``
-    zero (exact damping), or erring mass below
-    :data:`~repro.stochastic.strata.MIN_ERRING_MASS` (noiseless).
+    Under stratified sampling (the default trajectory mode) the clean
+    stratum folds analytically and only ``ceil(M * (1 - p_clean)**2)``
+    erring-conditioned trajectories replay; scoring dispatch with the naive
+    ``M`` would overestimate stochastic cost ~100x at paper rates and
+    wrongly route to exact.  Degrades to the naive budget exactly when the
+    runtime does: the same :func:`~repro.stochastic.strata.trajectory_mode`
+    is not ``stratified``, the circuit is not stratifiable, or
+    :func:`~repro.stochastic.strata.worth_stratifying` fails (exact
+    damping's zero ``p_clean``, a noiseless model's negligible erring mass).
     """
     naive = max(1, trajectories)
-    if not stratified_enabled():
+    if trajectory_mode() != "stratified":
         return naive, None
     p_clean = static_clean_probability(circuit, model)
-    if p_clean is None or p_clean <= 0.0 or (1.0 - p_clean) < MIN_ERRING_MASS:
+    if p_clean is None or not worth_stratifying(p_clean):
         return naive, p_clean
     return stratified_samples(naive, p_clean), p_clean
 

@@ -15,7 +15,7 @@ Design constraints, in priority order:
    hooks are a single ``is None`` test.  The env var is the only switch
    because it is the only channel that reaches forked workers without
    entering the content-addressed job key (same precedent as
-   ``REPRO_NORM_GUARD`` / ``REPRO_PREFIX_SHARING``).
+   ``REPRO_NORM_GUARD`` / ``REPRO_TRAJECTORY_MODE``).
 2. **Deterministic output shape.**  Aggregation is keyed by frame path —
    ``span;trajectory;g3:cx;dd.multiply`` — not by sampling, so two runs of
    the same circuit produce the same set of keys (timings vary, structure

@@ -21,8 +21,10 @@ without touching any state:
 
 The engine is exactly equivalent to the naive path — same per-trajectory
 rng streams, same hash-consed state edges, same floats — which
-``REPRO_PREFIX_SHARING=off`` exposes directly and the equivalence gate in
-tests/stochastic/test_prefix_sharing.py enforces.  Measurements and resets
+``REPRO_TRAJECTORY_MODE=naive`` exposes directly (``shared`` runs this
+engine without stratification; see
+:func:`~repro.stochastic.strata.trajectory_mode`) and the equivalence gate
+in tests/stochastic/test_prefix_sharing.py enforces.  Measurements and resets
 are divergence points (their collapse draws are state-dependent), as is any
 damping slot under the ``"exact"`` Kraus unravelling.
 """
@@ -43,25 +45,12 @@ from ..simulators.gateplan import GATE, GatePlan
 __all__ = [
     "PrefixPlan",
     "compile_prefix_plan",
-    "prefix_sharing_enabled",
-    "PREFIX_SHARING_ENV",
     "PREFIX_INTERVAL_ENV",
 ]
-
-#: Escape hatch: set to ``off`` (or ``0``/``false``/``no``) to run the naive
-#: per-trajectory loop.  The environment is the only channel that reaches
-#: forked workers without touching the content-addressed job key.
-PREFIX_SHARING_ENV = "REPRO_PREFIX_SHARING"
 
 #: Optional integer override for the ideal-prefix checkpoint interval
 #: (gate-plan steps between refcounted snapshots); default ~sqrt(steps).
 PREFIX_INTERVAL_ENV = "REPRO_PREFIX_CHECKPOINT_INTERVAL"
-
-
-def prefix_sharing_enabled() -> bool:
-    """Whether the prefix-sharing engine is active (default: on)."""
-    raw = os.environ.get(PREFIX_SHARING_ENV, "").strip().lower()
-    return raw not in ("off", "0", "false", "no")
 
 
 _log = logging.getLogger(__name__)

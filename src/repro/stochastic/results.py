@@ -19,6 +19,13 @@ from ..obs.profile import merge_profiles
 __all__ = ["PropertyEstimate", "StochasticResult"]
 
 
+def tally(totals: Dict[str, int], counts: Dict[str, int]) -> None:
+    """Add ``counts`` into ``totals`` key by key (outcome histograms and
+    fired-error tallies, per trajectory or per merged chunk)."""
+    for key, count in counts.items():
+        totals[key] = totals.get(key, 0) + count
+
+
 @dataclass
 class PropertyEstimate:
     """Streaming estimate of one quadratic property.
@@ -316,12 +323,8 @@ class StochasticResult:
                 self.estimates[name].merge(estimate)
             else:
                 self.estimates[name] = estimate
-        for outcome, count in other.outcome_counts.items():
-            self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + count
-        for outcome, count in other.clean_outcome_counts.items():
-            self.clean_outcome_counts[outcome] = (
-                self.clean_outcome_counts.get(outcome, 0) + count
-            )
+        tally(self.outcome_counts, other.outcome_counts)
+        tally(self.clean_outcome_counts, other.clean_outcome_counts)
         if other.strata:
             if not self.strata:
                 self.strata = dict(other.strata)
@@ -334,8 +337,7 @@ class StochasticResult:
                     )
                 for key in ("erring_sampled", "rejected_clean", "attempts"):
                     self.strata[key] = self.strata.get(key, 0) + other.strata.get(key, 0)
-        for kind, count in other.errors_fired.items():
-            self.errors_fired[kind] = self.errors_fired.get(kind, 0) + count
+        tally(self.errors_fired, other.errors_fired)
         self.cpu_seconds += other.cpu_seconds
         self.peak_nodes = max(self.peak_nodes, other.peak_nodes)
         self.timed_out = self.timed_out or other.timed_out

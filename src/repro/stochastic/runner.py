@@ -42,10 +42,10 @@ from ..simulators.base import execute_circuit, execute_plan
 from ..simulators.ddsim import DDBackend
 from ..simulators.gateplan import compile_plan
 from ..simulators.statevector import StatevectorBackend
-from .prefix import compile_prefix_plan, prefix_sharing_enabled
+from .prefix import compile_prefix_plan
 from .properties import IdealFidelity, PropertySpec, StateFidelity
-from .results import PropertyEstimate, StochasticResult
-from .strata import StrataPlan, stratified_enabled
+from .results import PropertyEstimate, StochasticResult, tally
+from .strata import StrataPlan, trajectory_mode
 
 __all__ = [
     "StochasticSimulator",
@@ -194,14 +194,13 @@ class _EvaluationContext:
                 raise ValueError(
                     "IdealFidelity is undefined for circuits with measurements"
                 )
-            if self.backend_kind != "statevector":
-                reference = DDBackend(self.circuit.num_qubits, package=backend.package)
-                execute_circuit(reference, self.circuit, random.Random(0))
-                self._ideal = reference.snapshot()
-            else:
-                reference = StatevectorBackend(self.circuit.num_qubits)
-                execute_circuit(reference, self.circuit, random.Random(0))
-                self._ideal = reference.snapshot()
+            reference = _make_backend(
+                self.backend_kind,
+                self.circuit.num_qubits,
+                package=getattr(backend, "package", None),
+            )
+            execute_circuit(reference, self.circuit, random.Random(0))
+            self._ideal = reference.snapshot()
         return self._ideal
 
     def target_handle(self, spec: StateFidelity, backend):
@@ -393,6 +392,7 @@ def _run_span_body(
     package = getattr(backend, "package", None)
     dd_before = package.metrics_snapshot() if package is not None else None
     guard_action, guard_tolerance = _resolve_norm_guard(on_drift, norm_tolerance)
+    mode = trajectory_mode()
     injector = get_injector()
     prof = _profile.ACTIVE
 
@@ -404,18 +404,17 @@ def _run_span_body(
         return plan
 
     # Compile-once work hoisted out of the Monte-Carlo loop: the gate plan
-    # (per-operation matrices / operator DDs) and — on the DD backend, unless
-    # REPRO_PREFIX_SHARING=off, and always for auto spans — the prefix-sharing
-    # plan (one instrumented ideal execution yielding error sites,
-    # checkpoints, the shared ideal state and its peak DD size).  Both are
-    # cached on the context, so warm workers compile once per job, not once
-    # per chunk.
+    # (per-operation matrices / operator DDs) and — on the DD backend outside
+    # the naive mode, and always for auto spans — the prefix-sharing plan
+    # (one instrumented ideal execution yielding error sites, checkpoints,
+    # the shared ideal state and its peak DD size).  Both are cached on the
+    # context, so warm workers compile once per job, not once per chunk.
     if prof is not None:
         prof.push("<compile>")
     gate_plan = compile_gate_plan(context, backend)
     prefix_plan = None
     prefix_was_cached = True
-    if backend_kind == AUTO_ENGINE or (backend_kind == "dd" and prefix_sharing_enabled()):
+    if backend_kind == AUTO_ENGINE or (backend_kind == "dd" and mode != "naive"):
         prefix_was_cached = (
             context._prefix_plan is not None and context._prefix_model == noise_model
         )
@@ -432,9 +431,9 @@ def _run_span_body(
             backend = _make_backend(backend_kind, circuit.num_qubits)
             gate_plan = compile_gate_plan(context, backend)
             prefix_plan = None
-        elif not prefix_sharing_enabled():
+        elif mode == "naive":
             # The ideal run only picked the engine: restart from |0...0>
-            # with a fresh peak, exactly as an explicit sharing-off DD span.
+            # with a fresh peak, exactly as an explicit naive DD span.
             backend.reset_all()
             backend.reset_peak_nodes()
             prefix_plan = None
@@ -450,20 +449,21 @@ def _run_span_body(
     prefix_replays = registry.counter("prefix.replays")
     prefix_replayed_gates = registry.counter("prefix.replayed_gates")
     prefix_materialized = registry.counter("prefix.materialized")
+    # A drifted shared ideal state must face an active guard, not the cache.
+    ideal_drifted = prefix_plan is not None and guard_action != "off" and (
+        abs(prefix_plan.ideal_norm_squared - 1.0) > guard_tolerance
+    )
 
     # Stratified sampling (see repro.stochastic.strata): when a clean
     # stratum exists, weight it analytically from the shared ideal DD and
     # spend every trajectory slot of this span on erring-conditioned runs.
-    # Falls back to the plain prefix-shared loop when inactive (no clean
-    # stratum, negligible erring mass, REPRO_STRATIFIED=off, or the
-    # statevector engine, which has no prefix plan).
+    # Inactive (no clean stratum, negligible erring mass, another mode, or
+    # no prefix plan), the loop runs as in the shared or naive mode.
     strata_plan = None
-    if prefix_plan is not None and stratified_enabled():
+    if prefix_plan is not None and mode == "stratified":
         candidate = context.strata_plan(prefix_plan)
         if candidate.active:
             strata_plan = candidate
-    strata_rejected_total = 0
-    strata_attempts_total = 0
     if strata_plan is not None:
         registry.gauge("strata.p_clean").set(strata_plan.p_clean)
         registry.gauge("strata.variance_ratio").set(
@@ -482,17 +482,16 @@ def _run_span_body(
                 estimate.p_clean = strata_plan.p_clean
                 estimate.clean_value = clean_values[prop.name]
 
-    def finish_trajectory(current_backend, trajectory, rng, applier, run_result, drift):
-        """Post-circuit block shared by the naive, replay, and materialise
-        paths — kept as ONE function so the guard/eval/sampling sequence (and
-        therefore the rng stream and float order) cannot diverge between them."""
+    def finish_trajectory(trajectory, rng, run_result, drift):
+        """Guard the trajectory's final state in ``backend``, then evaluate
+        the properties on it and sample its outcomes with ``rng``."""
         if drift is not None:
-            current_backend.scale_state(drift.factor)
+            backend.scale_state(drift.factor)
         if guard_action != "off":
-            norm_squared = current_backend.squared_norm()
+            norm_squared = backend.squared_norm()
             if abs(norm_squared - 1.0) > guard_tolerance:
                 if guard_action == "renorm":
-                    current_backend.renormalize()
+                    backend.renormalize()
                     registry.counter("faults.recovered.renorm").inc()
                 else:
                     raise NumericalDriftError(
@@ -503,25 +502,33 @@ def _run_span_body(
                         norm_squared=norm_squared,
                         tolerance=guard_tolerance,
                     )
+        values = []
         if properties:
             if prof is not None:
                 prof.push("<properties>")
             evaluation_started = time.perf_counter()
-            for prop in properties:
-                result.estimates[prop.name].add(prop.evaluate(current_backend, run_result, context))
-                evaluation_counter.inc()
+            values = [prop.evaluate(backend, run_result, context) for prop in properties]
             property_hist.observe(time.perf_counter() - evaluation_started)
             if prof is not None:
                 prof.pop()
+        counts = {}
         if sample_shots > 0:
             if prof is not None:
                 prof.push("<sampling>")
-            for outcome, count in current_backend.sample_counts(sample_shots, rng).items():
-                result.outcome_counts[outcome] = result.outcome_counts.get(outcome, 0) + count
+            counts = backend.sample_counts(sample_shots, rng)
             if prof is not None:
                 prof.pop()
-        for kind, count in applier.fired.items():
-            result.errors_fired[kind] = result.errors_fired.get(kind, 0) + count
+        return values, counts
+
+    def fold(values, counts, fired):
+        """Add one trajectory's property values, sampled outcome counts and
+        fired-error tallies to the span's result and metrics."""
+        for prop, value in zip(properties, values):
+            result.estimates[prop.name].add(value)
+            evaluation_counter.inc()
+        tally(result.outcome_counts, counts)
+        tally(result.errors_fired, fired)
+        for kind, count in fired.items():
             if count:
                 registry.counter(f"errors.fired.{kind}").inc(count)
 
@@ -529,6 +536,13 @@ def _run_span_body(
         relative_deadline = time.monotonic() + timeout
         deadline = relative_deadline if deadline is None else min(deadline, relative_deadline)
 
+    # One kernel for every mode.  A trajectory first picks its seed and the
+    # plan step where it leaves the ideal run: stratified spans search for
+    # an erring seed, shared spans dry-run the index seed (None = clean),
+    # and naive and dense spans have no plan and start at step 0 from
+    # |0...0>.  A clean trajectory folds the cached ideal-state values;
+    # every other one replays once from the latest checkpoint at or before
+    # its divergence.
     for index in range(num_trajectories):
         if deadline is not None and time.monotonic() >= deadline:
             result.timed_out = True
@@ -541,125 +555,77 @@ def _run_span_body(
             prof.push("trajectory")
         if strata_plan is not None:
             # Erring stratum: reject clean candidate seeds (rng-only dry
-            # runs) until one diverges, then run the accepted seed through
-            # the standard checkpoint/replay path.  The search depends only
-            # on the stratum index's base seed, so any worker partition
+            # runs) until one diverges.  The search depends only on the
+            # stratum index's base seed, so any worker partition
             # reproduces the same trajectories.
             seed, divergence, attempts = strata_plan.find_erring_seed(seed)
             strata_attempts.inc(attempts)
-            strata_attempts_total += attempts
-            if attempts > 1:
-                strata_rejected.inc(attempts - 1)
-                strata_rejected_total += attempts - 1
+            strata_rejected.inc(attempts - 1)
             strata_erring.inc()
-            prefix_replays.inc()
-            checkpoint_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
-            prefix_replayed_gates.inc(len(gate_plan.steps) - checkpoint_step)
-            rng = random.Random(seed)
-            applier = StochasticErrorApplier(noise_model, rng)
-            prefix_plan.consume_prefix(rng, applier.fired, checkpoint_step)
-            backend.load_state(checkpoint_state)
-            run_result = execute_plan(
-                backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
-            )
-            run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
-            drift = (
-                injector.fire("drift", trajectory=trajectory)
-                if injector is not None
-                else None
-            )
-            finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
-            if sample_shots > 0:
-                # One matching clean-stratum draw per erring trajectory,
-                # from the shared ideal DD with a decoupled rng, so
-                # outcome_distribution() can recombine both pools.
-                clean_rng = random.Random((seed ^ _CLEAN_SAMPLE_SALT) & (2**63 - 1))
-                counts = backend.package.sample_counts(
-                    prefix_plan.ideal_final, sample_shots, clean_rng
-                )
-                for outcome, count in counts.items():
-                    result.clean_outcome_counts[outcome] = (
-                        result.clean_outcome_counts.get(outcome, 0) + count
-                    )
         elif prefix_plan is not None:
             rng = random.Random(seed)
             applier = StochasticErrorApplier(noise_model, rng)
             divergence = prefix_plan.first_divergence(rng, applier.fired)
-            if divergence is None:
-                # Clean trajectory: its final state IS the shared ideal DD.
-                prefix_hits.inc()
-                drift = (
-                    injector.fire("drift", trajectory=trajectory)
-                    if injector is not None
-                    else None
-                )
-                ideal_drifted = (
-                    abs(prefix_plan.ideal_norm_squared - 1.0) > guard_tolerance
-                )
-                if drift is not None or (guard_action != "off" and ideal_drifted):
-                    # Rare slow path: something (an injected drift fault, a
-                    # numerically drifted ideal state under an active guard)
-                    # makes this trajectory's state differ from the cached
-                    # evaluation — materialise it and run the normal block.
-                    prefix_materialized.inc()
-                    backend.load_state(prefix_plan.ideal_final)
-                    finish_trajectory(
-                        backend, trajectory, rng, applier,
-                        prefix_plan.ideal_run_result, drift,
-                    )
-                else:
-                    if properties:
-                        evaluation_started = time.perf_counter()
-                        values = prefix_plan.property_values(backend, properties, context)
-                        for prop in properties:
-                            result.estimates[prop.name].add(values[prop.name])
-                            evaluation_counter.inc()
-                        property_hist.observe(time.perf_counter() - evaluation_started)
-                    if sample_shots > 0:
-                        counts = backend.package.sample_counts(
-                            prefix_plan.ideal_final, sample_shots, rng
-                        )
-                        for outcome, count in counts.items():
-                            result.outcome_counts[outcome] = (
-                                result.outcome_counts.get(outcome, 0) + count
-                            )
-                    for kind, count in applier.fired.items():
-                        result.errors_fired[kind] = result.errors_fired.get(kind, 0) + count
-                        if count:
-                            registry.counter(f"errors.fired.{kind}").inc(count)
-            else:
-                # Erring trajectory: rewind the rng to the nearest ideal
-                # checkpoint and replay only the suffix with the real applier.
+        else:
+            divergence = 0
+        if divergence is None:
+            prefix_hits.inc()
+        else:
+            # Replay with a fresh rng: rewound past the checkpoint's prefix
+            # draws when there is a plan, from step 0 when there is none.
+            rng = random.Random(seed)
+            applier = StochasticErrorApplier(noise_model, rng)
+            checkpoint_step = 0
+            if prefix_plan is not None:
                 prefix_replays.inc()
                 checkpoint_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
                 prefix_replayed_gates.inc(len(gate_plan.steps) - checkpoint_step)
-                rng = random.Random(seed)
-                applier = StochasticErrorApplier(noise_model, rng)
                 prefix_plan.consume_prefix(rng, applier.fired, checkpoint_step)
                 backend.load_state(checkpoint_state)
-                run_result = execute_plan(
-                    backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
-                )
-                run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
-                drift = (
-                    injector.fire("drift", trajectory=trajectory)
-                    if injector is not None
-                    else None
-                )
-                finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
-        else:
-            rng = random.Random(seed)
-            applier = StochasticErrorApplier(noise_model, rng)
-            if index > 0:
+            elif index > 0:
                 if backend_kind == "dd":
                     backend.reset_all()
                 else:
                     backend = _make_backend(backend_kind, circuit.num_qubits)
-            run_result = execute_plan(backend, gate_plan, rng, error_hook=applier)
-            drift = None
-            if injector is not None:
-                drift = injector.fire("drift", trajectory=trajectory)
-            finish_trajectory(backend, trajectory, rng, applier, run_result, drift)
+            run_result = execute_plan(
+                backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
+            )
+            if prefix_plan is not None:
+                run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
+        drift = injector.fire("drift", trajectory=trajectory) if injector is not None else None
+        if divergence is None and drift is None and not ideal_drifted:
+            # Clean trajectory: its final state IS the shared ideal DD, so
+            # fold the cached values and sample it with the trajectory's rng.
+            values = []
+            if properties:
+                evaluation_started = time.perf_counter()
+                cached = prefix_plan.property_values(backend, properties, context)
+                values = [cached[prop.name] for prop in properties]
+                property_hist.observe(time.perf_counter() - evaluation_started)
+            counts = {}
+            if sample_shots > 0:
+                counts = backend.package.sample_counts(
+                    prefix_plan.ideal_final, sample_shots, rng
+                )
+        else:
+            if divergence is None:
+                # Rare slow path: an injected drift fault or a drifted ideal
+                # state makes this clean trajectory's state differ from the
+                # cached evaluation — materialise it and evaluate it.
+                prefix_materialized.inc()
+                backend.load_state(prefix_plan.ideal_final)
+                run_result = prefix_plan.ideal_run_result
+            values, counts = finish_trajectory(trajectory, rng, run_result, drift)
+        fold(values, counts, applier.fired)
+        if strata_plan is not None and sample_shots > 0:
+            # One matching clean-stratum draw per erring trajectory, from
+            # the shared ideal DD with a decoupled rng, so
+            # outcome_distribution() can recombine both pools.
+            clean_rng = random.Random((seed ^ _CLEAN_SAMPLE_SALT) & (2**63 - 1))
+            counts = backend.package.sample_counts(
+                prefix_plan.ideal_final, sample_shots, clean_rng
+            )
+            tally(result.clean_outcome_counts, counts)
         if prof is not None:
             prof.pop()
         trajectory_hist.observe(time.perf_counter() - trajectory_started)
@@ -670,8 +636,8 @@ def _run_span_body(
         result.strata = {
             "p_clean": strata_plan.p_clean,
             "erring_sampled": result.completed_trajectories,
-            "rejected_clean": strata_rejected_total,
-            "attempts": strata_attempts_total,
+            "rejected_clean": strata_rejected.value,
+            "attempts": strata_attempts.value,
         }
 
     # A dense span's only DD is the ideal run that chose its engine.

@@ -40,8 +40,9 @@ unchanged.
 Because conditioning scales the estimator's sampling error by
 ``(1 - p_clean)``, a budget of ``M`` erring runs carries the Hoeffding
 guarantee of ``M / (1 - p_clean)^2`` naive trajectories — the "effective
-trajectories" the benchmarks report.  ``REPRO_STRATIFIED=off`` is the
-escape hatch back to the bit-identical naive/prefix-shared estimator.
+trajectories" the benchmarks report.  ``REPRO_TRAJECTORY_MODE=shared``
+(see :func:`trajectory_mode`) runs the bit-identical prefix-shared
+estimator instead.
 """
 
 from __future__ import annotations
@@ -55,24 +56,32 @@ from .prefix import PrefixPlan
 
 __all__ = [
     "StrataPlan",
+    "TRAJECTORY_MODE_ENV",
+    "TRAJECTORY_MODES",
     "site_survival_probability",
-    "stratified_enabled",
     "stratified_samples",
-    "STRATIFIED_ENV",
+    "trajectory_mode",
+    "worth_stratifying",
 ]
 
-#: Escape hatch: set to ``off`` (or ``0``/``false``/``no``) to disable
-#: stratified sampling and reproduce the naive unbiased estimator
-#: bit-identically.  Like ``REPRO_PREFIX_SHARING``, the environment is the
-#: only control channel that reaches forked workers without touching the
-#: content-addressed job key.
-STRATIFIED_ENV = "REPRO_STRATIFIED"
+#: The trajectory loop the runner runs and :func:`~repro.exact.cost.stochastic_budget`
+#: prices: ``stratified`` (default; falls back to ``shared`` unless
+#: :func:`worth_stratifying`), ``shared`` (clean trajectories served from
+#: the prefix plan's ideal DD, erring ones replayed from checkpoints) or
+#: ``naive`` (every trajectory from |0...0>).  The environment is the only
+#: channel that reaches forked workers without touching the job key.
+TRAJECTORY_MODE_ENV = "REPRO_TRAJECTORY_MODE"
+TRAJECTORY_MODES = ("stratified", "shared", "naive")
+
+#: The switches this one replaced: setting either raises, so a script that
+#: still sets one cannot silently compare the default with itself.
+_RETIRED_MODE_ENVS = ("REPRO_PREFIX_SHARING", "REPRO_STRATIFIED")
 
 #: Stratification deactivates when the erring stratum's probability mass
 #: falls below this: the expected rejection-sampling cost per erring
 #: trajectory is ``1 / (1 - p_clean)`` dry-runs, and below ~1e-6 the
 #: erring stratum contributes less than any practical epsilon target
-#: anyway, so the naive (prefix-shared) loop is the better engine.
+#: anyway, so the shared loop is the better engine.
 MIN_ERRING_MASS = 1e-6
 
 #: Hard ceiling on rejection attempts per stratum index.  With the
@@ -90,10 +99,25 @@ _ATTEMPT_STRIDE = 0xC2B2AE3D27D4EB4F
 _SEED_MASK = 2**63 - 1
 
 
-def stratified_enabled() -> bool:
-    """Whether stratified sampling is active (default: on)."""
-    raw = os.environ.get(STRATIFIED_ENV, "").strip().lower()
-    return raw not in ("off", "0", "false", "no")
+def trajectory_mode() -> str:
+    """The mode :data:`TRAJECTORY_MODE_ENV` selects (unset or empty:
+    ``stratified``); ``ValueError`` on any other value, or when a retired
+    switch is set at all."""
+    choices = "|".join(TRAJECTORY_MODES)
+    for name in _RETIRED_MODE_ENVS:
+        if name in os.environ:
+            raise ValueError(f"{name} is retired; set {TRAJECTORY_MODE_ENV}={choices}")
+    raw = os.environ.get(TRAJECTORY_MODE_ENV, "")
+    mode = raw.strip().lower() or TRAJECTORY_MODES[0]
+    if mode not in TRAJECTORY_MODES:
+        raise ValueError(f"{TRAJECTORY_MODE_ENV}={raw!r} is not one of {choices}")
+    return mode
+
+
+def worth_stratifying(p_clean: float) -> bool:
+    """Whether stratifying pays: a clean stratum exists (else the shared loop
+    does the same work) and the erring one keeps :data:`MIN_ERRING_MASS`."""
+    return p_clean > 0.0 and (1.0 - p_clean) >= MIN_ERRING_MASS
 
 
 def site_survival_probability(site: NoiseSite, exact_damping: bool) -> float:
@@ -171,15 +195,9 @@ class StrataPlan:
         else:
             p_clean = 0.0
         self.p_clean = p_clean
-        #: Whether the stratified engine should run: a clean stratum must
-        #: exist (else the naive loop does identical work) and carry
-        #: neither ~all the mass (rejection cost explodes, erring mass is
-        #: negligible) nor none of it.
-        self.active = (
-            self.supported
-            and p_clean > 0.0
-            and (1.0 - p_clean) >= MIN_ERRING_MASS
-        )
+        #: Whether the stratified engine should run; unsupported plans
+        #: carry ``p_clean = 0``, so they never do.
+        self.active = worth_stratifying(p_clean)
 
     def first_error_site_distribution(self) -> List[float]:
         """P(first divergence at site i | >= 1 error) per gate-plan step.

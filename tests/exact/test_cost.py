@@ -18,7 +18,13 @@ from repro.simulators.ddsim import DDBackend
 from repro.simulators.gateplan import compile_plan
 from repro.stochastic import BasisProbability, ClassicalOutcome
 from repro.stochastic.prefix import compile_prefix_plan
-from repro.stochastic.strata import STRATIFIED_ENV, StrataPlan, stratified_samples
+from repro.stochastic.runner import run_trajectory_span
+from repro.stochastic.strata import (
+    TRAJECTORY_MODE_ENV,
+    TRAJECTORY_MODES,
+    StrataPlan,
+    stratified_samples,
+)
 
 PAPER_NOISE = NoiseModel.paper_defaults()
 
@@ -146,24 +152,50 @@ class TestStochasticBudget:
         assert static_clean_probability(ghz(4), model) == 0.0
 
     def test_budget_is_stratified_when_enabled(self, monkeypatch):
-        monkeypatch.delenv(STRATIFIED_ENV, raising=False)
+        monkeypatch.delenv(TRAJECTORY_MODE_ENV, raising=False)
         budget, p_clean = stochastic_budget(ghz(10), PAPER_NOISE, 50_000)
         assert p_clean is not None and 0.0 < p_clean < 1.0
         assert budget == stratified_samples(50_000, p_clean)
         assert budget < 50_000
 
     def test_budget_is_naive_when_disabled(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "off")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         budget, p_clean = stochastic_budget(ghz(10), PAPER_NOISE, 50_000)
         assert budget == 50_000
         assert p_clean is None
 
     def test_budget_is_naive_for_measured_circuits(self, monkeypatch):
-        monkeypatch.delenv(STRATIFIED_ENV, raising=False)
+        monkeypatch.delenv(TRAJECTORY_MODE_ENV, raising=False)
         budget, p_clean = stochastic_budget(
             ghz(4, measure=True), PAPER_NOISE, 1_000
         )
         assert budget == 1_000 and p_clean is None
+
+    @pytest.mark.parametrize("mode", TRAJECTORY_MODES)
+    @pytest.mark.parametrize(
+        "circuit, model",
+        [
+            (ghz(6), PAPER_NOISE),
+            (ghz(4, measure=True), PAPER_NOISE),
+            (ghz(4), NoiseModel.paper_defaults(damping_mode="exact")),
+            (ghz(4), NoiseModel.noiseless()),
+        ],
+        ids=["ghz6", "ghz4-measured", "ghz4-exact-damping", "ghz4-noiseless"],
+    )
+    def test_budget_is_stratified_iff_the_runtime_stratifies(
+        self, monkeypatch, mode, circuit, model
+    ):
+        """Dispatch prices the loop the runner runs, in every mode."""
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, mode)
+        budget, p_clean = stochastic_budget(circuit, model, 3000)
+        result = run_trajectory_span(
+            circuit, model, [BasisProbability("0" * circuit.num_qubits)],
+            backend_kind="dd", first_trajectory=0, num_trajectories=8,
+            master_seed=1,
+        )
+        assert (budget < 3000) == bool(result.strata)
+        if result.strata:
+            assert budget == stratified_samples(3000, p_clean)
 
 
 class TestDispatchBoundary:
@@ -176,7 +208,7 @@ class TestDispatchBoundary:
     """
 
     def test_small_circuit_large_budget_routes_exact(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "off")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         decision = estimate_costs(
             ghz(10), PAPER_NOISE, [BasisProbability("0" * 10)], 50_000
         )
@@ -186,7 +218,7 @@ class TestDispatchBoundary:
     def test_stratified_budget_tilts_the_same_spec_stochastic(self, monkeypatch):
         # Identical spec as above, stratification on: the stochastic side
         # is ~100x cheaper at paper rates and wins on worst-case sizes.
-        monkeypatch.delenv(STRATIFIED_ENV, raising=False)
+        monkeypatch.delenv(TRAJECTORY_MODE_ENV, raising=False)
         decision = estimate_costs(
             ghz(10), PAPER_NOISE, [BasisProbability("0" * 10)], 50_000
         )

@@ -67,7 +67,7 @@ class TestSchedulerRouting:
         the stochastic side shrinks by ``(1 - p_clean)^2`` and worst-case
         exact no longer wins at 50k trajectories (see test_cost.py).
         """
-        monkeypatch.setenv("REPRO_STRATIFIED", "off")
+        monkeypatch.setenv("REPRO_TRAJECTORY_MODE", "shared")
         with Scheduler(workers=1) as scheduler:
             # Tiny trajectory budget: sampling is cheaper than 4^n evolution.
             cheap = scheduler.run(spec_for(trajectories=50, method="auto"), timeout=60)

@@ -24,9 +24,9 @@ from repro.service.scheduler import _outcome_anomaly
 from repro.service.serve import enqueue_job, list_jobs, query_status, serve
 from repro.service.worker import ChunkOutcome
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
-from repro.stochastic.prefix import PREFIX_SHARING_ENV
 from repro.stochastic.results import StochasticResult
 from repro.stochastic.runner import AUTO_ENGINE, choose_engine, run_trajectory_span
+from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
 QAOA = qaoa_maxcut(5, measure=False)  # ideal DD: 31 nodes >= 2^4
@@ -217,16 +217,16 @@ class TestExplicitBackendsNeverSwitch:
         result = simulate_stochastic(QAOA, NOISE, PROPERTIES, trajectories=4, backend="dd")
         assert result.backend_kind == "dd"
 
-    @pytest.mark.parametrize("sharing", ["on", "off"])
+    @pytest.mark.parametrize("mode", ["stratified", "shared", "naive"])
     def test_auto_job_below_the_switch_point_matches_explicit_dd(
-        self, sharing, monkeypatch
+        self, mode, monkeypatch
     ):
         """Auto jobs that stay on DD keep the explicit DD job's estimates
         and counters — the compile step adds nothing to count twice, and
-        with prefix sharing off every trajectory still starts at |0...0>.
+        in the naive mode every trajectory still starts at |0...0>.
         Each job runs alone on one fresh worker: per-worker compile
         counters depend on which worker ran which chunk."""
-        monkeypatch.setenv(PREFIX_SHARING_ENV, sharing)
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, mode)
 
         def run(method):
             spec = JobSpec.build(
@@ -243,16 +243,16 @@ class TestExplicitBackendsNeverSwitch:
         assert auto.peak_nodes == explicit.peak_nodes
 
         def counters(result):
-            # With sharing off, DD-table counters also count the ideal run
+            # In the naive mode, DD-table counters also count the ideal run
             # that picked the engine, which the explicit span never makes.
             return {
                 name: value for name, value in result.metrics["counters"].items()
-                if sharing == "on" or not name.startswith("dd.")
+                if mode != "naive" or not name.startswith("dd.")
             }
 
         assert counters(auto) == counters(explicit)
         checkpoints = counters(auto).get("prefix.checkpoints", 0)
-        assert (checkpoints > 0) == (sharing == "on")
+        assert (checkpoints > 0) == (mode != "naive")
 
 
 class TestResumeKeepsTheRestoredEngine:

@@ -102,7 +102,7 @@ class TestPauliExpectationProperty:
         # Stratified sampling engages only on the DD backend; pin it off so
         # both backends run the identical naive estimator (the stratified
         # equivalence gate lives in tests/stochastic/test_strata.py).
-        monkeypatch.setenv("REPRO_STRATIFIED", "off")
+        monkeypatch.setenv("REPRO_TRAJECTORY_MODE", "shared")
         kwargs = dict(
             noise_model=NoiseModel.paper_defaults().scaled(10),
             properties=[PauliExpectation("ZZII"), PauliExpectation("XXXX")],

@@ -21,7 +21,7 @@ def _naive_estimator(monkeypatch):
     # This file pins the *naive* adaptive-loop mechanics (batch growth,
     # Theorem-1 ceiling, union-bound stopping); stratified sampling stops
     # far earlier by design and is covered separately in test_strata.py.
-    monkeypatch.setenv("REPRO_STRATIFIED", "off")
+    monkeypatch.setenv("REPRO_TRAJECTORY_MODE", "shared")
 
 
 class TestTheorem1Budget:

@@ -1,7 +1,7 @@
 """Equivalence gate for the trajectory prefix-sharing engine.
 
-The engine's whole contract is that ``REPRO_PREFIX_SHARING=off`` (the
-naive per-trajectory loop) and the default shared path are **bit
+The engine's whole contract is that ``REPRO_TRAJECTORY_MODE=naive`` (the
+naive per-trajectory loop) and the ``shared`` path are **bit
 identical**: same per-trajectory rng streams, same property estimate
 totals, same fired-error tallies, same sampled outcome histograms.  Every
 test here runs both modes and compares exactly — no tolerances.
@@ -15,13 +15,11 @@ from repro.noise import NoiseModel
 from repro.stochastic import BasisProbability, IdealFidelity
 from repro.stochastic.prefix import (
     PREFIX_INTERVAL_ENV,
-    PREFIX_SHARING_ENV,
     compile_prefix_plan,
-    prefix_sharing_enabled,
 )
 from repro.stochastic.properties import ExpectationZ
 from repro.stochastic.runner import run_trajectory_span, simulate_stochastic
-from repro.stochastic.strata import STRATIFIED_ENV
+from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
 NOISE = NoiseModel.paper_defaults()
 #: Scaled model where most trajectories err — exercises replay heavily.
@@ -30,13 +28,12 @@ HOT_NOISE = NoiseModel.paper_defaults().scaled(40)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(PREFIX_SHARING_ENV, raising=False)
     monkeypatch.delenv(PREFIX_INTERVAL_ENV, raising=False)
     monkeypatch.delenv(PLAN_ENV, raising=False)
     # This file gates the prefix engine's naive<->shared *bit identity*;
     # stratified sampling changes the estimator by design and has its own
     # equivalence gate in test_strata.py.
-    monkeypatch.setenv(STRATIFIED_ENV, "off")
+    monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
     reset_injector_cache()
     yield
     reset_injector_cache()
@@ -45,10 +42,10 @@ def _clean_env(monkeypatch):
 def run_both(monkeypatch, **kwargs):
     """The same simulation in shared and naive mode."""
     results = {}
-    for mode in ("on", "off"):
-        monkeypatch.setenv(PREFIX_SHARING_ENV, mode)
+    for mode in ("shared", "naive"):
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, mode)
         results[mode] = simulate_stochastic(**kwargs)
-    return results["on"], results["off"]
+    return results["shared"], results["naive"]
 
 
 def assert_identical(shared, naive):
@@ -65,18 +62,17 @@ def assert_identical(shared, naive):
 
 
 class TestEnvironmentSwitch:
-    def test_default_is_on(self):
-        assert prefix_sharing_enabled() is True
-
-    @pytest.mark.parametrize("raw", ["off", "0", "false", "no", " OFF "])
-    def test_disabling_values(self, monkeypatch, raw):
-        monkeypatch.setenv(PREFIX_SHARING_ENV, raw)
-        assert prefix_sharing_enabled() is False
-
-    @pytest.mark.parametrize("raw", ["on", "1", "yes", "anything"])
-    def test_enabling_values(self, monkeypatch, raw):
-        monkeypatch.setenv(PREFIX_SHARING_ENV, raw)
-        assert prefix_sharing_enabled() is True
+    def test_default_is_on(self, monkeypatch):
+        # With the switch unset, trajectories start from the shared prefix.
+        monkeypatch.delenv(TRAJECTORY_MODE_ENV)
+        result = run_trajectory_span(
+            ghz(6), NOISE, [IdealFidelity()],
+            backend_kind="dd", first_trajectory=0, num_trajectories=20,
+            master_seed=19, sample_shots=1,
+        )
+        counters = result.metrics["counters"]
+        assert counters["prefix.checkpoints"] >= 1
+        assert counters["prefix.replays"] >= 1
 
 
 class TestBitIdentity:
@@ -163,7 +159,7 @@ class TestBitIdentity:
         assert_identical(shared, naive)
 
     def test_parallel_matches_serial_with_sharing(self, monkeypatch):
-        monkeypatch.setenv(PREFIX_SHARING_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         serial = simulate_stochastic(
             ghz(5), noise_model=NOISE, properties=(IdealFidelity(),),
             trajectories=48, workers=1, seed=21, sample_shots=1,
@@ -259,8 +255,8 @@ class TestFaultInjection:
             faults=(FaultSpec(kind="drift", trajectory=3, factor=1.5, times=1),)
         )
         results = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv(PREFIX_SHARING_ENV, mode)
+        for mode in ("shared", "naive"):
+            monkeypatch.setenv(TRAJECTORY_MODE_ENV, mode)
             monkeypatch.setenv(PLAN_ENV, plan.to_json())
             reset_injector_cache()
             results[mode] = run_trajectory_span(
@@ -268,8 +264,8 @@ class TestFaultInjection:
                 backend_kind="dd", first_trajectory=0, num_trajectories=8,
                 master_seed=7, sample_shots=1, on_drift="renorm",
             )
-        assert_identical(results["on"], results["off"])
-        counters = results["on"].metrics["counters"]
+        assert_identical(results["shared"], results["naive"])
+        counters = results["shared"].metrics["counters"]
         assert counters["faults.recovered.renorm"] >= 1
         # The drifted trajectory cannot use the cached clean evaluation.
         assert counters["prefix.materialized"] >= 1
@@ -277,7 +273,7 @@ class TestFaultInjection:
 
 class TestCounters:
     def test_span_counter_accounting(self, monkeypatch):
-        monkeypatch.setenv(PREFIX_SHARING_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         result = run_trajectory_span(
             ghz(6), NOISE, [IdealFidelity()],
             backend_kind="dd", first_trajectory=0, num_trajectories=50,

@@ -86,7 +86,7 @@ class TestReproducibility:
         must compare the shared naive estimator.  The stratified-vs-naive
         agreement has its own statistical gate in test_strata.py.
         """
-        monkeypatch.setenv("REPRO_STRATIFIED", "off")
+        monkeypatch.setenv("REPRO_TRAJECTORY_MODE", "shared")
         kwargs = dict(
             noise_model=NOISE,
             properties=[BasisProbability("0000"), IdealFidelity()],

@@ -31,10 +31,11 @@ from repro.stochastic.properties import ExpectationZ, hoeffding_samples
 from repro.stochastic.results import PropertyEstimate, StochasticResult
 from repro.stochastic.runner import run_trajectory_span, simulate_stochastic
 from repro.stochastic.strata import (
-    STRATIFIED_ENV,
+    TRAJECTORY_MODE_ENV,
+    TRAJECTORY_MODES,
     StrataPlan,
-    stratified_enabled,
     stratified_samples,
+    trajectory_mode,
 )
 
 NOISE = NoiseModel.paper_defaults()
@@ -43,7 +44,7 @@ HOT_NOISE = NoiseModel.paper_defaults().scaled(40)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(STRATIFIED_ENV, raising=False)
+    monkeypatch.delenv(TRAJECTORY_MODE_ENV, raising=False)
     monkeypatch.delenv(PLAN_ENV, raising=False)
     reset_injector_cache()
     yield
@@ -56,22 +57,59 @@ def _prefix_plan(circuit, noise_model):
     return compile_prefix_plan(backend, plan, noise_model)
 
 
+#: Every value the two retired switches used to accept: each now raises.
+RETIRED_VALUES = ["off", "0", "false", "no", " OFF ", "on", "1", "yes", "anything", ""]
+#: (environment, the mode it selects or the variable its error must name).
+SWITCH_CASES = [
+    pytest.param({}, "stratified", id="unset"),
+    pytest.param({TRAJECTORY_MODE_ENV: " "}, "stratified", id="blank"),
+    *[pytest.param({TRAJECTORY_MODE_ENV: mode}, mode, id=mode) for mode in TRAJECTORY_MODES],
+    pytest.param({TRAJECTORY_MODE_ENV: " Shared "}, "shared", id=" Shared "),
+    pytest.param({TRAJECTORY_MODE_ENV: "NAIVE"}, "naive", id="NAIVE"),
+    *[
+        pytest.param({TRAJECTORY_MODE_ENV: raw}, TRAJECTORY_MODE_ENV, id=raw)
+        for raw in ("off", "on", "anything", "stratify")
+    ],
+    *[
+        pytest.param({name: raw}, name, id=f"{name}={raw}")
+        for name in ("REPRO_PREFIX_SHARING", "REPRO_STRATIFIED")
+        for raw in RETIRED_VALUES
+    ],
+    pytest.param(
+        {"REPRO_STRATIFIED": "off", TRAJECTORY_MODE_ENV: "shared"},
+        "REPRO_STRATIFIED",
+        id="retired-beside-mode",
+    ),
+]
+
+
 class TestEnvironmentSwitch:
+    @pytest.mark.parametrize("env, expected", SWITCH_CASES)
+    def test_trajectory_mode(self, monkeypatch, env, expected):
+        """One switch, three modes; an unknown value or a retired switch
+        raises, naming the offending variable and the three modes."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if expected in TRAJECTORY_MODES:
+            assert trajectory_mode() == expected
+            return
+        with pytest.raises(ValueError) as raised:
+            trajectory_mode()
+        message = str(raised.value)
+        assert expected in message and TRAJECTORY_MODE_ENV in message
+        assert all(mode in message for mode in TRAJECTORY_MODES)
+
     def test_default_is_on(self):
-        assert stratified_enabled() is True
-
-    @pytest.mark.parametrize("raw", ["off", "0", "false", "no", " OFF "])
-    def test_disabling_values(self, monkeypatch, raw):
-        monkeypatch.setenv(STRATIFIED_ENV, raw)
-        assert stratified_enabled() is False
-
-    @pytest.mark.parametrize("raw", ["on", "1", "yes", "anything"])
-    def test_enabling_values(self, monkeypatch, raw):
-        monkeypatch.setenv(STRATIFIED_ENV, raw)
-        assert stratified_enabled() is True
+        # With the switch unset, a run stratifies and reports its strata.
+        result = simulate_stochastic(
+            ghz(4), noise_model=NOISE, properties=(IdealFidelity(),),
+            trajectories=10, seed=2, sample_shots=1,
+        )
+        assert result.strata is not None
+        assert "strata" in result.to_dict()
 
     def test_off_mode_payload_has_no_stratum_fields(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "off")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         result = simulate_stochastic(
             ghz(4), noise_model=NOISE, properties=(IdealFidelity(),),
             trajectories=10, seed=2, sample_shots=1,
@@ -148,13 +186,13 @@ class TestClosedFormPClean:
 
 class TestEstimatorEquivalence:
     def test_agrees_with_naive_within_combined_bounds(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "off")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "shared")
         naive = simulate_stochastic(
             ghz(6), noise_model=NOISE,
             properties=(IdealFidelity(), ExpectationZ(0)),
             trajectories=4000, seed=11, sample_shots=0,
         )
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         stratified = simulate_stochastic(
             ghz(6), noise_model=NOISE,
             properties=(IdealFidelity(), ExpectationZ(0)),
@@ -173,7 +211,7 @@ class TestEstimatorEquivalence:
     def test_agrees_with_statevector_naive(self, monkeypatch):
         # Cross-backend equivalence: stratified DD vs the dense naive
         # baseline (statevector has no prefix plan, hence no strata).
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         dd = simulate_stochastic(
             ghz(5), backend="dd", noise_model=HOT_NOISE,
             properties=(BasisProbability("00000"),),
@@ -194,7 +232,7 @@ class TestEstimatorEquivalence:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parallel_is_bit_identical_to_serial(self, monkeypatch, workers):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         kwargs = dict(
             noise_model=NOISE,
             properties=(IdealFidelity(), BasisProbability("00000")),
@@ -218,7 +256,7 @@ class TestEstimatorEquivalence:
         plan = FaultPlan(
             faults=(FaultSpec(kind="drift", trajectory=3, factor=1.5, times=1),)
         )
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         monkeypatch.setenv(PLAN_ENV, plan.to_json())
         reset_injector_cache()
         result = run_trajectory_span(
@@ -231,7 +269,7 @@ class TestEstimatorEquivalence:
         assert result.metrics["counters"]["faults.recovered.renorm"] >= 1
 
     def test_outcome_distribution_recombines_pools(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         result = simulate_stochastic(
             ghz(4), noise_model=NOISE, properties=(),
             trajectories=50, seed=5, sample_shots=4,
@@ -244,7 +282,7 @@ class TestEstimatorEquivalence:
         assert distribution["0000"] + distribution["1111"] > 0.9
 
     def test_effective_trajectories_scales_quadratically(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         result = simulate_stochastic(
             ghz(6), noise_model=NOISE, properties=(IdealFidelity(),),
             trajectories=100, seed=1, sample_shots=0,
@@ -266,7 +304,7 @@ class TestBoundContainment:
             ghz(4), noise_model=HOT_NOISE, properties=(IdealFidelity(),)
         )
         truth = oracle.mean("F(ideal)")
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         for seed in (1, 7, 23):
             run = simulate_stochastic(
                 ghz(4), noise_model=HOT_NOISE, properties=(IdealFidelity(),),
@@ -280,7 +318,7 @@ class TestBoundContainment:
     def test_bernstein_beats_hoeffding_at_low_variance(self, monkeypatch):
         # At paper noise the erring-sample variance is far below (R/2)^2,
         # which is exactly the regime the variance-adaptive bound wins in.
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         run = simulate_stochastic(
             ghz(6), noise_model=NOISE, properties=(IdealFidelity(),),
             trajectories=800, seed=11, sample_shots=0,
@@ -308,7 +346,7 @@ class TestBoundContainment:
 
 class TestMergeSemantics:
     def _span(self, first, count, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         return run_trajectory_span(
             ghz(4), NOISE, [IdealFidelity()],
             backend_kind="dd", first_trajectory=first, num_trajectories=count,
@@ -382,7 +420,7 @@ class TestMergeSemantics:
 
 class TestAdaptiveIntegration:
     def test_stratified_ceiling_shrinks_quadratically(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         run = run_until_precision(
             ghz(4), [IdealFidelity()], epsilon=0.02, delta=0.05,
             noise_model=NOISE, seed=3, initial_batch=32,
@@ -400,7 +438,7 @@ class TestAdaptiveIntegration:
         assert run.trajectories <= run.ceiling
 
     def test_bernstein_bound_stops_earlier_or_equal(self, monkeypatch):
-        monkeypatch.setenv(STRATIFIED_ENV, "on")
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
         kwargs = dict(
             epsilon=0.01, delta=0.05, noise_model=NOISE,
             seed=9, initial_batch=64,
