@@ -271,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument(
         "--trend", action="store_true",
         help="check each family's latest stochastic throughput against its "
-        "ledger baseline; a >20%% drop flags a regression (exit 1), "
-        "mirroring benchmarks/trend.py",
+        "ledger baseline; a >20%% drop flags a regression (exit 1)",
     )
     history.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON instead of text"
@@ -620,9 +619,7 @@ def _command_history(args: argparse.Namespace) -> int:
     and node-ceiling fallbacks.  ``--trend`` compares each family's latest
     stochastic rate against the histogram-mean rate of the family's runs on
     the same trajectory engine (an ``auto`` family may run dense or on DD)
-    and exits 1 when any family dropped more than 20% — the same gate
-    ``benchmarks/trend.py`` applies to the BENCH_*.json series, but against
-    live service history.
+    and exits 1 when any family dropped more than 20%.
     """
     import json as _json
 
@@ -732,8 +729,7 @@ def _command_history(args: argparse.Namespace) -> int:
                 print(f"    {_json.dumps(record, sort_keys=True)}")
     print(
         f"{len(families)} famil{'y' if len(families) == 1 else 'ies'}; "
-        f"measured dispatch uses these peaks "
-        f"(REPRO_MEASURED_COST=off to ignore)"
+        f"measured dispatch uses these peaks"
     )
     return 1 if regressed else 0
 

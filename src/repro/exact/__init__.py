@@ -13,12 +13,10 @@ the rho DD outgrows its node ceiling mid-flight.
 from .backend import DensityDDBackend
 from .cost import (
     DispatchDecision,
-    MEASURED_COST_ENV,
     MeasuredCostModel,
     SizeEvidence,
     estimate_costs,
     exact_unsupported_reason,
-    measured_cost_enabled,
     static_clean_probability,
     stochastic_budget,
 )
@@ -28,13 +26,11 @@ __all__ = [
     "DensityDDBackend",
     "DispatchDecision",
     "ExactSimulator",
-    "MEASURED_COST_ENV",
     "MeasuredCostModel",
     "SizeEvidence",
     "default_node_ceiling",
     "estimate_costs",
     "exact_unsupported_reason",
-    "measured_cost_enabled",
     "simulate_exact",
     "static_clean_probability",
     "stochastic_budget",

@@ -33,8 +33,8 @@ Representation sizes come in two flavours:
   the worst case.  Node-ceiling fallbacks are folded in as *censored*
   observations — an exact run that tripped its ceiling proves rho grew at
   least that large, so mispredictions push the measured size back up and
-  dispatch learns.  ``REPRO_MEASURED_COST=off`` (or an empty ledger)
-  restores the worst-case decisions bit-identically.
+  dispatch learns.  With no history (an empty ledger, ``history=None``)
+  both sides keep their worst-case sizes.
 
 The worst-case ratio reduces to ``exact wins iff 2 * (1 + R) * 2**n < M``
 — with the paper's M = 30 000 budget and full paper noise, exact wins up
@@ -49,7 +49,6 @@ right side of the exponential, not perfectly predict diagram sizes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -73,19 +72,13 @@ from ..stochastic.strata import (
 
 __all__ = [
     "DispatchDecision",
-    "MEASURED_COST_ENV",
     "MeasuredCostModel",
     "SizeEvidence",
     "estimate_costs",
     "exact_unsupported_reason",
-    "measured_cost_enabled",
     "static_clean_probability",
     "stochastic_budget",
 ]
-
-#: Escape hatch: ``REPRO_MEASURED_COST=off`` ignores ledger history and
-#: restores worst-case dispatch decisions bit-identically.
-MEASURED_COST_ENV = "REPRO_MEASURED_COST"
 
 #: Minimum ledger observations of a family before history overrides the
 #: worst case (the "K" confidence floor from the measured-cost contract).
@@ -94,12 +87,6 @@ DEFAULT_MIN_OBSERVATIONS = 1
 #: Safety multiplier on observed peak node counts — diagrams wobble run to
 #: run (noise draws differ), so score with slack before trusting history.
 MEASURED_HEADROOM = 2.0
-
-
-def measured_cost_enabled() -> bool:
-    """Whether ledger history may override worst-case sizes (default: on)."""
-    raw = os.environ.get(MEASURED_COST_ENV, "").strip().lower()
-    return raw not in ("off", "0", "false", "no")
 
 
 @dataclass(frozen=True)
@@ -404,9 +391,8 @@ def estimate_costs(
     size it through :func:`~repro.stochastic.properties.hoeffding_samples`,
     so it carries the accuracy demand into the comparison.  ``history``
     (run-ledger family aggregates) upgrades the representation sizes from
-    worst-case to measured when the family has recorded observations and
-    ``REPRO_MEASURED_COST`` is not off; the decision then cites its
-    evidence in :meth:`DispatchDecision.render`.
+    worst-case to measured when the family has recorded observations; the
+    decision then cites its evidence in :meth:`DispatchDecision.render`.
     """
     reason = exact_unsupported_reason(circuit, properties)
     exact_multiplies = count_exact_multiplies(circuit, model)
@@ -423,7 +409,7 @@ def estimate_costs(
     exact_observations = 0
     stochastic_observations = 0
     censored = False
-    if history and measured_cost_enabled():
+    if history:
         cost_model = MeasuredCostModel(history)
         exact_evidence = cost_model.exact_size(fingerprint, num_qubits)
         stochastic_evidence = cost_model.stochastic_size(fingerprint, num_qubits)

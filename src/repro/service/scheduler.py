@@ -111,6 +111,23 @@ __all__ = [
 #: one trajectory's latency — the grace only bounds a wedged straggler.
 _TIMEOUT_DRAIN_GRACE = 1.0
 
+#: Chunk completions between checkpoints of a job's merged partial to the
+#: store (1 = after every chunk).
+_CHECKPOINT_EVERY = 1
+
+#: ``multiprocessing`` start method of the worker pool.
+_MP_CONTEXT = "fork"
+
+#: Seconds the dispatcher sleeps after a pass that found no worker output,
+#: and :meth:`Scheduler.drain` between checks for busy workers.
+_POLL_INTERVAL = 0.02
+
+#: Base and cap (seconds) of the exponential delay before a dead worker's
+#: slot is refilled; the exponent is the number of worker deaths inside
+#: the breaker window.
+_RESPAWN_BACKOFF = 0.05
+_RESPAWN_BACKOFF_CAP = 2.0
+
 
 def _remaining_spans(total: int, done: List[Span]) -> List[Span]:
     """Complement of the completed spans within ``range(total)``."""
@@ -301,9 +318,6 @@ class Scheduler:
         a lost chunk is cheap to retry.
     max_retries:
         Requeue budget per chunk before the whole job is failed.
-    checkpoint_every:
-        Checkpoint the merged partial to the store after this many chunk
-        completions (1 = after every chunk).
     chunk_timeout:
         Wall-clock seconds an in-flight chunk may take before its worker
         is presumed wedged, killed, and the chunk retried (None = never).
@@ -311,10 +325,6 @@ class Scheduler:
         Worker-fatal attempts a single chunk may accumulate before it is
         quarantined and the job failed with
         :class:`~repro.errors.PoisonChunkError` (default: ``max_retries``).
-    respawn_backoff / respawn_backoff_cap:
-        Base and cap (seconds) of the exponential delay before a dead
-        worker's slot is refilled; the exponent is the number of worker
-        deaths inside the breaker window.
     breaker_threshold / breaker_window:
         Open the pool circuit breaker — failing all pending jobs with
         :class:`~repro.errors.WorkerPoolBrokenError` — when this many
@@ -352,13 +362,8 @@ class Scheduler:
         store: Optional[ResultStore] = None,
         chunk_size: Optional[int] = None,
         max_retries: int = 2,
-        checkpoint_every: int = 1,
         chunk_timeout: Optional[float] = None,
-        mp_context: str = "fork",
-        poll_interval: float = 0.02,
         poison_retries: Optional[int] = None,
-        respawn_backoff: float = 0.05,
-        respawn_backoff_cap: float = 2.0,
         breaker_threshold: int = 12,
         breaker_window: float = 10.0,
         exact_node_ceiling: Optional[int] = None,
@@ -376,12 +381,8 @@ class Scheduler:
         self.store = store if store is not None else ResultStore(directory=None)
         self.chunk_size = chunk_size
         self.max_retries = max_retries
-        self.checkpoint_every = max(1, checkpoint_every)
         self.chunk_timeout = chunk_timeout
-        self.poll_interval = poll_interval
         self.poison_retries = max_retries if poison_retries is None else poison_retries
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_cap = respawn_backoff_cap
         self.breaker_threshold = breaker_threshold
         self.breaker_window = breaker_window
         self.exact_node_ceiling = (
@@ -428,7 +429,7 @@ class Scheduler:
             "dispatch.fallback",
             # Evidence basis of auto decisions: measured = run-ledger
             # family history entered the comparison; worst_case = dense
-            # 4^n/2^n bounds (empty/thin history or REPRO_MEASURED_COST=off).
+            # 4^n/2^n bounds (empty or thin history).
             "dispatch.measured",
             "dispatch.worst_case",
             # Durable-execution layer: chunk-ownership leases and drain.
@@ -448,7 +449,7 @@ class Scheduler:
         #: Monotonic stamps of recent worker deaths (breaker/backoff input).
         self._death_stamps: Deque[float] = deque()
 
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._lock = threading.RLock()
         self._jobs: Dict[str, _Job] = {}
         self._order: List[str] = []  #: submission order, for FIFO dispatch
@@ -658,7 +659,7 @@ class Scheduler:
                 )
             if not busy:
                 break
-            time.sleep(min(0.05, self.poll_interval))
+            time.sleep(_POLL_INTERVAL)
         with self._lock:
             clean = all(h.busy is None or h.dead for h in self._workers)
             for job in self._jobs.values():
@@ -1066,7 +1067,7 @@ class Scheduler:
                     self._drain_results(handle) for handle in list(self._workers)
                 )
             if not drained:
-                time.sleep(self.poll_interval)
+                time.sleep(_POLL_INTERVAL)
 
     def _drain_results(self, handle: _WorkerHandle) -> int:
         """Consume every outcome currently readable from one worker."""
@@ -1244,8 +1245,8 @@ class Scheduler:
             # protection, not a tax on every crash.
             return 0.0
         return min(
-            self.respawn_backoff_cap,
-            self.respawn_backoff * (2 ** min(recent - 2, 6)),
+            _RESPAWN_BACKOFF_CAP,
+            _RESPAWN_BACKOFF * (2 ** min(recent - 2, 6)),
         )
 
     def _trip_breaker(self, recent: int) -> None:
@@ -1542,7 +1543,7 @@ class Scheduler:
         return merged
 
     def _checkpoint(self, job: _Job, force: bool = False) -> None:
-        if not force and job.chunks_since_checkpoint < self.checkpoint_every:
+        if not force and job.chunks_since_checkpoint < _CHECKPOINT_EVERY:
             return
         if job.base_partial is None and not job.completed:
             return  # nothing worth persisting yet

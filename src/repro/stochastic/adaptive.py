@@ -36,7 +36,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..noise.model import NoiseModel
 from .properties import PropertySpec, hoeffding_samples
 from .results import StochasticResult
-from .runner import StochasticSimulator
+from .runner import StochasticSimulator, run_trajectory_span
 from .strata import stratified_samples
 
 __all__ = ["AdaptiveRun", "run_until_precision"]
@@ -169,21 +169,17 @@ def run_until_precision(
         else:
             # Re-run with the larger total; estimates are cumulative because
             # trajectory seeds are index-derived.  To avoid recomputing old
-            # work we instead run only the new slice through a chunk.
-            from .runner import _ChunkSpec, _run_chunk
-
-            chunk = _run_chunk(
-                _ChunkSpec(
-                    circuit,
-                    noise_model or NoiseModel.paper_defaults(),
-                    tuple(properties),
-                    backend,
-                    next_index,
-                    size,
-                    seed,
-                    0,
-                    timeout,
-                )
+            # work we instead run only the new slice as one span.
+            chunk = run_trajectory_span(
+                circuit,
+                noise_model or NoiseModel.paper_defaults(),
+                tuple(properties),
+                backend,
+                next_index,
+                size,
+                seed,
+                sample_shots=0,
+                timeout=timeout,
             )
             aggregate.merge(chunk)
         next_index += size

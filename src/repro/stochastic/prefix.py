@@ -14,10 +14,10 @@ without touching any state:
   properties are evaluated once and reused bit-identically, and only the
   per-trajectory ``sample_shots`` are drawn with the trajectory's own rng;
 * erring trajectories resume from the nearest refcounted **ideal-prefix
-  checkpoint** (interval auto-tuned to ~sqrt(gate count), overridable via
-  ``REPRO_PREFIX_CHECKPOINT_INTERVAL``) and replay only the suffix with the
-  real error applier — the rng is rewound by re-consuming the prefix draws
-  from the trajectory seed, which costs O(prefix error slots), not O(state).
+  checkpoint** (every ~sqrt(gate count) steps) and replay only the suffix
+  with the real error applier — the rng is rewound by re-consuming the
+  prefix draws from the trajectory seed, which costs O(prefix error
+  slots), not O(state).
 
 The engine is exactly equivalent to the naive path — same per-trajectory
 rng streams, same hash-consed state edges, same floats — which
@@ -31,9 +31,7 @@ damping slot under the ``"exact"`` Kraus unravelling.
 
 from __future__ import annotations
 
-import logging
 import math
-import os
 from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
@@ -45,52 +43,16 @@ from ..simulators.gateplan import GATE, GatePlan
 __all__ = [
     "PrefixPlan",
     "compile_prefix_plan",
-    "PREFIX_INTERVAL_ENV",
 ]
 
-#: Optional integer override for the ideal-prefix checkpoint interval
-#: (gate-plan steps between refcounted snapshots); default ~sqrt(steps).
-PREFIX_INTERVAL_ENV = "REPRO_PREFIX_CHECKPOINT_INTERVAL"
 
+def _checkpoint_interval(step_count: int) -> int:
+    """Gate-plan steps between refcounted ideal-prefix snapshots.
 
-_log = logging.getLogger(__name__)
-
-#: One-shot latch for the invalid-interval warning: a Monte-Carlo job
-#: compiles plans per worker per job, and a misconfigured environment
-#: should not flood the log once per compilation.
-_warned_invalid_interval = False
-
-
-def _resolve_interval(step_count: int) -> Tuple[int, bool]:
-    """(checkpoint interval, whether the env override was invalid).
-
-    A malformed or non-positive ``REPRO_PREFIX_CHECKPOINT_INTERVAL`` falls
-    back to the sqrt default — but no longer silently: the first offender
-    per process logs a warning, and the caller records the rejection under
-    the ``prefix.interval_override_invalid`` counter.
+    sqrt spacing balances snapshot memory (sqrt(G) pinned states) against
+    replay length (expected sqrt(G)/2 re-executed gates per erring run).
     """
-    global _warned_invalid_interval
-    raw = os.environ.get(PREFIX_INTERVAL_ENV, "").strip()
-    invalid = False
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value, False
-        invalid = True
-        if not _warned_invalid_interval:
-            _warned_invalid_interval = True
-            _log.warning(
-                "ignoring invalid %s=%r (need an integer >= 1); "
-                "using the ~sqrt(gates) default",
-                PREFIX_INTERVAL_ENV,
-                raw,
-            )
-    # sqrt spacing balances snapshot memory (sqrt(G) pinned states) against
-    # replay length (expected sqrt(G)/2 re-executed gates per erring run).
-    return max(1, math.isqrt(max(1, step_count))), invalid
+    return max(1, math.isqrt(max(1, step_count)))
 
 
 class PrefixPlan:
@@ -102,9 +64,6 @@ class PrefixPlan:
         self.noise_model = noise_model
         self.exact_damping = noise_model.damping_mode != "event"
         self.interval = 1
-        #: True when an invalid REPRO_PREFIX_CHECKPOINT_INTERVAL override
-        #: was rejected while compiling this plan (the runner counts it).
-        self.invalid_interval_override = False
         #: Per gate-plan step: a :class:`NoiseSite` (executed gate), or
         #: ``None`` (conditioned gate that does not fire pre-measurement).
         #: Truncated at ``stop_index`` when the circuit measures/resets.
@@ -203,7 +162,7 @@ def compile_prefix_plan(
     """
     plan = PrefixPlan(gate_plan, noise_model)
     steps = gate_plan.steps
-    plan.interval, plan.invalid_interval_override = _resolve_interval(len(steps))
+    plan.interval = _checkpoint_interval(len(steps))
     backend.reset_all()
     backend.reset_peak_nodes()
     classical_bits = [0] * gate_plan.num_clbits

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -231,26 +230,6 @@ def _make_backend(backend_kind: str, num_qubits: int, package=None):
     raise ValueError(f"unknown backend kind {backend_kind!r}; choose from {BACKEND_KINDS}")
 
 
-@dataclass(frozen=True)
-class _ChunkSpec:
-    """Work order shipped to one worker process (fully picklable)."""
-
-    circuit: QuantumCircuit
-    noise_model: NoiseModel
-    properties: Tuple[PropertySpec, ...]
-    backend_kind: str
-    first_trajectory: int
-    num_trajectories: int
-    master_seed: int
-    sample_shots: int
-    #: Relative budget for a *single-chunk* (serial) run; parallel chunks
-    #: instead share one absolute monotonic deadline (see ``run_trajectory_span``).
-    timeout: Optional[float]
-    #: Span context for cross-process trace correlation (never part of any
-    #: job key — purely observational; see :mod:`repro.obs.context`).
-    trace: Optional[TraceContext] = None
-
-
 def run_trajectory_span(
     circuit: QuantumCircuit,
     noise_model: NoiseModel,
@@ -441,8 +420,6 @@ def _run_span_body(
     # it exactly as often as the explicit DD spans they match.
     if prefix_plan is not None and not prefix_was_cached:
         registry.counter("prefix.checkpoints").inc(len(prefix_plan.checkpoints))
-        if prefix_plan.invalid_interval_override:
-            registry.counter("prefix.interval_override_invalid").inc()
     if prof is not None:
         prof.pop()
     prefix_hits = registry.counter("prefix.hits")
@@ -656,22 +633,6 @@ def _run_span_body(
     return result
 
 
-def _run_chunk(spec: _ChunkSpec) -> StochasticResult:
-    """Execute one chunk of trajectories (runs inside a worker process)."""
-    return run_trajectory_span(
-        spec.circuit,
-        spec.noise_model,
-        spec.properties,
-        spec.backend_kind,
-        spec.first_trajectory,
-        spec.num_trajectories,
-        spec.master_seed,
-        sample_shots=spec.sample_shots,
-        timeout=spec.timeout,
-        trace=spec.trace,
-    )
-
-
 class StochasticSimulator:
     """Stochastic (Monte-Carlo) noisy-circuit simulator.
 
@@ -779,12 +740,10 @@ class StochasticSimulator:
             # context derived from the run parameters, with the single chunk
             # as its only child (mirroring the scheduler's per-job tree).
             root = job_trace_context(f"{circuit.name}:{seed}:{trajectories}")
-            aggregate = _run_chunk(
-                _ChunkSpec(
-                    circuit, noise_model, properties, self.backend_kind,
-                    0, trajectories, seed, sample_shots, timeout,
-                    trace=root.child("chunk", 0, 0),
-                )
+            aggregate = run_trajectory_span(
+                circuit, noise_model, properties, self.backend_kind,
+                0, trajectories, seed, sample_shots=sample_shots,
+                timeout=timeout, trace=root.child("chunk", 0, 0),
             )
             aggregate.trace_events.append(
                 {

@@ -6,7 +6,6 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.library import ghz, qft
 from repro.exact import estimate_costs, exact_unsupported_reason
 from repro.exact.cost import (
-    MEASURED_COST_ENV,
     MeasuredCostModel,
     count_exact_multiplies,
     static_clean_probability,
@@ -336,17 +335,6 @@ class TestMeasuredDispatch:
         assert decision.fingerprint in history
         text = decision.render()
         assert "measured evidence" in text and decision.fingerprint in text
-
-    def test_escape_hatch_restores_worst_case_bit_identically(self, monkeypatch):
-        spec = (ghz(14), PAPER_NOISE, [BasisProbability("0" * 14)], 30_000)
-        history = _seeded_history(ghz(14), PAPER_NOISE, exact_peak=8_000)
-        baseline = estimate_costs(*spec)
-        monkeypatch.setenv(MEASURED_COST_ENV, "off")
-        hatched = estimate_costs(*spec, history=history)
-        assert (hatched.method, hatched.exact_cost, hatched.stochastic_cost) == (
-            baseline.method, baseline.exact_cost, baseline.stochastic_cost
-        )
-        assert hatched.evidence == "worst_case"
 
     def test_fingerprint_invariant_to_budget_and_seed_axes(self):
         # Same family regardless of trajectory budget — only structure

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.circuits.library import ghz
-from repro.exact.cost import MEASURED_COST_ENV
+from repro.exact.cost import estimate_costs
 from repro.noise import NoiseModel
 from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path, replay_ledger
 from repro.service import JobSpec, ResultStore, Scheduler
@@ -87,9 +87,7 @@ class TestMeasuredFlip:
         state = replay_ledger(ledger_path(store.directory))
         assert state.aggregates[fingerprint].exact_runs == 2
 
-    def test_escape_hatch_reproduces_worst_case_routing(
-        self, store, ledger, monkeypatch
-    ):
+    def test_escape_hatch_reproduces_worst_case_routing(self, store, ledger):
         with Scheduler(workers=1, store=store, ledger=ledger) as scheduler:
             scheduler.run(spec_for(method="exact", seed=1), timeout=120)
             baseline = scheduler.submit(spec_for(method="auto", seed=3))
@@ -97,15 +95,14 @@ class TestMeasuredFlip:
             assert measured.method == "exact"  # evidence changed the route
             scheduler.cancel(baseline)
 
-            # Phase D: REPRO_MEASURED_COST=off restores today's decision
-            # bit-identically even with a warm ledger.
-            monkeypatch.setenv(MEASURED_COST_ENV, "off")
-            key = scheduler.submit(spec_for(method="auto", seed=4))
-            decision = scheduler.decision_for(key)
-            assert decision.method == "stochastic"
-            assert decision.evidence == "worst_case"
-            assert decision.exact_cost == float(4**QUBITS) * measured_multiplies()
-            scheduler.cancel(key)
+        # Priced without history, the same spec still takes the worst-case
+        # route, whatever the ledger holds.
+        decision = estimate_costs(
+            ghz(QUBITS), PAPER_NOISE, [BasisProbability("0" * QUBITS)], 30_000
+        )
+        assert decision.method == "stochastic"
+        assert decision.evidence == "worst_case"
+        assert decision.exact_cost == float(4**QUBITS) * measured_multiplies()
 
 
 def measured_multiplies() -> int:

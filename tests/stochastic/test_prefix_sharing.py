@@ -9,14 +9,12 @@ test here runs both modes and compares exactly — no tolerances.
 
 import pytest
 
+import repro.stochastic.prefix as prefix_mod
 from repro.circuits.library import ghz, qft
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.stochastic import BasisProbability, IdealFidelity
-from repro.stochastic.prefix import (
-    PREFIX_INTERVAL_ENV,
-    compile_prefix_plan,
-)
+from repro.stochastic.prefix import compile_prefix_plan
 from repro.stochastic.properties import ExpectationZ
 from repro.stochastic.runner import run_trajectory_span, simulate_stochastic
 from repro.stochastic.strata import TRAJECTORY_MODE_ENV
@@ -28,7 +26,6 @@ HOT_NOISE = NoiseModel.paper_defaults().scaled(40)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(PREFIX_INTERVAL_ENV, raising=False)
     monkeypatch.delenv(PLAN_ENV, raising=False)
     # This file gates the prefix engine's naive<->shared *bit identity*;
     # stratified sampling changes the estimator by design and has its own
@@ -172,14 +169,18 @@ class TestBitIdentity:
 
 
 class TestCheckpointReplay:
+    # The patched interval function lives in this process, so both tests
+    # run serially.
+
     def test_forced_small_interval(self, monkeypatch):
-        monkeypatch.setenv(PREFIX_INTERVAL_ENV, "2")
+        monkeypatch.setattr(prefix_mod, "_checkpoint_interval", lambda steps: 2)
         shared, naive = run_both(
             monkeypatch,
             circuit=ghz(5),
             noise_model=HOT_NOISE,
             properties=(IdealFidelity(),),
             trajectories=40,
+            workers=1,
             seed=17,
             sample_shots=1,
         )
@@ -190,63 +191,25 @@ class TestCheckpointReplay:
         assert counters["prefix.checkpoints"] == 3
 
     def test_replay_resumes_midway(self, monkeypatch):
+        from repro.simulators.gateplan import compile_plan
+
         # With interval 1 every step is a checkpoint: any erring
         # trajectory resumes exactly at its divergence site.
-        monkeypatch.setenv(PREFIX_INTERVAL_ENV, "1")
+        monkeypatch.setattr(prefix_mod, "_checkpoint_interval", lambda steps: 1)
         shared, naive = run_both(
             monkeypatch,
             circuit=qft(4),
             noise_model=HOT_NOISE,
             properties=(IdealFidelity(),),
             trajectories=30,
+            workers=1,
             seed=29,
             sample_shots=0,
         )
         assert_identical(shared, naive)
-
-
-class TestIntervalOverrideValidation:
-    @pytest.mark.parametrize("raw", ["banana", "0", "-3", "2.5"])
-    def test_invalid_override_warns_once_and_counts(self, monkeypatch, caplog, raw):
-        import repro.stochastic.prefix as prefix_mod
-
-        monkeypatch.setenv(PREFIX_INTERVAL_ENV, raw)
-        monkeypatch.setattr(prefix_mod, "_warned_invalid_interval", False)
-        with caplog.at_level("WARNING", logger="repro.stochastic.prefix"):
-            result = run_trajectory_span(
-                ghz(4), NOISE, [IdealFidelity()],
-                backend_kind="dd", first_trajectory=0, num_trajectories=4,
-                master_seed=1, sample_shots=0,
-            )
-        assert result.metrics["counters"]["prefix.interval_override_invalid"] == 1
-        warnings = [
-            record for record in caplog.records
-            if PREFIX_INTERVAL_ENV in record.getMessage()
-        ]
-        assert len(warnings) == 1
-        # The sqrt default still applies: the plan compiled and ran.
-        assert result.completed_trajectories == 4
-        # One-shot: a second compile in the same process stays silent.
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="repro.stochastic.prefix"):
-            run_trajectory_span(
-                ghz(4), NOISE, [IdealFidelity()],
-                backend_kind="dd", first_trajectory=0, num_trajectories=2,
-                master_seed=2, sample_shots=0,
-            )
-        assert not [
-            record for record in caplog.records
-            if PREFIX_INTERVAL_ENV in record.getMessage()
-        ]
-
-    def test_valid_override_does_not_count(self, monkeypatch):
-        monkeypatch.setenv(PREFIX_INTERVAL_ENV, "2")
-        result = run_trajectory_span(
-            ghz(4), NOISE, [IdealFidelity()],
-            backend_kind="dd", first_trajectory=0, num_trajectories=4,
-            master_seed=1, sample_shots=0,
+        assert shared.metrics["counters"]["prefix.checkpoints"] == len(
+            compile_plan(qft(4)).steps
         )
-        assert "prefix.interval_override_invalid" not in result.metrics["counters"]
 
 
 class TestFaultInjection:

@@ -1,0 +1,152 @@
+"""Deterministic work pins for prefix sharing, stratification and exact DDs.
+
+Every number pinned here is a count the mechanism produces, not a clock
+reading, so it gives the same verdict on every machine.  All stochastic
+runs use the paper's noise model, one ``IdealFidelity`` property, master
+seed 7, one sampled shot per trajectory, and the serial in-process runner.
+
+* Shared vs naive (GHZ-10 at M = 300, QFT-6 at M = 120): the two modes
+  are bit-identical, the prefix counters are exact, and sharing cuts the
+  DD package's mat-vec compute-table lookups by at least a fixed factor.
+* Stratified (80 erring GHZ-10 and 40 erring QFT-6 trajectories): the
+  estimate agrees with the naive one, the closed-form ``p_clean`` and the
+  rejection search's dry-run attempts are exact, and each mat-vec lookup
+  buys at least a fixed multiple of the naive run's effective trajectories.
+* Exact: the peak rho-DD node count of one ``simulate_exact`` pass per
+  circuit, the machine-independent size measure of the density-matrix
+  representation.
+
+The lookup floors sit just under today's ratios (7.04, 3.47, 225 and
+48.5), so a change that shares less work fails here long before it shows
+up in wall time.
+"""
+
+import pytest
+
+from repro.circuits.library import ghz, qft
+from repro.exact import simulate_exact
+from repro.noise import NoiseModel
+from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
+from repro.stochastic.strata import TRAJECTORY_MODE_ENV
+
+NOISE = NoiseModel.paper_defaults()
+
+#: name -> (circuit factory, naive/shared trajectories, erring trajectories)
+CASES = {
+    "ghz-10": (lambda: ghz(10), 300, 80),
+    "qft-6": (lambda: qft(6), 120, 40),
+}
+
+#: ``prefix.*`` counters of the shared run.
+PREFIX_COUNTERS = {
+    "ghz-10": {"hits": 284, "replays": 16, "replayed_gates": 94, "checkpoints": 4},
+    "qft-6": {"hits": 103, "replays": 17, "replayed_gates": 295, "checkpoints": 6},
+}
+
+#: Floor on naive mat-vec lookups divided by shared ones.
+LOOKUP_RATIO_FLOOR = {"ghz-10": 7.0, "qft-6": 3.4}
+
+#: Stratified run's ``p_clean`` (to six places) and ``strata.attempts``.
+STRATA = {"ghz-10": (0.949068, 1576), "qft-6": (0.874973, 276)}
+
+#: Floor on effective trajectories per mat-vec lookup, stratified over naive.
+EFFECTIVE_PER_LOOKUP_FLOOR = {"ghz-10": 200.0, "qft-6": 45.0}
+
+#: Peak rho-DD nodes of one exact pass.
+PEAK_RHO_NODES = {
+    "ghz-4": 21,
+    "ghz-6": 73,
+    "ghz-8": 257,
+    "ghz-10": 870,
+    "qft-4": 53,
+    "qft-5": 161,
+    "qft-6": 485,
+}
+
+
+def run(circuit, trajectories, mode):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(TRAJECTORY_MODE_ENV, mode)
+        return simulate_stochastic(
+            circuit,
+            noise_model=NOISE,
+            properties=(IdealFidelity(),),
+            trajectories=trajectories,
+            backend="dd",
+            workers=1,
+            seed=7,
+            sample_shots=1,
+        )
+
+
+def mat_vec_lookups(result):
+    counters = result.metrics["counters"]
+    return counters["dd.compute.mat_vec.hits"] + counters["dd.compute.mat_vec.misses"]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """name -> {mode: result}, each case run once per mode."""
+    results = {}
+    for name, (factory, trajectories, erring) in CASES.items():
+        circuit = factory()
+        results[name] = {
+            "naive": run(circuit, trajectories, "naive"),
+            "shared": run(circuit, trajectories, "shared"),
+            "stratified": run(circuit, erring, "stratified"),
+        }
+    return results
+
+
+@pytest.mark.parametrize("name", CASES)
+class TestSharedVsNaive:
+    def test_bit_identical(self, runs, name):
+        shared, naive = runs[name]["shared"], runs[name]["naive"]
+        for prop, estimate in shared.estimates.items():
+            other = naive.estimates[prop]
+            assert (estimate.count, estimate.total, estimate.total_squared) == (
+                other.count, other.total, other.total_squared
+            )
+        assert shared.errors_fired == naive.errors_fired
+        assert shared.outcome_counts == naive.outcome_counts
+
+    def test_prefix_counters(self, runs, name):
+        counters = runs[name]["shared"].metrics["counters"]
+        assert {
+            key: counters[f"prefix.{key}"] for key in PREFIX_COUNTERS[name]
+        } == PREFIX_COUNTERS[name]
+
+    def test_sharing_cuts_mat_vec_lookups(self, runs, name):
+        ratio = mat_vec_lookups(runs[name]["naive"]) / mat_vec_lookups(
+            runs[name]["shared"]
+        )
+        assert ratio >= LOOKUP_RATIO_FLOOR[name]
+
+
+@pytest.mark.parametrize("name", CASES)
+class TestStratified:
+    def test_agrees_with_naive(self, runs, name):
+        stratified, naive = runs[name]["stratified"], runs[name]["naive"]
+        for prop, estimate in naive.estimates.items():
+            other = stratified.estimates[prop]
+            slack = estimate.halfwidth(0.01) + other.halfwidth(0.01)
+            assert abs(estimate.mean - other.mean) <= slack
+
+    def test_clean_weight_and_search_attempts(self, runs, name):
+        strata = runs[name]["stratified"].strata
+        assert (round(strata["p_clean"], 6), strata["attempts"]) == STRATA[name]
+
+    def test_effective_trajectories_per_lookup(self, runs, name):
+        stratified, naive = runs[name]["stratified"], runs[name]["naive"]
+        gain = (stratified.effective_trajectories() / mat_vec_lookups(stratified)) / (
+            naive.completed_trajectories / mat_vec_lookups(naive)
+        )
+        assert gain >= EFFECTIVE_PER_LOOKUP_FLOOR[name]
+
+
+@pytest.mark.parametrize("name", PEAK_RHO_NODES)
+def test_exact_peak_rho_nodes(name):
+    family, qubits = name.split("-")
+    circuit = {"ghz": ghz, "qft": qft}[family](int(qubits))
+    properties = (BasisProbability("0" * circuit.num_qubits), IdealFidelity())
+    assert simulate_exact(circuit, NOISE, properties).peak_nodes == PEAK_RHO_NODES[name]
