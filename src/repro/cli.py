@@ -665,6 +665,7 @@ def _command_history(args: argparse.Namespace) -> int:
             "exact_peak_nodes": aggregate.exact_peak_nodes,
             "state_peak_nodes": aggregate.state_peak_nodes,
             "fallback_peak_nodes": aggregate.fallback_peak_nodes,
+            "dense_peak_nodes": aggregate.dense_peak_nodes,
             "median_rate": aggregate.median_rate(),
             "mean_p_clean": aggregate.mean_p_clean(),
             "cpu_seconds": aggregate.cpu_seconds,
@@ -703,6 +704,9 @@ def _command_history(args: argparse.Namespace) -> int:
             peaks.append(f"rho<={entry['exact_peak_nodes']}")
         if entry["state_peak_nodes"]:
             peaks.append(f"state<={entry['state_peak_nodes']}")
+        if entry["dense_peak_nodes"]:
+            # Dense runs' engine choice stopped the DD run at this size.
+            peaks.append(f"state>={entry['dense_peak_nodes']}")
         if entry["fallback_peak_nodes"]:
             peaks.append(f"fallback>={entry['fallback_peak_nodes']}")
         line = (

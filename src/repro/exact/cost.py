@@ -148,13 +148,18 @@ class MeasuredCostModel:
         )
 
     def stochastic_size(self, fingerprint: str, num_qubits: int) -> SizeEvidence:
-        """Peak state-DD size over the family's stochastic runs."""
+        """Peak state-DD size over the family's stochastic runs.
+
+        Dense runs contribute the censored peak at which their engine
+        choice stopped: at least 2^(n-1), so with the default headroom the
+        padded size reaches the 2^n cap, as a whole-run peak would.
+        """
         worst = float(2**num_qubits)
         aggregate = self.history.get(fingerprint)
         if aggregate is None:
             return SizeEvidence(nodes=worst, source="worst_case")
         observations = aggregate.stochastic_runs
-        peak = aggregate.state_peak_nodes
+        peak = max(aggregate.state_peak_nodes, aggregate.dense_peak_nodes)
         if observations < self.min_observations or peak <= 0:
             return SizeEvidence(nodes=worst, source="worst_case")
         return SizeEvidence(

@@ -39,7 +39,9 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
                "elapsed_seconds","trajectories","effective_trajectories",
                "trajectories_per_second","p_clean","halfwidths"}`` —
                ``engine`` names the trajectory engine a stochastic run
-               used (absent on exact runs and on older records)
+               used (absent on exact runs and on older records); a
+               ``statevector`` run's ``peak_nodes`` is the censored DD
+               peak at which its engine choice stopped
 ``fallback``   node-ceiling misprediction: ``{"rec","job","fp","nodes",
                "ceiling"}`` — fed back so dispatch learns
 ``aggregate``  rotation product: ``{"rec","fp","agg":{...}}``
@@ -240,7 +242,7 @@ class FamilyAggregate:
         "fingerprint", "qubits", "depth", "runs",
         "exact_runs", "stochastic_runs", "fallbacks",
         "exact_peak_nodes", "state_peak_nodes", "fallback_peak_nodes",
-        "exact_nodes_hist", "state_nodes_hist", "rate_hist",
+        "dense_peak_nodes", "exact_nodes_hist", "state_nodes_hist", "rate_hist",
         "engine_rate_hists", "cpu_seconds", "elapsed_seconds",
         "trajectories", "effective_trajectories",
         "p_clean_sum", "p_clean_count",
@@ -255,10 +257,13 @@ class FamilyAggregate:
         self.stochastic_runs = 0
         self.fallbacks = 0
         #: Peak rho-DD nodes over exact runs / state-DD nodes over
-        #: stochastic runs / rho nodes at the moment a ceiling tripped.
+        #: stochastic DD runs / rho nodes at the moment a ceiling tripped /
+        #: state-DD nodes at which dense runs' engine choice stopped.  The
+        #: last two are censored lower bounds on how large the DD grows.
         self.exact_peak_nodes = 0
         self.state_peak_nodes = 0
         self.fallback_peak_nodes = 0
+        self.dense_peak_nodes = 0
         self.exact_nodes_hist = _empty_hist(NODE_BUCKETS)
         self.state_nodes_hist = _empty_hist(NODE_BUCKETS)
         #: Effective trajectories/second per stochastic run (quantile-able).
@@ -288,13 +293,15 @@ class FamilyAggregate:
                 _hist_observe(self.exact_nodes_hist, float(peak))
         else:
             self.stochastic_runs += 1
-            if peak > 0:
+            engine = str(record.get("engine", ""))
+            if peak > 0 and engine == "statevector":
+                self.dense_peak_nodes = max(self.dense_peak_nodes, peak)
+            elif peak > 0:
                 self.state_peak_nodes = max(self.state_peak_nodes, peak)
                 _hist_observe(self.state_nodes_hist, float(peak))
             rate = record.get("trajectories_per_second")
             if isinstance(rate, (int, float)) and rate > 0.0:
                 _hist_observe(self.rate_hist, float(rate))
-                engine = str(record.get("engine", ""))
                 if engine not in self.engine_rate_hists:
                     self.engine_rate_hists[engine] = _empty_hist(RATE_BUCKETS)
                 _hist_observe(self.engine_rate_hists[engine], float(rate))
@@ -329,6 +336,7 @@ class FamilyAggregate:
         self.fallback_peak_nodes = max(
             self.fallback_peak_nodes, other.fallback_peak_nodes
         )
+        self.dense_peak_nodes = max(self.dense_peak_nodes, other.dense_peak_nodes)
         _hist_merge(self.exact_nodes_hist, other.exact_nodes_hist)
         _hist_merge(self.state_nodes_hist, other.state_nodes_hist)
         _hist_merge(self.rate_hist, other.rate_hist)
@@ -375,6 +383,7 @@ class FamilyAggregate:
             "exact_peak_nodes": self.exact_peak_nodes,
             "state_peak_nodes": self.state_peak_nodes,
             "fallback_peak_nodes": self.fallback_peak_nodes,
+            "dense_peak_nodes": self.dense_peak_nodes,
             "exact_nodes_hist": _hist_copy(self.exact_nodes_hist),
             "state_nodes_hist": _hist_copy(self.state_nodes_hist),
             "rate_hist": _hist_copy(self.rate_hist),
@@ -402,6 +411,7 @@ class FamilyAggregate:
         aggregate.exact_peak_nodes = int(data.get("exact_peak_nodes", 0))
         aggregate.state_peak_nodes = int(data.get("state_peak_nodes", 0))
         aggregate.fallback_peak_nodes = int(data.get("fallback_peak_nodes", 0))
+        aggregate.dense_peak_nodes = int(data.get("dense_peak_nodes", 0))
         for attr, default_bounds in (
             ("exact_nodes_hist", NODE_BUCKETS),
             ("state_nodes_hist", NODE_BUCKETS),

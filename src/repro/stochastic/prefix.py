@@ -82,8 +82,14 @@ class PrefixPlan:
         self.ideal_norm_squared = 1.0
         self.ideal_run_result: Optional[RunResult] = None
         #: Largest state DD the ideal execution built (nodes) — what the
-        #: runner's engine choice for ``auto`` jobs reads.
+        #: runner's engine choice for ``auto`` jobs reads.  On a plan
+        #: stopped at ``stop_nodes`` it is a censored lower bound: the
+        #: peak when the run stopped, not the whole run's.
         self.peak_nodes = 0
+        #: Index of the gate-plan step after which the ideal run's DD had
+        #: held ``stop_nodes`` nodes and the run stopped; ``None`` when it
+        #: ran to the end or to the first measurement.
+        self.stopped_after: Optional[int] = None
         self._property_cache: Dict[str, float] = {}
 
     # -- dry-run ------------------------------------------------------
@@ -149,7 +155,10 @@ class PrefixPlan:
 
 
 def compile_prefix_plan(
-    backend, gate_plan: GatePlan, noise_model: NoiseModel
+    backend,
+    gate_plan: GatePlan,
+    noise_model: NoiseModel,
+    stop_nodes: Optional[int] = None,
 ) -> PrefixPlan:
     """One instrumented ideal execution -> a reusable :class:`PrefixPlan`.
 
@@ -159,6 +168,15 @@ def compile_prefix_plan(
     ideal output state.  The backend is left holding the ideal state; the
     caller resumes trajectories via ``load_state``.  The backend's peak
     restarts at |0...0>, so ``plan.peak_nodes`` is the ideal run's own peak.
+
+    With ``stop_nodes`` (an ``auto`` span's engine threshold) the run stops
+    after the first gate at which the state DD has held that many nodes
+    (on one or two qubits |0...0> already has; a circuit that measures
+    first stops there as before).  The plan then records
+    ``stopped_after``, a censored ``peak_nodes`` and nothing to replay
+    from: its checkpoints are released and it has no ideal state.  The
+    peak only grows, so a run that never reaches ``stop_nodes`` yields
+    exactly the plan compiled without it.
     """
     plan = PrefixPlan(gate_plan, noise_model)
     steps = gate_plan.steps
@@ -180,6 +198,9 @@ def compile_prefix_plan(
             plan.executed_prefix.append(plan.executed_prefix[-1])
             continue
         backend.apply_gate_edge(step.gate_edge)
+        if stop_nodes is not None and backend.peak_nodes >= stop_nodes:
+            plan.stopped_after = index
+            break
         plan.sites.append(
             build_noise_site(
                 noise_model, step.name, step.qubits, backend.probability_of_one
@@ -187,6 +208,12 @@ def compile_prefix_plan(
         )
         plan.executed_prefix.append(plan.executed_prefix[-1] + 1)
     plan.peak_nodes = backend.peak_nodes
+    if plan.stopped_after is not None:
+        # Nothing replays from a stopped run: unpin what it pinned.
+        for _, state in plan.checkpoints:
+            backend.release_snapshot(state)
+        plan.checkpoints = []
+        return plan
     plan._checkpoint_steps = [step_index for step_index, _ in plan.checkpoints]
     if plan.stop_index is None:
         plan.ideal_final = backend.snapshot()

@@ -290,6 +290,9 @@ class StochasticResult:
     #: Compute seconds summed across all contributing chunks; with parallel
     #: workers this exceeds ``elapsed_seconds`` (up to ``workers`` times).
     cpu_seconds: float = 0.0
+    #: Largest state (or rho) DD the run built.  On a ``statevector`` result
+    #: it is the engine-choosing DD run's peak when that run stopped at
+    #: 2^(n-1) nodes: a censored lower bound (0 for explicit dense jobs).
     peak_nodes: int = 0
     workers: int = 1
     timed_out: bool = False
@@ -491,7 +494,16 @@ class StochasticResult:
                     f"({int(self.strata.get('rejected_clean', 0))} clean rejected), "
                     f"~{self.effective_trajectories():.0f} effective trajectories"
                 )
-        if self.peak_nodes:
+        if self.peak_nodes and self.backend_kind == "statevector":
+            # Only an auto span's engine-choosing DD run, stopped once it
+            # held 2^(n-1) of at most 2^n - 1 nodes, gives a dense result a
+            # peak, so that threshold is the largest power of two <= it.
+            threshold = 1 << (self.peak_nodes.bit_length() - 1)
+            lines.append(
+                f"peak DD nodes: >={self.peak_nodes} "
+                f"(engine choice stopped at 2^(n-1) = {threshold})"
+            )
+        elif self.peak_nodes:
             lines.append(f"peak DD nodes: {self.peak_nodes}")
         for name, estimate in sorted(self.estimates.items()):
             if estimate.exact:

@@ -51,6 +51,7 @@ __all__ = [
     "simulate_stochastic",
     "run_trajectory_span",
     "choose_engine",
+    "dense_threshold",
     "BACKEND_KINDS",
     "AUTO_ENGINE",
     "NORM_GUARD_ENV",
@@ -60,21 +61,33 @@ BACKEND_KINDS = ("dd", "statevector")
 
 #: Span ``backend_kind`` that delegates the engine choice to the compile
 #: step (what the scheduler ships for ``method="auto"`` DD jobs): the span
-#: runs the ideal DD execution the prefix plan needs anyway, then keeps its
-#: trajectories on ``"dd"`` or moves them to ``"statevector"`` per
-#: :func:`choose_engine`.  Results always name the engine that ran.
+#: runs the ideal DD execution the prefix plan needs anyway, stopping it
+#: once the DD reaches :func:`dense_threshold`, then keeps its trajectories
+#: on ``"dd"`` or moves them to ``"statevector"`` per :func:`choose_engine`.
+#: Results always name the engine that ran.
 AUTO_ENGINE = "auto"
+
+
+def dense_threshold(num_qubits: int) -> int:
+    """State-DD nodes at which an ``auto`` span goes dense: 2^(n-1).
+
+    A fully dense n-qubit state DD has 2^n - 1 nodes; once the noiseless
+    run reaches half of that, the DD has no redundancy left to exploit and
+    already outweighs the 2^n x 16-byte array.
+    """
+    return 2 ** (num_qubits - 1)
 
 
 def choose_engine(ideal_peak_nodes: int, num_qubits: int) -> str:
     """Trajectory engine for an ``auto`` span, from its ideal run's DD peak.
 
-    A fully dense n-qubit state DD has 2^n - 1 nodes; once the noiseless
-    run reaches half of that, 2^(n-1), the DD has no redundancy left to
-    exploit and already outweighs the 2^n x 16-byte array, so the dense
-    state-vector engine takes the trajectories.
+    At :func:`dense_threshold` nodes or more the dense state-vector engine
+    takes the trajectories.  The ideal run stops at that same threshold,
+    so ``ideal_peak_nodes`` is either the whole run's peak (below it) or a
+    censored lower bound (at or above it); the peak only grows during the
+    run, so the choice is the one the whole run's peak would give.
     """
-    return "statevector" if ideal_peak_nodes >= 2 ** (num_qubits - 1) else "dd"
+    return "statevector" if ideal_peak_nodes >= dense_threshold(num_qubits) else "dd"
 
 #: Stride between per-trajectory seeds; any constant works, a large odd
 #: value keeps derived seeds far apart in the Mersenne sequence space.
@@ -134,7 +147,9 @@ class _EvaluationContext:
 
     An :data:`AUTO_ENGINE` context caches DD state like a ``"dd"`` one (its
     plans come from the ideal DD run) plus, once that run picks the dense
-    engine, the ``"statevector"`` context the trajectories evaluate in.
+    engine, the ``"statevector"`` context the trajectories evaluate in.  Its
+    prefix plan stops at :func:`dense_threshold`; a stopped plan is cached
+    like a whole one, so warm chunks choose without running the DD again.
     """
 
     def __init__(self, circuit: QuantumCircuit, backend_kind: str) -> None:
@@ -166,10 +181,14 @@ class _EvaluationContext:
 
     def prefix_plan(self, backend, noise_model: NoiseModel):
         """The prefix-sharing plan for (circuit, noise model), compiled once
-        per worker via one instrumented ideal execution."""
+        per worker via one instrumented ideal execution (stopped at the
+        dense threshold on an :data:`AUTO_ENGINE` context)."""
         if self._prefix_plan is None or self._prefix_model != noise_model:
+            stop_nodes = None
+            if self.backend_kind == AUTO_ENGINE:
+                stop_nodes = dense_threshold(self.circuit.num_qubits)
             self._prefix_plan = compile_prefix_plan(
-                backend, self.gate_plan(backend), noise_model
+                backend, self.gate_plan(backend), noise_model, stop_nodes
             )
             self._prefix_model = noise_model
             if self._ideal is None and self._prefix_plan.ideal_final is not None:
@@ -266,9 +285,11 @@ def run_trajectory_span(
     — on the DD backend — this span's unique/compute/complex-table deltas).
 
     ``backend_kind`` may also be :data:`AUTO_ENGINE`: the span then starts
-    on a DD backend, compiles the prefix plan (one ideal DD run), and runs
-    its trajectories on the engine :func:`choose_engine` picks from that
-    run's peak; the result's ``backend_kind`` names the engine that ran.
+    on a DD backend, compiles the prefix plan (one ideal DD run, stopped
+    once the DD reaches :func:`dense_threshold`), and runs its trajectories
+    on the engine :func:`choose_engine` picks from that run's peak; the
+    result's ``backend_kind`` names the engine that ran.  A dense result's
+    ``peak_nodes`` is the stopped run's peak, a censored lower bound.
 
     On either engine every trajectory's state is checked for norm drift
     *before* any property is evaluated against it: ``on_drift="raise"``
@@ -617,7 +638,8 @@ def _run_span_body(
             "attempts": strata_attempts.value,
         }
 
-    # A dense span's only DD is the ideal run that chose its engine.
+    # A dense span's only DD is the engine-choosing run, stopped at the
+    # threshold: its peak is a lower bound on the whole run's.
     result.peak_nodes = backend.peak_nodes if backend_kind == "dd" else ideal_peak_nodes
     if package is not None:
         # Span boundary: force one full sweep regardless of the dead-node

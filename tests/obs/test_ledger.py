@@ -68,6 +68,30 @@ class TestRoundTrip:
         assert family.mean_p_clean() == pytest.approx(0.9)
         assert family.median_rate() > 0.0
 
+    def test_dense_runs_fold_their_censored_peak_apart(self, wal):
+        """A ``statevector`` run's peak is where its engine choice stopped
+        the DD run: a lower bound, kept out of the DD runs' peak."""
+        with RunLedger(wal) as ledger:
+            _record_run(ledger, peak=30, engine="dd")
+            _record_run(ledger, peak=95, engine="statevector")
+            _record_run(ledger, peak=64, engine="statevector")
+        family = replay_ledger(wal).aggregates[FP]
+        assert (family.state_peak_nodes, family.dense_peak_nodes) == (30, 95)
+        assert family.state_nodes_hist["count"] == 1
+        legacy = family.to_dict()
+        del legacy["dense_peak_nodes"]  # an aggregate folded before the field
+        assert FamilyAggregate.from_dict(legacy).dense_peak_nodes == 0
+
+    def test_history_prints_the_dense_peak_as_a_lower_bound(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with RunLedger(ledger_path(str(tmp_path))) as ledger:
+            _record_run(ledger, peak=95, engine="statevector")
+        assert main(["history", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "nodes: state>=95" in out
+        assert "state<=" not in out
+
     def test_missing_file_replays_empty(self, tmp_path):
         state = replay_ledger(str(tmp_path / "nope" / "runs.jsonl"))
         assert state.aggregates == {}

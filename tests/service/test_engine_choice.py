@@ -1,19 +1,36 @@
 """Engine choice for ``method="auto"`` jobs: DD-hostile circuits run dense.
 
 Every auto span's compile step runs the ideal DD execution its prefix plan
-needs; once that run's peak reaches 2^(n-1) nodes (half a fully dense DD)
-the span's trajectories move to the statevector engine.  The choice is a
-pure function of the spec, so any worker count, chunking or drain/resume
-cycle lands on the same engine and the same estimates — exactly those of
-an explicit ``backend_kind="statevector"`` job.  Explicit backends never
-switch.
+needs, and stops it once the DD has held 2^(n-1) nodes (half a fully dense
+DD); the span's trajectories then move to the statevector engine, and the
+result reports the stopped run's peak as a censored lower bound (``>=`` in
+``repro result``, ``state>=`` in ``repro history``).  The peak only grows,
+so the stop picks the engine the whole run would pick, and a run that
+never reaches the threshold compiles the plan an unstopped run compiles.
+The choice is a pure function of the spec, so any worker count, chunking
+or drain/resume cycle lands on the same engine and the same estimates —
+exactly those of an explicit ``backend_kind="statevector"`` job.  Explicit
+backends never switch.
 """
 
 import time
 
 import pytest
 
-from repro.circuits.library import basis_trotter, bernstein_vazirani, ghz, qaoa_maxcut, qft
+from repro.circuits import ClassicalCondition, QuantumCircuit
+from repro.circuits.library import (
+    basis_trotter,
+    bernstein_vazirani,
+    bigadder,
+    counterfeit_coin,
+    ghz,
+    multiplier,
+    qaoa_maxcut,
+    qft,
+    sat,
+    seca,
+    vqe_uccsd,
+)
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
@@ -23,13 +40,22 @@ from repro.service.journal import JobJournal, journal_path
 from repro.service.scheduler import _outcome_anomaly
 from repro.service.serve import enqueue_job, list_jobs, query_status, serve
 from repro.service.worker import ChunkOutcome
+from repro.simulators.ddsim import DDBackend
+from repro.simulators.gateplan import compile_plan
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
+from repro.stochastic.prefix import compile_prefix_plan
 from repro.stochastic.results import StochasticResult
-from repro.stochastic.runner import AUTO_ENGINE, choose_engine, run_trajectory_span
+from repro.stochastic.runner import (
+    AUTO_ENGINE,
+    _EvaluationContext,
+    choose_engine,
+    dense_threshold,
+    run_trajectory_span,
+)
 from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
-QAOA = qaoa_maxcut(5, measure=False)  # ideal DD: 31 nodes >= 2^4
+QAOA = qaoa_maxcut(5, measure=False)  # ideal DD stops at 23 nodes >= 2^4
 PROPERTIES = (IdealFidelity(), BasisProbability("01010"))
 #: One chunk plan for every run: results are bit-identical per chunk plan.
 CHUNK = 4
@@ -79,8 +105,8 @@ class TestSwitchTable:
     @pytest.mark.parametrize(
         "circuit, engine",
         [
-            (basis_trotter(4), "statevector"),  # 11 >= 8 nodes
-            (QAOA, "statevector"),  # 31 >= 16
+            (basis_trotter(4), "statevector"),  # stops at 9 >= 8 nodes
+            (QAOA, "statevector"),  # stops at 23 >= 16
             (ghz(12), "dd"),  # 23 < 2048
             (qft(8), "dd"),  # 8 < 128
             (bernstein_vazirani(11), "dd"),  # 11 < 1024 (measured prefix)
@@ -95,8 +121,136 @@ class TestSwitchTable:
     def test_switch_point_is_half_a_dense_dd(self):
         for qubits in (2, 5, 10):
             half = 2 ** (qubits - 1)
+            assert dense_threshold(qubits) == half
             assert choose_engine(half, qubits) == "statevector"
             assert choose_engine(half - 1, qubits) == "dd"
+
+
+def measured_before_crossing(qubits):
+    """QAOA behind a measurement: the ideal run ends at the measurement,
+    long before its DD would reach the threshold."""
+    circuit = QuantumCircuit(qubits, qubits, name=f"measured_qaoa_{qubits}")
+    for qubit in range(qubits):
+        circuit.h(qubit)
+    circuit.measure(0, 0)
+    return circuit.extend(qaoa_maxcut(qubits, measure=False))
+
+
+def conditioned(base):
+    """``base`` behind two classically conditioned gates: before any
+    measurement the bits read 0, so the first is skipped, the second fires."""
+    circuit = QuantumCircuit(
+        base.num_qubits, max(1, base.num_clbits), name=f"conditioned_{base.name}"
+    )
+    circuit.gate("x", 0, condition=ClassicalCondition((0,), 1))
+    circuit.gate("h", 1, condition=ClassicalCondition((0,), 0))
+    return circuit.extend(base)
+
+
+#: Every circuit of docs/PERFORMANCE.md's switch table except ``ising`` and
+#: ``vqe_uccsd_8`` (their whole ideal runs take seconds), plus edge cases.
+STOP_CASES = {
+    "qaoa5": lambda: QAOA,
+    "qaoa7": lambda: qaoa_maxcut(7, measure=False),
+    "qaoa8": lambda: qaoa_maxcut(8, measure=False),
+    "basis_trotter": lambda: basis_trotter(4),
+    "vqe_uccsd_6": lambda: vqe_uccsd(6),
+    "ghz3": lambda: ghz(3),
+    "ghz10": lambda: ghz(10),
+    "ghz12": lambda: ghz(12),
+    "ghz15": lambda: ghz(15),
+    "qft6": lambda: qft(6),
+    "qft8": lambda: qft(8),
+    "bv11": lambda: bernstein_vazirani(11),
+    "bv19": lambda: bernstein_vazirani(19),
+    "seca": lambda: seca(11),
+    "sat": lambda: sat(11),
+    "multiplier": lambda: multiplier(3),
+    "bigadder": lambda: bigadder(18),
+    "cc": lambda: counterfeit_coin(18),
+    # |0...0> already holds 2^(n-1) nodes on one and two qubits.
+    "one_qubit": lambda: QuantumCircuit(1).h(0).t(0).h(0),
+    "two_qubits": lambda: QuantumCircuit(2).h(0).cx(0, 1).ry(0.3, 1),
+    "measured_before_crossing": lambda: measured_before_crossing(5),
+    "conditioned_dense": lambda: conditioned(qaoa_maxcut(5, measure=False)),
+    "conditioned_dd": lambda: conditioned(ghz(6)),
+}
+
+
+def site_key(site):
+    return None if site is None else (site.qubit_draws, site.crosstalk)
+
+
+def reachable(node, seen=None):
+    """Ids of the non-terminal nodes of the DD rooted at ``node``."""
+    seen = set() if seen is None else seen
+    if node.edges and id(node) not in seen:
+        seen.add(id(node))
+        for edge in node.edges:
+            reachable(edge.node, seen)
+    return seen
+
+
+class TestStopAtTheThreshold:
+    """The engine-choosing run stops once its DD has held 2^(n-1) nodes."""
+
+    @pytest.mark.parametrize("name", STOP_CASES)
+    def test_stopped_run_picks_the_whole_runs_engine(self, name):
+        circuit = STOP_CASES[name]()
+        qubits = circuit.num_qubits
+        backend = DDBackend(qubits)
+        gate_plan = compile_plan(circuit, package=backend.package)
+        stopped = compile_prefix_plan(backend, gate_plan, NOISE, dense_threshold(qubits))
+        whole = compile_prefix_plan(backend, gate_plan, NOISE)
+        engine = choose_engine(whole.peak_nodes, qubits)
+        assert choose_engine(stopped.peak_nodes, qubits) == engine
+        if engine == "statevector":
+            assert stopped.stopped_after is not None
+            assert dense_threshold(qubits) <= stopped.peak_nodes <= whole.peak_nodes
+            assert (stopped.checkpoints, stopped.ideal_final) == ([], None)
+            return
+        # Same package, so equal edges are the same hash-consed DDs.
+        assert stopped.stopped_after is None
+        assert list(map(site_key, stopped.sites)) == list(map(site_key, whole.sites))
+        assert stopped.stop_index == whole.stop_index
+        assert stopped.checkpoints == whole.checkpoints
+        assert stopped.executed_prefix == whole.executed_prefix
+        assert stopped.ideal_final == whole.ideal_final
+        assert stopped.peak_nodes == whole.peak_nodes
+
+    def test_forced_sweep_frees_what_only_the_stopped_plan_pinned(self):
+        circuit = qaoa_maxcut(7, measure=False)
+        backend = DDBackend(circuit.num_qubits)
+        context = _EvaluationContext(circuit, AUTO_ENGINE)
+        checkpoints = []
+        snapshot = backend.snapshot
+
+        def recording_snapshot():
+            checkpoints.append(snapshot())  # held, so freed nodes keep their ids
+            return checkpoints[-1]
+
+        backend.snapshot = recording_snapshot
+
+        def span(first):
+            return run_trajectory_span(
+                circuit, NOISE, (IdealFidelity(),), AUTO_ENGINE, first, 2, 7,
+                backend=backend, context=context,
+            )
+
+        assert span(0).backend_kind == "statevector"
+        plan = context._prefix_plan
+        assert plan.stopped_after is not None and plan.checkpoints == []
+        state = reachable(backend.state.node)
+        only_checkpoints = set().union(*(reachable(e.node) for e in checkpoints)) - state
+        assert only_checkpoints
+        live = {id(node) for node in backend.package.vector_table.nodes()}
+        assert live.isdisjoint(only_checkpoints)
+        # The stopped plan stays cached: a warm chunk chooses without DD work.
+        warm = span(2)
+        assert warm.backend_kind == "statevector" and context._prefix_plan is plan
+        counters = warm.metrics["counters"]
+        assert not counters.get("dd.compute.mat_vec.hits")
+        assert not counters.get("dd.compute.mat_vec.misses")
 
 
 class TestAutoJobsRunDense:
@@ -105,9 +259,14 @@ class TestAutoJobsRunDense:
             result = scheduler.run(qaoa_spec(), timeout=120)
         assert result.method == "stochastic"
         assert result.backend_kind == "statevector"
-        assert result.peak_nodes == 31
+        assert result.peak_nodes == 23  # censored: the whole run peaks at 31
         assert dense_reference.peak_nodes == 0
         assert fingerprint(result) == fingerprint(dense_reference)
+        assert (
+            "peak DD nodes: >=23 (engine choice stopped at 2^(n-1) = 16)"
+            in result.summary().splitlines()
+        )
+        assert "peak DD nodes" not in dense_reference.summary()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_result_for_any_worker_count(self, workers, dense_reference):
@@ -320,15 +479,25 @@ class TestEngineReporting:
         outcome = ChunkOutcome(0, "k", 1, 2, 2, stray, None)
         assert "dd engine" in _outcome_anomaly(outcome, aggregate)
 
-    def test_ledger_records_the_engine_under_the_spec_family(self, tmp_path):
+    def test_ledger_records_the_engine_under_the_spec_family(self, tmp_path, capsys):
         """The family key stays the spec's (measured peaks keep their
-        history); the record names the engine so trends compare like runs."""
+        history); the record names the engine so trends compare like runs,
+        and the censored dense peak is kept apart from DD runs' peaks."""
+        from repro.cli import main
+
+        family_key = circuit_fingerprint(QAOA, NOISE, "dd")
         with RunLedger(ledger_path(str(tmp_path))) as ledger:
             with Scheduler(workers=1, ledger=ledger) as scheduler:
                 scheduler.run(qaoa_spec(trajectories=8), timeout=120)
-            (record,) = ledger.recent(circuit_fingerprint(QAOA, NOISE, "dd"))
+            (record,) = ledger.recent(family_key)
+            family = ledger.family(family_key)
         assert record["engine"] == "statevector"
-        assert record["peak_nodes"] == 31
+        assert record["peak_nodes"] == 23
+        assert (family.dense_peak_nodes, family.state_peak_nodes) == (23, 0)
+        assert main(["history", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "state>=23" in out
+        assert "state<=" not in out
 
     def test_status_jobs_and_events_name_the_engine(self, tmp_path):
         store = ResultStore(directory=str(tmp_path))

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.circuits.library import ghz
+from repro.circuits.library import ghz, qaoa_maxcut
 from repro.exact.cost import estimate_costs
 from repro.noise import NoiseModel
 from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path, replay_ledger
@@ -139,6 +139,47 @@ class TestFallbackFeedback:
         )
         assert evidence.censored
         assert evidence.nodes >= family.fallback_peak_nodes
+
+
+class TestCensoredDensePeak:
+    """A dense auto run records the peak at which its engine choice
+    stopped, not the whole ideal run's.  That peak is at least 2^(n-1),
+    so the padded measured size caps at 2^n either way and dispatch
+    cannot tell the two records apart."""
+
+    @staticmethod
+    def decision(tmp_path, peak):
+        circuit = qaoa_maxcut(5, measure=False)
+        properties = [BasisProbability("01010")]
+        with RunLedger(ledger_path(str(tmp_path))) as ledger:
+            ledger.record_run(
+                key="k" * 64,
+                fingerprint=circuit_fingerprint(circuit, PAPER_NOISE),
+                method="stochastic",
+                qubits=circuit.num_qubits,
+                depth=circuit.depth(),
+                peak_nodes=peak,
+                cpu_seconds=0.2,
+                elapsed_seconds=0.2,
+                trajectories=40,
+                effective_trajectories=40.0,
+                trajectories_per_second=200.0,
+                halfwidths={},
+                engine="statevector",
+            )
+            history = ledger.aggregates()
+        return estimate_costs(circuit, PAPER_NOISE, properties, 40, history=history)
+
+    def test_censored_and_whole_run_peaks_dispatch_alike(self, tmp_path):
+        censored = self.decision(tmp_path / "censored", 23)
+        whole = self.decision(tmp_path / "whole", 31)  # a record from before the stop
+        assert (censored.method, censored.evidence) == (whole.method, whole.evidence)
+        assert censored.evidence == "measured"
+        assert censored.stochastic_nodes == whole.stochastic_nodes == 2**5
+        assert (censored.stochastic_observations, censored.exact_observations) == (
+            whole.stochastic_observations, whole.exact_observations
+        )
+        assert censored == whole
 
 
 class TestLedgerContents:

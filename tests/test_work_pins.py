@@ -15,6 +15,11 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
 * Exact: the peak rho-DD node count of one ``simulate_exact`` pass per
   circuit, the machine-independent size measure of the density-matrix
   representation.
+* Engine choice: one serial 2-trajectory ``auto`` span per circuit (no
+  sampled shots; ``IdealFidelity`` except on measured BV-11).  The engine,
+  the span's peak DD nodes and its ``dd.compute.mat_vec`` lookups are
+  exact; on the DD-hostile circuits the peak is the censored one at which
+  the engine-choosing run stopped, and the lookups are that run's.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 225 and
 48.5), so a change that shares less work fails here long before it shows
@@ -23,10 +28,19 @@ up in wall time.
 
 import pytest
 
-from repro.circuits.library import ghz, qft
+from repro.circuits.library import (
+    basis_trotter,
+    bernstein_vazirani,
+    ghz,
+    ising,
+    qaoa_maxcut,
+    qft,
+    vqe_uccsd,
+)
 from repro.exact import simulate_exact
 from repro.noise import NoiseModel
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
+from repro.stochastic.runner import AUTO_ENGINE, run_trajectory_span
 from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
 NOISE = NoiseModel.paper_defaults()
@@ -61,6 +75,21 @@ PEAK_RHO_NODES = {
     "qft-4": 53,
     "qft-5": 161,
     "qft-6": 485,
+}
+
+#: name -> (circuit factory, properties, engine, peak DD nodes, mat-vec
+#: lookups) of one auto span.  The whole ideal runs of the dense rows peak
+#: at 31, 127, 11, 63 and 1023 nodes and cost 1034, 4128, 6104, 36546 and
+#: 194052 lookups; the engine-choosing run stops at 2^(n-1) nodes.
+ENGINE_CHOICE = {
+    "qaoa-5": (lambda: qaoa_maxcut(5, measure=False), True, "statevector", 23, 280),
+    "qaoa-7": (lambda: qaoa_maxcut(7, measure=False), True, "statevector", 95, 690),
+    "basis_trotter-4": (lambda: basis_trotter(4), True, "statevector", 9, 89),
+    "vqe_uccsd-6": (lambda: vqe_uccsd(6), True, "statevector", 42, 2702),
+    "ising-10": (lambda: ising(10), True, "statevector", 513, 2273),
+    "ghz-12": (lambda: ghz(12), True, "dd", 23, 284),
+    "qft-8": (lambda: qft(8), True, "dd", 11, 829),
+    "bv-11": (lambda: bernstein_vazirani(11), False, "dd", 11, 453),
 }
 
 
@@ -150,3 +179,13 @@ def test_exact_peak_rho_nodes(name):
     circuit = {"ghz": ghz, "qft": qft}[family](int(qubits))
     properties = (BasisProbability("0" * circuit.num_qubits), IdealFidelity())
     assert simulate_exact(circuit, NOISE, properties).peak_nodes == PEAK_RHO_NODES[name]
+
+
+@pytest.mark.parametrize("name", ENGINE_CHOICE)
+def test_engine_choice(name):
+    factory, fidelity, engine, peak, lookups = ENGINE_CHOICE[name]
+    properties = (IdealFidelity(),) if fidelity else ()
+    result = run_trajectory_span(factory(), NOISE, properties, AUTO_ENGINE, 0, 2, 7)
+    assert (result.backend_kind, result.peak_nodes, mat_vec_lookups(result)) == (
+        engine, peak, lookups
+    )
