@@ -46,10 +46,17 @@ from .model import NoiseModel
 __all__ = [
     "StochasticErrorApplier",
     "exact_channel_factory",
+    "MECHANISMS",
     "NoiseSite",
     "build_noise_site",
     "dry_run_site",
+    "firing_draws",
 ]
+
+#: The mechanisms in the applier's draw order (per qubit the first three,
+#: then crosstalk per adjacent pair); each name is its ``fired`` tally key.
+MECHANISMS = ("depolarizing", "amplitude_damping", "phase_flip", "crosstalk")
+DEPOLARIZING, DAMPING, PHASE_FLIP, CROSSTALK = range(len(MECHANISMS))
 
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,20 +86,66 @@ class StochasticErrorApplier:
         self._damping_cache: dict = {}
 
     def __call__(
-        self, backend: StateBackend, qubits: Tuple[int, ...], gate_name: str
+        self,
+        backend: StateBackend,
+        qubits: Tuple[int, ...],
+        gate_name: str,
+        first_qubit: int = 0,
+        first_pair: int = 0,
     ) -> None:
+        """Draw the slot's mechanisms: per qubit from ``qubits[first_qubit]``
+        on, then crosstalk from adjacent pair ``first_pair`` on (a slot
+        resumed after its first error starts past the draws it took)."""
         if not self.model.noisy_measure and gate_name in ("measure", "reset"):
             return
-        for qubit in qubits:
+        for qubit in qubits[first_qubit:] if first_qubit else qubits:
             rates = self.model.rates_for(gate_name, qubit)
             if rates.is_noiseless:
                 continue
             self._apply_depolarizing(backend, qubit, rates.depolarizing)
             self._apply_damping(backend, qubit, rates.amplitude_damping)
             self._apply_phase_flip(backend, qubit, rates.phase_flip)
-        if len(qubits) >= 2:
-            for pair in zip(qubits, qubits[1:]):
+        if len(qubits) > first_pair + 1:
+            for pair in zip(qubits[first_pair:], qubits[first_pair + 1:]):
                 self._apply_crosstalk(backend, pair, gate_name)
+
+    def apply_first_error(
+        self,
+        backend: StateBackend,
+        qubits: Tuple[int, ...],
+        gate_name: str,
+        index: int,
+        mechanism: int,
+        branch: int,
+    ) -> None:
+        """Apply a slot whose first state-changing draw is already known.
+
+        ``mechanism`` (an index into :data:`MECHANISMS`) fired on
+        ``qubits[index]``, or on the adjacent pair ``index`` for crosstalk,
+        and took ``branch`` (the Pauli index, 1-3 for depolarization and
+        1-15 for a crosstalk pair; unused otherwise).  The slot's later
+        draws come from the rng exactly as :meth:`__call__` takes them.
+        A damping first error is event-mode decay: under ``"exact"`` a
+        plan with a damping slot is never stratified.
+        """
+        name = MECHANISMS[mechanism]
+        self.fired[name] = self.fired.get(name, 0) + 1
+        if mechanism == CROSSTALK:
+            self._apply_pauli_pair(backend, qubits[index : index + 2], branch)
+            self(backend, qubits, gate_name, len(qubits), index + 1)
+            return
+        qubit = qubits[index]
+        rates = self.model.rates_for(gate_name, qubit)
+        if mechanism == DEPOLARIZING:
+            self._apply_pauli(backend, branch, qubit)
+            self._apply_damping(backend, qubit, rates.amplitude_damping)
+        elif mechanism == DAMPING:
+            self._decay(backend, qubit)
+        if mechanism == PHASE_FLIP:
+            self._apply_pauli(backend, 3, qubit)
+        else:
+            self._apply_phase_flip(backend, qubit, rates.phase_flip)
+        self(backend, qubits, gate_name, index + 1)
 
     def before_measure(self, backend: StateBackend, qubit: int) -> None:
         """Readout error: flip the qubit with the slot's ``readout`` rate.
@@ -167,8 +220,11 @@ class StochasticErrorApplier:
         if p_one <= 0.0 or self.rng.random() >= p * p_one:
             return
         self.fired["amplitude_damping"] += 1
-        # Apply the decay operator and renormalise: |1> -> |0> on this
-        # qubit, with the register state conditioned accordingly.
+        self._decay(backend, qubit)
+
+    def _decay(self, backend: StateBackend, qubit: int) -> None:
+        """Apply the decay operator and renormalise: |1> -> |0> on this
+        qubit, with the register state conditioned accordingly."""
         ops = _noise_ops(backend)
         if ops is not None:
             backend.apply_kraus_edges(ops.kraus_pair("decay", (_DECAY,), qubit), self.rng)
@@ -195,7 +251,12 @@ class StochasticErrorApplier:
         if p <= 0.0 or self.rng.random() >= p:
             return
         self.fired["crosstalk"] = self.fired.get("crosstalk", 0) + 1
-        index = self.rng.randrange(16)
+        self._apply_pauli_pair(backend, pair, self.rng.randrange(16))
+
+    def _apply_pauli_pair(
+        self, backend: StateBackend, pair: Tuple[int, int], index: int
+    ) -> None:
+        """Apply two-qubit Pauli ``index`` (``4 * P_first + P_second``)."""
         if index // 4:
             self._apply_pauli(backend, index // 4, pair[0])
         if index % 4:
@@ -211,7 +272,9 @@ class StochasticErrorApplier:
 # draws, same order, same short-circuits, same ``fired`` tallies.  Any edit
 # to the applier's draw structure above must be mirrored here — the
 # equivalence gate in tests/stochastic/test_prefix_sharing.py pins the two
-# paths bit-identically and will catch a desync.
+# paths bit-identically and will catch a desync.  ``firing_draws`` lists the
+# same draws in closed form for stratified sampling; the chi-square gates
+# in tests/stochastic/test_strata.py tie it to ``dry_run_site``.
 
 
 class NoiseSite:
@@ -262,6 +325,34 @@ def build_noise_site(
             for pair in zip(qubits, qubits[1:])
         )
     return NoiseSite(tuple(draws), crosstalk)
+
+
+def firing_draws(site: NoiseSite) -> List[Tuple[int, int, float]]:
+    """The slot's state-changing draws in the applier's order.
+
+    One ``(index, mechanism, probability)`` per draw that leaves the ideal
+    prefix when it fires: ``index`` is the qubit's position in the gate's
+    qubits (crosstalk: the adjacent pair's), ``mechanism`` indexes
+    :data:`MECHANISMS`, and ``probability`` is the chance it fires and
+    changes the state.  Depolarization's identity branch leaves the state
+    alone, so it fires with ``3/4 p``; crosstalk's ``I (x) I`` likewise,
+    so ``15/16 p``; event-mode damping fires with ``p * P_ideal(1)``.
+    Draws that cannot fire are left out.  Under ``"exact"`` a damping slot
+    leaves the prefix unconditionally instead (no clean stratum exists),
+    so the list describes exact-mode slots only when they have no damping.
+    """
+    draws = []
+    for index, (dep_p, damp_p, p_one, phase_p) in enumerate(site.qubit_draws):
+        if dep_p > 0.0:
+            draws.append((index, DEPOLARIZING, 0.75 * dep_p))
+        if damp_p * p_one > 0.0:
+            draws.append((index, DAMPING, damp_p * p_one))
+        if phase_p > 0.0:
+            draws.append((index, PHASE_FLIP, phase_p))
+    for index, crosstalk_p in enumerate(site.crosstalk):
+        if crosstalk_p > 0.0:
+            draws.append((index, CROSSTALK, 0.9375 * crosstalk_p))
+    return draws
 
 
 def dry_run_site(rng: random.Random, fired: dict, site: NoiseSite, exact_damping: bool) -> bool:

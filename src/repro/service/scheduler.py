@@ -949,9 +949,11 @@ class Scheduler:
         # Chunk indices partition the job's trajectory index space.  Under
         # stratified sampling (repro.stochastic.strata, default on the DD
         # backend) each index budgets one *erring-conditioned* trajectory —
-        # the worker's rejection search depends only on the absolute index,
-        # so any chunking reproduces the same samples, exactly as with
-        # naive index-derived seeds.  Job keys are unaffected either way.
+        # the worker draws its first error from the absolute index's seed
+        # alone, so any chunking reproduces the same samples, exactly as
+        # with naive index-derived seeds, and the exact estimate sums make
+        # the merged result independent of the chunking too.  Job keys are
+        # unaffected either way.
         size = self.chunk_size or self._default_chunk_size(job.spec.trajectories)
         remaining = _remaining_spans(job.spec.trajectories, job.base_spans)
         backend_kind = job.chunk_backend()

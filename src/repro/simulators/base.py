@@ -153,6 +153,7 @@ def execute_plan(
     rng: random.Random,
     error_hook: Optional[ErrorHook] = None,
     start_step: int = 0,
+    stop_step: Optional[int] = None,
 ) -> RunResult:
     """Run a compiled :class:`~repro.simulators.gateplan.GatePlan`.
 
@@ -164,6 +165,7 @@ def execute_plan(
     prefix checkpoint — the caller is responsible for the backend holding
     the state *after* ``plan.steps[:start_step]`` and for the rng/hook
     having consumed that prefix's draws (see :mod:`repro.stochastic.prefix`).
+    ``stop_step`` ends the run before that step (default: the plan's end).
     """
     if plan.num_qubits != backend.num_qubits:
         raise ValueError(
@@ -177,7 +179,7 @@ def execute_plan(
     # Per-gate profiler frames (g<step>:<name>): when profiling is off this
     # is one module-attribute read per plan, plus one None test per step.
     prof = _profile.ACTIVE
-    for index, step in enumerate(plan.steps[start_step:], start=start_step):
+    for index, step in enumerate(plan.steps[start_step:stop_step], start=start_step):
         if prof is not None:
             prof.push(f"g{index}:{step.name or step.kind}")
         try:

@@ -91,7 +91,10 @@ class GatePlan:
 
     ``package`` records which DD package the ``gate_edge`` fields belong
     to; the executor falls back to the matrix path when run against a
-    backend with a different (or no) package.
+    backend with a different (or no) package.  Only the first
+    ``resolved_steps`` steps hold their operator DDs: all of them unless
+    the plan was compiled with ``resolve=False``, whose caller resolves
+    steps with :meth:`resolve` before running them.
     """
 
     def __init__(self, circuit: QuantumCircuit, fused: bool) -> None:
@@ -101,6 +104,8 @@ class GatePlan:
         self.fused = fused
         self.steps: List[PlanStep] = []
         self.package = None
+        self.adjoints = False
+        self.resolved_steps = 0
         #: Gate DDs freshly built for this plan (cache misses during compile).
         self.compiled_gates = 0
         #: Source gates absorbed into another step by single-qubit fusion.
@@ -108,6 +113,30 @@ class GatePlan:
 
     def gate_step_count(self) -> int:
         return sum(1 for step in self.steps if step.kind == GATE)
+
+    def resolve(self, stop: Optional[int] = None) -> None:
+        """Resolve the operator DDs of the steps before ``stop`` (default:
+        all) in ``package``, counting fresh builds in ``compiled_gates``."""
+        stop = len(self.steps) if stop is None else stop
+        package = self.package
+        if package is None or stop <= self.resolved_steps:
+            return
+        before = package.gate_cache_size()
+        for step in self.steps[self.resolved_steps:stop]:
+            if step.kind != GATE:
+                continue
+            step.gate_edge = package.gate(
+                step.matrix, step.target, step.controls, self.num_qubits
+            )
+            if self.adjoints:
+                step.adjoint_edge = package.gate(
+                    np.ascontiguousarray(step.matrix.conj().T),
+                    step.target,
+                    step.controls,
+                    self.num_qubits,
+                )
+        self.resolved_steps = stop
+        self.compiled_gates += package.gate_cache_size() - before
 
 
 def _flush_pending(
@@ -127,15 +156,20 @@ def _flush_pending(
 
 
 def compile_plan(
-    circuit: QuantumCircuit, package=None, fuse: bool = False, adjoints: bool = False
+    circuit: QuantumCircuit,
+    package=None,
+    fuse: bool = False,
+    adjoints: bool = False,
+    resolve: bool = True,
 ) -> GatePlan:
     """Compile ``circuit`` into a :class:`GatePlan`.
 
     ``package`` — a :class:`~repro.dd.package.DDPackage` — additionally
     resolves every gate step to its operator DD (pinned by the package's
-    gate cache).  Barriers are dropped from the schedule but, under
-    ``fuse=True``, still act as fusion fences: gates are never merged
-    across one.
+    gate cache); with ``resolve=False`` none yet, for a caller that may
+    run only a prefix on the package (:meth:`GatePlan.resolve`).  Barriers
+    are dropped from the schedule but, under ``fuse=True``, still act as
+    fusion fences: gates are never merged across one.
 
     ``adjoints=True`` additionally resolves each gate step's
     ``adjoint_edge``: the adjoint of a controlled gate is the same
@@ -203,20 +237,9 @@ def compile_plan(
     plan.fused_gates += _flush_pending(pending, steps)
     if package is not None:
         plan.package = package
-        before = package.gate_cache_size()
-        for step in steps:
-            if step.kind == GATE:
-                step.gate_edge = package.gate(
-                    step.matrix, step.target, step.controls, plan.num_qubits
-                )
-                if adjoints:
-                    step.adjoint_edge = package.gate(
-                        np.ascontiguousarray(step.matrix.conj().T),
-                        step.target,
-                        step.controls,
-                        plan.num_qubits,
-                    )
-        plan.compiled_gates = package.gate_cache_size() - before
+        plan.adjoints = adjoints
+        if resolve:
+            plan.resolve()
     else:
         plan.compiled_gates = plan.gate_step_count()
     return plan

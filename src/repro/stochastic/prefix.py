@@ -163,7 +163,9 @@ def compile_prefix_plan(
     """One instrumented ideal execution -> a reusable :class:`PrefixPlan`.
 
     Runs the gate plan noiselessly on ``backend`` (a DD backend sharing the
-    plan's package), recording per-slot error rates and ideal P(1) values,
+    plan's package, resolving each step's operator DD as the run reaches
+    it if the plan was compiled unresolved), recording per-slot error
+    rates and ideal P(1) values,
     pinning checkpoint states every ``interval`` steps, and pinning the
     ideal output state.  The backend is left holding the ideal state; the
     caller resumes trajectories via ``load_state``.  The backend's peak
@@ -197,6 +199,7 @@ def compile_prefix_plan(
             plan.sites.append(None)
             plan.executed_prefix.append(plan.executed_prefix[-1])
             continue
+        gate_plan.resolve(index + 1)
         backend.apply_gate_edge(step.gate_edge)
         if stop_nodes is not None and backend.peak_nodes >= stop_nodes:
             plan.stopped_after = index

@@ -26,6 +26,43 @@ def tally(totals: Dict[str, int], counts: Dict[str, int]) -> None:
         totals[key] = totals.get(key, 0) + count
 
 
+def _grow(partials: List[float], value: float) -> None:
+    """Add ``value`` to the exact sum held in ``partials`` (Shewchuk's
+    error-free transformation, the one :func:`math.fsum` runs): no bit of
+    either is rounded away."""
+    count = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[count] = low
+            count += 1
+        value = high
+    partials[count:] = [value] if value else []
+
+
+def _exact_sum(partials: List[float], values) -> List[float]:
+    """``partials`` plus ``values``, exactly, in the one form that depends
+    only on the sum: its correctly rounded value last, preceded by the
+    rounded value of what is left, and so on (ascending magnitude).  Any
+    grouping or order of the same values therefore gives equal lists."""
+    rest = list(partials)
+    for value in values:
+        _grow(rest, value)
+    canonical: List[float] = []
+    while rest:
+        high = math.fsum(rest)
+        canonical.append(high)
+        if high == rest[-1]:
+            rest.pop()  # what is left is exactly the lower partials
+        else:
+            _grow(rest, -high)
+    canonical.reverse()
+    return canonical
+
+
 @dataclass
 class PropertyEstimate:
     """Streaming estimate of one quadratic property.
@@ -37,6 +74,13 @@ class PropertyEstimate:
     carry the analytically-weighted clean stratum; :attr:`mean` is then
     the unbiased post-stratified estimator ``p_clean * clean_value +
     (1 - p_clean) * erring_mean``.
+
+    The sums are exact: each is held as non-overlapping float partials
+    that :meth:`add` and :meth:`merge` extend without rounding, and
+    ``total`` / ``total_squared`` are their correctly rounded values (what
+    :func:`math.fsum` returns over the same per-trajectory values).  So an
+    estimate does not depend on how the scheduler chunked its trajectories,
+    nor on the order its chunks merge in.
     """
 
     name: str
@@ -55,6 +99,18 @@ class PropertyEstimate:
     #: The property's value on the shared ideal (clean-stratum) state,
     #: evaluated once from the prefix plan's cached fold — zero variance.
     clean_value: Optional[float] = None
+    #: The exact sums behind ``total`` and ``total_squared`` as
+    #: non-overlapping partials (empty for a zero sum).
+    total_partials: List[float] = field(default_factory=list, repr=False)
+    total_squared_partials: List[float] = field(default_factory=list, repr=False)
+
+    def __post_init__(self) -> None:
+        # Built from rounded totals alone (payloads written before exact
+        # sums, or by hand): each total is its own one partial.
+        if not self.total_partials and self.total:
+            self.total_partials = [self.total]
+        if not self.total_squared_partials and self.total_squared:
+            self.total_squared_partials = [self.total_squared]
 
     @property
     def stratified(self) -> bool:
@@ -69,8 +125,16 @@ class PropertyEstimate:
     def add(self, value: float) -> None:
         """Fold one trajectory's property value into the estimate."""
         self.count += 1
-        self.total += value
-        self.total_squared += value * value
+        self._extend((value,), (value * value,))
+
+    def _extend(self, values, squares) -> None:
+        """Add to both exact sums and re-round ``total``/``total_squared``."""
+        self.total_partials = _exact_sum(self.total_partials, values)
+        self.total_squared_partials = _exact_sum(self.total_squared_partials, squares)
+        self.total = self.total_partials[-1] if self.total_partials else 0.0
+        self.total_squared = (
+            self.total_squared_partials[-1] if self.total_squared_partials else 0.0
+        )
 
     def merge(self, other: "PropertyEstimate") -> None:
         """Fold another partial estimate (from a worker) into this one."""
@@ -100,8 +164,7 @@ class PropertyEstimate:
                 f"estimate {self.name!r}"
             )
         self.count += other.count
-        self.total += other.total
-        self.total_squared += other.total_squared
+        self._extend(other.total_partials, other.total_squared_partials)
         # Mixing in any sampled contribution reintroduces sampling error.
         self.exact = self.exact and other.exact
 
@@ -113,6 +176,12 @@ class PropertyEstimate:
             "total": self.total,
             "total_squared": self.total_squared,
         }
+        # Only a sum that one float cannot hold carries its partials, so
+        # most payloads look exactly as they did before exact sums.
+        for key, partials in (("total_partials", self.total_partials),
+                              ("total_squared_partials", self.total_squared_partials)):
+            if len(partials) > 1:
+                payload[key] = list(partials)
         if self.exact:
             payload["exact"] = True
         # Omitted when absent so unstratified payloads stay byte-identical
@@ -135,6 +204,10 @@ class PropertyEstimate:
             exact=bool(data.get("exact", False)),
             p_clean=None if p_clean is None else float(p_clean),
             clean_value=None if clean_value is None else float(clean_value),
+            total_partials=[float(x) for x in data.get("total_partials", ())],
+            total_squared_partials=[
+                float(x) for x in data.get("total_squared_partials", ())
+            ],
         )
 
     @property
@@ -278,10 +351,13 @@ class StochasticResult:
     #: pools with the stratum weights.  Empty in unstratified runs.
     clean_outcome_counts: Dict[str, int] = field(default_factory=dict)
     #: Stratified-sampling accounting: ``p_clean`` (closed form),
-    #: ``erring_sampled``, ``rejected_clean``, ``attempts``.  Empty when the
-    #: run was not stratified; merges add the counts and require the same
-    #: ``p_clean`` on both sides.
+    #: ``erring_sampled`` and ``attempts`` (first-error draws, one per
+    #: erring trajectory).  Empty when the run was not stratified; merges
+    #: add the counts and require the same ``p_clean`` on both sides.
     strata: Dict[str, float] = field(default_factory=dict)
+    #: Errors fired, by mechanism.  A stratified trajectory starts counting
+    #: at its first state-changing error: identity branches drawn before it
+    #: never touched the state and are not counted.
     errors_fired: Dict[str, int] = field(
         default_factory=lambda: {"depolarizing": 0, "amplitude_damping": 0, "phase_flip": 0}
     )
@@ -338,7 +414,7 @@ class StochasticResult:
                         f"{self.strata.get('p_clean')!r} vs "
                         f"{other.strata.get('p_clean')!r}"
                     )
-                for key in ("erring_sampled", "rejected_clean", "attempts"):
+                for key in ("erring_sampled", "attempts"):
                     self.strata[key] = self.strata.get(key, 0) + other.strata.get(key, 0)
         tally(self.errors_fired, other.errors_fired)
         self.cpu_seconds += other.cpu_seconds
@@ -490,8 +566,7 @@ class StochasticResult:
             if self.strata:
                 lines.append(
                     f"stratified: p_clean={self.strata.get('p_clean', 0.0):.6f}, "
-                    f"{int(self.strata.get('erring_sampled', 0))} erring sampled "
-                    f"({int(self.strata.get('rejected_clean', 0))} clean rejected), "
+                    f"{int(self.strata.get('erring_sampled', 0))} erring sampled, "
                     f"~{self.effective_trajectories():.0f} effective trajectories"
                 )
         if self.peak_nodes and self.backend_kind == "statevector":

@@ -21,6 +21,7 @@ trajectory ``i`` uses the same seed whether it runs serially or on worker 3.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -172,10 +173,15 @@ class _EvaluationContext:
 
     def gate_plan(self, backend):
         """The circuit compiled into a :class:`~repro.simulators.gateplan.GatePlan`
-        (once per worker; gate DDs resolved against the warm package)."""
+        (once per worker; gate DDs resolved against the warm package).  An
+        :data:`AUTO_ENGINE` plan starts unresolved: the engine-choosing run
+        resolves the steps it reaches, and the span resolves the rest only
+        if it stays on DD."""
         if self._gate_plan is None:
             self._gate_plan = compile_plan(
-                self.circuit, package=getattr(backend, "package", None)
+                self.circuit,
+                package=getattr(backend, "package", None),
+                resolve=self.backend_kind != AUTO_ENGINE,
             )
         return self._gate_plan
 
@@ -397,11 +403,16 @@ def _run_span_body(
     prof = _profile.ACTIVE
 
     def compile_gate_plan(plan_context, plan_backend):
-        plan_was_cached = plan_context._gate_plan is not None
+        """The context's gate plan, and the gate DDs it had compiled before
+        this span (``None``: compiled by this span)."""
+        cached = plan_context._gate_plan
         plan = plan_context.gate_plan(plan_backend)
-        if not plan_was_cached:
-            registry.counter("gateplan.compiled").inc(plan.compiled_gates)
-        return plan
+        return plan, cached.compiled_gates if cached is not None else None
+
+    def count_compiled(plan, before):
+        """Count the gate DDs ``plan`` compiled during this span."""
+        if before is None or plan.compiled_gates > before:
+            registry.counter("gateplan.compiled").inc(plan.compiled_gates - (before or 0))
 
     # Compile-once work hoisted out of the Monte-Carlo loop: the gate plan
     # (per-operation matrices / operator DDs) and — on the DD backend outside
@@ -411,7 +422,7 @@ def _run_span_body(
     # context, so warm workers compile once per job, not once per chunk.
     if prof is not None:
         prof.push("<compile>")
-    gate_plan = compile_gate_plan(context, backend)
+    gate_plan, compiled_before = compile_gate_plan(context, backend)
     prefix_plan = None
     prefix_was_cached = True
     if backend_kind == AUTO_ENGINE or (backend_kind == "dd" and mode != "naive"):
@@ -427,16 +438,21 @@ def _run_span_body(
         if backend_kind == "statevector":
             # From here on the span is an explicit statevector span: same
             # context type, gate plan and loop, hence the same estimates.
+            # The DD plan keeps only what the stopped run resolved.
+            count_compiled(gate_plan, compiled_before)
             context = context.dense()
             backend = _make_backend(backend_kind, circuit.num_qubits)
-            gate_plan = compile_gate_plan(context, backend)
+            gate_plan, compiled_before = compile_gate_plan(context, backend)
             prefix_plan = None
-        elif mode == "naive":
-            # The ideal run only picked the engine: restart from |0...0>
-            # with a fresh peak, exactly as an explicit naive DD span.
-            backend.reset_all()
-            backend.reset_peak_nodes()
-            prefix_plan = None
+        else:
+            gate_plan.resolve()
+            if mode == "naive":
+                # The ideal run only picked the engine: restart from
+                # |0...0> with a fresh peak, as an explicit naive DD span.
+                backend.reset_all()
+                backend.reset_peak_nodes()
+                prefix_plan = None
+    count_compiled(gate_plan, compiled_before)
     # Counted only when the trajectories use the plan, so auto spans count
     # it exactly as often as the explicit DD spans they match.
     if prefix_plan is not None and not prefix_was_cached:
@@ -468,7 +484,6 @@ def _run_span_body(
             (1.0 - strata_plan.p_clean) ** 2
         )
         strata_erring = registry.counter("strata.erring_sampled")
-        strata_rejected = registry.counter("strata.rejected_clean")
         strata_attempts = registry.counter("strata.attempts")
         if properties:
             # Seed every estimate with the closed-form stratum weight and
@@ -534,13 +549,13 @@ def _run_span_body(
         relative_deadline = time.monotonic() + timeout
         deadline = relative_deadline if deadline is None else min(deadline, relative_deadline)
 
-    # One kernel for every mode.  A trajectory first picks its seed and the
-    # plan step where it leaves the ideal run: stratified spans search for
-    # an erring seed, shared spans dry-run the index seed (None = clean),
-    # and naive and dense spans have no plan and start at step 0 from
-    # |0...0>.  A clean trajectory folds the cached ideal-state values;
-    # every other one replays once from the latest checkpoint at or before
-    # its divergence.
+    # One kernel for every mode.  A trajectory first picks the plan step
+    # where it leaves the ideal run: stratified spans draw their first
+    # error from the closed form, shared spans dry-run the index seed
+    # (None = clean), and naive and dense spans have no plan and start at
+    # step 0 from |0...0>.  A clean trajectory folds the cached ideal-state
+    # values; every other one replays once from the latest checkpoint at or
+    # before its divergence.
     for index in range(num_trajectories):
         if deadline is not None and time.monotonic() >= deadline:
             result.timed_out = True
@@ -552,13 +567,11 @@ def _run_span_body(
         if prof is not None:
             prof.push("trajectory")
         if strata_plan is not None:
-            # Erring stratum: reject clean candidate seeds (rng-only dry
-            # runs) until one diverges.  The search depends only on the
-            # stratum index's base seed, so any worker partition
-            # reproduces the same trajectories.
-            seed, divergence, attempts = strata_plan.find_erring_seed(seed)
-            strata_attempts.inc(attempts)
-            strata_rejected.inc(attempts - 1)
+            # Erring stratum: one draw from the index seed picks the first
+            # error; its rng then carries the rest of the trajectory.
+            rng, first_error = strata_plan.find_erring_seed(seed)
+            divergence = first_error[0]
+            strata_attempts.inc()
             strata_erring.inc()
         elif prefix_plan is not None:
             rng = random.Random(seed)
@@ -569,27 +582,47 @@ def _run_span_body(
         if divergence is None:
             prefix_hits.inc()
         else:
-            # Replay with a fresh rng: rewound past the checkpoint's prefix
-            # draws when there is a plan, from step 0 when there is none.
-            rng = random.Random(seed)
+            # Replay from the latest checkpoint at or before the divergence
+            # (from step 0 when there is no plan).  A shared trajectory
+            # rewinds a fresh rng past the checkpoint's prefix draws; a
+            # stratified one runs noiselessly through the first error's
+            # gate and applies that slot from its known draw on.
+            if strata_plan is None:
+                rng = random.Random(seed)
             applier = StochasticErrorApplier(noise_model, rng)
-            checkpoint_step = 0
+            resume_step = 0
             if prefix_plan is not None:
                 prefix_replays.inc()
-                checkpoint_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
-                prefix_replayed_gates.inc(len(gate_plan.steps) - checkpoint_step)
-                prefix_plan.consume_prefix(rng, applier.fired, checkpoint_step)
+                resume_step, checkpoint_state = prefix_plan.checkpoint_for(divergence)
+                prefix_replayed_gates.inc(len(gate_plan.steps) - resume_step)
                 backend.load_state(checkpoint_state)
+                if strata_plan is None:
+                    prefix_plan.consume_prefix(rng, applier.fired, resume_step)
+                else:
+                    execute_plan(
+                        backend, gate_plan, rng,
+                        start_step=resume_step, stop_step=divergence,
+                    )
+                    index, mechanism, branch = first_error[1:]
+                    execute_plan(
+                        backend, gate_plan, rng,
+                        error_hook=functools.partial(
+                            applier.apply_first_error,
+                            index=index, mechanism=mechanism, branch=branch,
+                        ),
+                        start_step=divergence, stop_step=divergence + 1,
+                    )
+                    resume_step = divergence + 1
             elif index > 0:
                 if backend_kind == "dd":
                     backend.reset_all()
                 else:
                     backend = _make_backend(backend_kind, circuit.num_qubits)
             run_result = execute_plan(
-                backend, gate_plan, rng, error_hook=applier, start_step=checkpoint_step
+                backend, gate_plan, rng, error_hook=applier, start_step=resume_step
             )
             if prefix_plan is not None:
-                run_result.applied_gates += prefix_plan.executed_before(checkpoint_step)
+                run_result.applied_gates += prefix_plan.executed_before(resume_step)
         drift = injector.fire("drift", trajectory=trajectory) if injector is not None else None
         if divergence is None and drift is None and not ideal_drifted:
             # Clean trajectory: its final state IS the shared ideal DD, so
@@ -634,7 +667,6 @@ def _run_span_body(
         result.strata = {
             "p_clean": strata_plan.p_clean,
             "erring_sampled": result.completed_trajectories,
-            "rejected_clean": strata_rejected.value,
             "attempts": strata_attempts.value,
         }
 

@@ -1,7 +1,7 @@
 """Stratified trajectory sampling: spend the whole budget on erring runs.
 
-Prefix sharing (PR 4, :mod:`repro.stochastic.prefix`) already serves every
-clean trajectory from one shared ideal-state DD — but each clean run still
+Prefix sharing (:mod:`repro.stochastic.prefix`) already serves every clean
+trajectory from one shared ideal-state DD — but each clean run still
 consumes a slot of the Theorem-1 sample budget only to fold in the *same*
 cached property values one more time.  This module goes further, exploiting
 the same precondition the rng dry-run rests on: every error decision along
@@ -12,11 +12,12 @@ compiled :class:`~repro.stochastic.prefix.PrefixPlan`'s noise sites:
 
     p_clean = prod over sites of prod over draws of (1 - p_fire)
 
-with per-draw no-fire factors mirroring
-:func:`~repro.noise.stochastic.dry_run_site` exactly — depolarization's
-identity branch survives (factor ``1 - 3/4 p``), event-mode damping fires
-with ``p * P_ideal(1)``, phase flip with ``p``, crosstalk's identity pair
-with ``1 - 15/16 p``.  The ``"exact"`` damping unravelling diverges
+with one factor per state-changing draw of
+:func:`~repro.noise.stochastic.firing_draws`, in the order
+:func:`~repro.noise.stochastic.dry_run_site` takes them — depolarization
+fires a non-identity Pauli with ``3/4 p``, event-mode damping fires with
+``p * P_ideal(1)``, phase flip with ``p``, crosstalk a non-identity pair
+with ``15/16 p``.  The ``"exact"`` damping unravelling diverges
 unconditionally on any damping slot (``p_clean = 0``), and circuits that
 measure or reset have no clean stratum at all.
 
@@ -28,14 +29,18 @@ estimator
 
     o_hat = p_clean * mu_clean + (1 - p_clean) * mean(erring samples).
 
-Erring trajectories are drawn from exactly the conditional distribution the
-dry-run induces, by deterministic rejection over attempt-derived seeds
-(:meth:`StrataPlan.find_erring_seed`): per stratum index, candidate seeds
-are tried in a fixed order until one's dry-run diverges, so any partition
-of the budget across workers/chunks reproduces the same trajectories — the
-same determinism contract the naive index-derived seeds give.  The accepted
-seed then rewinds through the existing checkpoint/replay machinery
-unchanged.
+Erring trajectories are drawn from exactly that conditional distribution
+in one step (:meth:`StrataPlan.find_erring_seed`): the plan keeps every
+state-changing draw of the prefix with the cumulative probability that
+one of the draws up to it fires, and one uniform from the trajectory's own
+index-seeded rng, bisected into that table, picks the first one that fires;
+a second picks its non-identity branch.  The runner loads the checkpoint
+at or before that step, applies the gates up to it without noise, applies
+the slot from the known draw on, and carries on with the same rng.  Each
+sample depends only on its trajectory index, so any partition of the
+budget across workers/chunks reproduces the same trajectories — the same
+determinism contract the naive index-derived seeds give — and one sample
+costs one bisect however small the erring mass is.
 
 Because conditioning scales the estimator's sampling error by
 ``(1 - p_clean)``, a budget of ``M`` erring runs carries the Hoeffding
@@ -47,11 +52,13 @@ estimator instead.
 
 from __future__ import annotations
 
+import math
 import os
 import random
-from typing import List, Optional, Tuple
+from bisect import bisect_right
+from typing import List, Tuple
 
-from ..noise.stochastic import NoiseSite
+from ..noise.stochastic import CROSSTALK, DEPOLARIZING, NoiseSite, firing_draws
 from .prefix import PrefixPlan
 
 __all__ = [
@@ -78,25 +85,12 @@ TRAJECTORY_MODES = ("stratified", "shared", "naive")
 _RETIRED_MODE_ENVS = ("REPRO_PREFIX_SHARING", "REPRO_STRATIFIED")
 
 #: Stratification deactivates when the erring stratum's probability mass
-#: falls below this: the expected rejection-sampling cost per erring
-#: trajectory is ``1 / (1 - p_clean)`` dry-runs, and below ~1e-6 the
-#: erring stratum contributes less than any practical epsilon target
-#: anyway, so the shared loop is the better engine.
+#: falls below this: the erring stratum then contributes less than any
+#: practical epsilon target, and the shared loop serves the job.  Drawing
+#: an erring trajectory costs one bisect at any mass, so this only sets
+#: where stratification, and the stratified budget dispatch prices
+#: (:func:`~repro.exact.cost.stochastic_budget`), apply.
 MIN_ERRING_MASS = 1e-6
-
-#: Hard ceiling on rejection attempts per stratum index.  With the
-#: ``MIN_ERRING_MASS`` gate the expected attempt count is <= 1e6, so by
-#: Chernoff the probability of ever hitting this cap is astronomically
-#: small — reaching it means the closed-form ``p_clean`` and the dry-run
-#: disagree (a desync bug), which deserves a loud error, not a hang.
-_MAX_ATTEMPTS = 100_000_000
-
-#: Stride between successive candidate seeds for one stratum index
-#: (xxhash's prime; any large odd constant distinct from the trajectory
-#: seed stride works — it only needs to decorrelate attempt streams).
-_ATTEMPT_STRIDE = 0xC2B2AE3D27D4EB4F
-
-_SEED_MASK = 2**63 - 1
 
 
 def trajectory_mode() -> str:
@@ -121,30 +115,17 @@ def worth_stratifying(p_clean: float) -> bool:
 
 
 def site_survival_probability(site: NoiseSite, exact_damping: bool) -> float:
-    """P(no state-changing event at this slot) — the closed-form mirror of
-    :func:`~repro.noise.stochastic.dry_run_site`'s draw structure.
-
-    Each factor is the no-fire probability of one Bernoulli draw along the
-    ideal prefix; any edit to the applier/dry-run draw structure must be
-    mirrored here (the ``p_clean``-vs-empirical test pins the agreement).
+    """P(no state-changing event at this slot): the product of the no-fire
+    probabilities of :func:`~repro.noise.stochastic.firing_draws`, in the
+    dry-run's order (the ``p_clean``-vs-empirical test pins the agreement).
     """
+    if exact_damping and any(draw[1] > 0.0 for draw in site.qubit_draws):
+        # The no-decay Kraus branch tilts the state: every damping slot
+        # leaves the ideal prefix unconditionally.
+        return 0.0
     survival = 1.0
-    for dep_p, damp_p, p_one, phase_p in site.qubit_draws:
-        if dep_p > 0.0:
-            # Fires with p, then 1-of-4 Paulis; the I branch is a no-op.
-            survival *= 1.0 - 0.75 * dep_p
-        if damp_p > 0.0:
-            if exact_damping:
-                # The no-decay Kraus branch tilts the state: every damping
-                # slot leaves the ideal prefix unconditionally.
-                return 0.0
-            survival *= 1.0 - damp_p * p_one
-        if phase_p > 0.0:
-            survival *= 1.0 - phase_p
-    for crosstalk_p in site.crosstalk:
-        if crosstalk_p > 0.0:
-            # Fires with p, then 1-of-16 Pauli pairs; I (x) I is a no-op.
-            survival *= 1.0 - 0.9375 * crosstalk_p
+    for _, _, probability in firing_draws(site):
+        survival *= 1.0 - probability
     return survival
 
 
@@ -162,7 +143,8 @@ def stratified_samples(naive_samples: int, p_clean: float) -> int:
 
 
 class StrataPlan:
-    """Closed-form stratum weights for one compiled :class:`PrefixPlan`.
+    """Closed-form stratum weights for one compiled :class:`PrefixPlan`,
+    and the table that draws an erring trajectory's first error.
 
     ``p_clean`` is exact (up to float rounding) and deterministic: every
     worker compiling the same (circuit, noise model) pair computes the
@@ -178,12 +160,19 @@ class StrataPlan:
         self.supported = (
             prefix_plan.stop_index is None and prefix_plan.ideal_final is not None
         )
-        #: Per-site survival probabilities (1.0 for skipped/None sites) —
-        #: kept for diagnostics and the conditional first-site distribution.
+        #: Per-site survival probabilities (1.0 for skipped/None sites).
         self.site_survival: List[float] = []
+        #: Every state-changing draw of the prefix in the applier's order,
+        #: as ``(step, qubit or pair index, mechanism)``, and the probability
+        #: that at least one draw up to and including it fires, summed in
+        #: log space (``log1p``/``expm1``) so masses near
+        #: :data:`MIN_ERRING_MASS` keep their digits.
+        self.first_errors: List[Tuple[int, int, int]] = []
+        self.erring_mass_through: List[float] = []
         p_clean = 1.0
         if self.supported:
-            for site in prefix_plan.sites:
+            log_survival = 0.0
+            for step, site in enumerate(prefix_plan.sites):
                 if site is None:
                     self.site_survival.append(1.0)
                     continue
@@ -192,6 +181,10 @@ class StrataPlan:
                 )
                 self.site_survival.append(survival)
                 p_clean *= survival
+                for index, mechanism, probability in firing_draws(site):
+                    log_survival += math.log1p(-probability)
+                    self.first_errors.append((step, index, mechanism))
+                    self.erring_mass_through.append(-math.expm1(log_survival))
         else:
             p_clean = 0.0
         self.p_clean = p_clean
@@ -200,42 +193,41 @@ class StrataPlan:
         self.active = worth_stratifying(p_clean)
 
     def first_error_site_distribution(self) -> List[float]:
-        """P(first divergence at site i | >= 1 error) per gate-plan step.
-
-        Diagnostic closed form of the conditional distribution the
-        rejection sampler draws from: ``prefix_survival_i * (1 -
-        survival_i) / (1 - p_clean)``.
-        """
+        """P(first divergence at step i | >= 1 error) per gate-plan step,
+        the distribution :meth:`find_erring_seed` draws steps from."""
         if not self.active:
             return []
-        distribution = []
-        prefix_survival = 1.0
-        for survival in self.site_survival:
-            distribution.append(
-                prefix_survival * (1.0 - survival) / (1.0 - self.p_clean)
-            )
-            prefix_survival *= survival
+        distribution = [0.0] * len(self.site_survival)
+        total = self.erring_mass_through[-1]
+        below = 0.0
+        for (step, _, _), through in zip(self.first_errors, self.erring_mass_through):
+            distribution[step] += (through - below) / total
+            below = through
         return distribution
 
-    def find_erring_seed(self, base_seed: int) -> Tuple[int, int, int]:
-        """Deterministic rejection: first candidate seed whose dry-run errs.
+    def find_erring_seed(
+        self, seed: int
+    ) -> Tuple[random.Random, Tuple[int, int, int, int]]:
+        """Draw one erring trajectory's first error from the closed form.
 
-        ``base_seed`` is the stratum index's naive trajectory seed; attempt
-        ``k`` tries ``base_seed + k * _ATTEMPT_STRIDE`` (mod 2^63).  Returns
-        ``(seed, divergence_step, attempts)`` where ``attempts`` counts all
-        dry-runs including the accepted one.  Accepted seeds are distributed
-        exactly as naive trajectory seeds conditioned on >= 1 fired error,
-        and the search depends only on ``base_seed`` — reproducible for any
-        chunking of the stratum across workers.
+        Seeds ``random.Random(seed)`` (``seed`` is the trajectory index's
+        seed), bisects one uniform into the cumulative firing masses to
+        pick the first state-changing draw, conditioned on at least one
+        firing, then draws its branch conditioned on it not being the
+        identity.  Returns that rng, positioned to take the trajectory's
+        later draws, and ``(step, index, mechanism, branch)`` as
+        :meth:`~repro.noise.stochastic.StochasticErrorApplier.apply_first_error`
+        takes them.  A pure function of ``seed``: any chunking of the
+        stratum across workers draws the same trajectories.
         """
-        prefix_plan = self.prefix_plan
-        scratch = {"depolarizing": 0, "amplitude_damping": 0, "phase_flip": 0}
-        for attempt in range(_MAX_ATTEMPTS):
-            seed = (base_seed + attempt * _ATTEMPT_STRIDE) & _SEED_MASK
-            divergence = prefix_plan.first_divergence(random.Random(seed), scratch)
-            if divergence is not None:
-                return seed, divergence, attempt + 1
-        raise RuntimeError(
-            f"no erring trajectory found in {_MAX_ATTEMPTS} attempts "
-            f"(p_clean={self.p_clean!r}) — closed-form/dry-run desync?"
-        )
+        rng = random.Random(seed)
+        masses = self.erring_mass_through
+        position = bisect_right(masses, rng.random() * masses[-1])
+        # The product can round up onto the total: that is the last draw.
+        step, index, mechanism = self.first_errors[min(position, len(masses) - 1)]
+        branch = 0
+        if mechanism == DEPOLARIZING:
+            branch = 1 + rng.randrange(3)
+        elif mechanism == CROSSTALK:
+            branch = 1 + rng.randrange(15)
+        return rng, (step, index, mechanism, branch)

@@ -8,6 +8,13 @@ import pytest
 from repro.circuits import gates
 from repro.circuits.library import ghz
 from repro.noise import ErrorRates, NoiseModel, StochasticErrorApplier
+from repro.noise.stochastic import (
+    CROSSTALK,
+    DAMPING,
+    DEPOLARIZING,
+    MECHANISMS,
+    PHASE_FLIP,
+)
 from repro.simulators import DDBackend, StatevectorBackend, execute_circuit
 
 
@@ -150,3 +157,67 @@ class TestDeterminism:
             execute_circuit(backend, circuit, rng, error_hook=applier)
             results[kind] = backend.statevector()
         assert np.allclose(results["dd"], results["sv"], atol=1e-9)
+
+
+class _ScriptedRandom(random.Random):
+    """Serves ``script`` first (floats to ``random()``, ints to
+    ``randrange()``), then the seeded stream untouched."""
+
+    def __init__(self, seed, script=()):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+class TestApplyFirstError:
+    """``apply_first_error`` continues a slot exactly as ``__call__`` does
+    once that slot's first state-changing draw has fired."""
+
+    MODEL = NoiseModel(
+        default=ErrorRates(
+            depolarizing=0.1, amplitude_damping=0.2, phase_flip=0.1, crosstalk=0.1
+        )
+    )
+    QUBITS = (2, 0, 1)
+
+    def _backend(self):
+        backend = DDBackend(3)
+        for qubit in range(3):
+            backend.apply_gate(gates.H, qubit, {})  # P(1) > 0: damping draws
+        return backend
+
+    @pytest.mark.parametrize(
+        "index, mechanism, branch",
+        [
+            *[(index, DEPOLARIZING, 2) for index in range(3)],
+            *[(index, DAMPING, 0) for index in range(3)],
+            *[(index, PHASE_FLIP, 0) for index in range(3)],
+            (0, CROSSTALK, 7),
+            (1, CROSSTALK, 13),
+        ],
+    )
+    def test_matches_the_applier_after_that_draw(self, index, mechanism, branch):
+        # Script every earlier draw of the slot not to fire and this one
+        # to fire with ``branch``; everything after comes from seed 99.
+        if mechanism == CROSSTALK:
+            earlier = 3 * len(self.QUBITS) + index
+        else:
+            earlier = 3 * index + mechanism
+        script = [0.999] * earlier + [0.0]
+        if mechanism in (DEPOLARIZING, CROSSTALK):
+            script.append(branch)
+        whole, resumed = self._backend(), self._backend()
+        applier = StochasticErrorApplier(self.MODEL, _ScriptedRandom(99, script))
+        applier(whole, self.QUBITS, "ccx")
+        assert not applier.rng.script
+        first = StochasticErrorApplier(self.MODEL, _ScriptedRandom(99))
+        first.apply_first_error(resumed, self.QUBITS, "ccx", index, mechanism, branch)
+        assert np.array_equal(whole.statevector(), resumed.statevector())
+        assert first.fired == applier.fired
+        assert first.fired[MECHANISMS[mechanism]] >= 1
+        assert first.rng.getstate() == applier.rng.getstate()

@@ -3,19 +3,24 @@
 The service layer leans on two invariants:
 
 1. ``PropertyEstimate.merge`` / ``StochasticResult.merge`` are associative
-   (and, for the summed fields, commutative), so chunk results can be
-   folded in any grouping a scheduler produces;
+   and commutative, bit for bit: the estimate sums are exact, so chunk
+   results can be folded in any grouping a scheduler produces;
 2. per-trajectory seeds are derived from the absolute trajectory index, so
    the same master seed gives the same estimates no matter how the ``M``
    trajectories are sharded across 1, 2, or 4 workers.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits.library import ghz
 from repro.noise import NoiseModel
 from repro.stochastic import BasisProbability, IdealFidelity, StochasticSimulator
 from repro.stochastic.results import PropertyEstimate, StochasticResult
+from repro.stochastic.runner import run_trajectory_span
+from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
 
@@ -66,9 +71,42 @@ class TestPropertyEstimateMerge:
         merged = estimate_from(values[:3])
         merged.merge(estimate_from(values[3:]))
         assert merged.count == streamed.count
-        assert merged.total == pytest.approx(streamed.total, rel=1e-15)
-        assert merged.mean == pytest.approx(streamed.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(streamed.variance, rel=1e-12)
+        assert merged.total == streamed.total
+        assert merged.total_squared == streamed.total_squared
+        assert merged.mean == streamed.mean
+        assert merged.variance == streamed.variance
+        assert merged == streamed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e100, max_value=1e100, allow_nan=False),
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_any_partition_in_any_order_sums_exactly(self, values, data):
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(values)), max_size=8)))
+        bounds = [0, *cuts, len(values)]
+        parts = [values[low:high] for low, high in zip(bounds, bounds[1:])]
+        order = data.draw(st.permutations(range(len(parts))))
+        merged = estimate_from([])
+        for index in order:
+            part = estimate_from(parts[index])
+            merged.merge(PropertyEstimate.from_dict(part.to_dict()))
+        streamed = estimate_from(values)
+        assert merged == streamed
+        assert merged.total == math.fsum(values)
+        assert merged.total_squared == math.fsum(v * v for v in values)
+
+    def test_old_payloads_read_as_one_partial(self):
+        payload = {"name": "p", "count": 3, "total": 0.1, "total_squared": 0.01}
+        estimate = PropertyEstimate.from_dict(payload)
+        assert estimate.total_partials == [0.1]
+        estimate.add(0.2)
+        assert estimate.total == math.fsum([0.1, 0.2])
+        assert "total_partials" in estimate.to_dict()  # 0.1 + 0.2 needs two
+        assert "total_partials" not in estimate_from([0.5, 0.25]).to_dict()
 
     def test_merge_rejects_different_properties(self):
         with pytest.raises(ValueError, match="different properties"):
@@ -127,6 +165,27 @@ class TestStochasticResultMerge:
         duplicate.outcome_counts["11"] = 5
         assert original.estimates["p"].count == 1
         assert "11" not in original.outcome_counts
+
+
+class TestChunkingInvariance:
+    @pytest.mark.parametrize("seed", range(1, 41))
+    def test_chunks_merge_to_the_one_span_result(self, monkeypatch, seed):
+        """One 48-trajectory span against the sixteen 3-trajectory chunks
+        that ``Scheduler(workers=2)`` plans for it, merged in index order:
+        the same samples, so the same estimate to the last bit."""
+        monkeypatch.delenv(TRAJECTORY_MODE_ENV, raising=False)
+        args = (
+            ghz(5), NoiseModel.paper_defaults(),
+            (IdealFidelity(), BasisProbability("00000")), "dd",
+        )
+        whole = run_trajectory_span(*args, 0, 48, seed, sample_shots=1)
+        chunked = StochasticResult(whole.circuit_name, "dd", 48)
+        for prop in args[2]:
+            chunked.estimates[prop.name] = PropertyEstimate(prop.name)
+        for first in range(0, 48, 3):
+            chunked.merge(run_trajectory_span(*args, first, 3, seed, sample_shots=1))
+        assert chunked.estimates == whole.estimates
+        assert chunked.strata == whole.strata
 
 
 class TestSeedStrideReproducibility:

@@ -16,13 +16,16 @@ Three pillars:
 
 import math
 import random
+import statistics
+from collections import Counter
 
 import pytest
 
 from repro.circuits.library import ghz, qft
 from repro.exact import simulate_exact
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
-from repro.noise import NoiseModel
+from repro.noise import ErrorRates, NoiseModel
+from repro.noise.stochastic import CROSSTALK, DEPOLARIZING, MECHANISMS, firing_draws
 from repro.simulators.ddsim import DDBackend
 from repro.simulators.gateplan import compile_plan
 from repro.stochastic import BasisProbability, IdealFidelity, run_until_precision
@@ -40,6 +43,12 @@ from repro.stochastic.strata import (
 
 NOISE = NoiseModel.paper_defaults()
 HOT_NOISE = NoiseModel.paper_defaults().scaled(40)
+#: The paper's rates plus a crosstalk rate on every two-qubit pair, hot.
+CROSSTALK_NOISE = NoiseModel(
+    default=ErrorRates(
+        depolarizing=0.001, amplitude_damping=0.002, phase_flip=0.001, crosstalk=0.002
+    )
+).scaled(40)
 
 
 @pytest.fixture(autouse=True)
@@ -158,23 +167,38 @@ class TestClosedFormPClean:
         assert plan.p_clean == 0.0
         assert plan.active is False
 
+    def test_exact_damping_mode_without_damping_stratifies(self, monkeypatch):
+        # Only a damping slot makes "exact" diverge unconditionally; without
+        # damping rates the clean stratum and the first-error draw exist.
+        model = NoiseModel(default=ErrorRates(depolarizing=0.05), damping_mode="exact")
+        assert StrataPlan(_prefix_plan(ghz(4), model)).active
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
+        result = run_trajectory_span(
+            ghz(4), model, [IdealFidelity()], backend_kind="dd",
+            first_trajectory=0, num_trajectories=5, master_seed=3,
+        )
+        assert result.strata["attempts"] == result.strata["erring_sampled"] == 5
+
     def test_measuring_circuit_is_unsupported(self):
         plan = StrataPlan(_prefix_plan(ghz(4, measure=True), NOISE))
         assert plan.supported is False
         assert plan.active is False
 
-    def test_rejection_seed_search_is_deterministic(self):
+    def test_first_error_draw_is_a_pure_function_of_its_seed(self):
         plan = StrataPlan(_prefix_plan(ghz(5), NOISE))
-        first = plan.find_erring_seed(123456789)
-        second = plan.find_erring_seed(123456789)
+        first_rng, first = plan.find_erring_seed(123456789)
+        second_rng, second = plan.find_erring_seed(123456789)
         assert first == second
-        seed, divergence, attempts = first
-        assert attempts >= 1
-        # The accepted seed really does diverge at the reported site.
-        scratch = {"depolarizing": 0, "amplitude_damping": 0, "phase_flip": 0}
-        assert plan.prefix_plan.first_divergence(
-            random.Random(seed), scratch
-        ) == divergence
+        # Both rngs stand at the same place, so the trajectories continue
+        # identically too.
+        assert first_rng.getstate() == second_rng.getstate()
+        step, index, mechanism, branch = first
+        assert plan.prefix_plan.sites[step] is not None
+        assert (step, index, mechanism) in plan.first_errors
+        assert branch in ((1, 2, 3) if mechanism == DEPOLARIZING else (0,))
+        assert any(
+            plan.find_erring_seed(seed)[1] != first for seed in range(1, 20)
+        )
 
     def test_stratified_samples_budget(self):
         assert stratified_samples(10_000, 0.9) == 100
@@ -182,6 +206,126 @@ class TestClosedFormPClean:
         assert stratified_samples(3, 0.999999) == 1
         with pytest.raises(ValueError):
             stratified_samples(100, 1.5)
+
+
+class _LastTally(dict):
+    """A ``fired`` tally that remembers the last mechanism it counted: at a
+    dry run's divergence, the draw that left the ideal prefix."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.last = key
+
+
+def _closed_form(prefix_plan, scale=None):
+    """P(first state-changing draw is (step, mechanism) | >= 1 error),
+    multiplied out from the per-draw firing probabilities (each mechanism's
+    optionally scaled by ``scale[mechanism]``)."""
+    joint = Counter()
+    survival = 1.0
+    for step, site in enumerate(prefix_plan.sites):
+        if site is None:
+            continue
+        for _, mechanism, probability in firing_draws(site):
+            probability *= (scale or {}).get(mechanism, 1.0)
+            joint[(step, mechanism)] += survival * probability
+            survival *= 1.0 - probability
+    return {cell: mass / (1.0 - survival) for cell, mass in joint.items()}
+
+
+def _chi_square_fits(observed, expected, alpha=1e-3):
+    """Pearson's goodness-of-fit test at level ``alpha``; cells expecting
+    fewer than 5 draws are pooled.  The critical value is the
+    Wilson-Hilferty approximation of the chi-square quantile."""
+    draws = sum(observed.values())
+    assert set(observed) <= set(expected), set(observed) - set(expected)
+    cells, pooled_observed, pooled_expected = [], 0, 0.0
+    for cell, probability in expected.items():
+        if probability * draws < 5.0:
+            pooled_observed += observed.get(cell, 0)
+            pooled_expected += probability * draws
+        else:
+            cells.append((observed.get(cell, 0), probability * draws))
+    if pooled_expected > 0.0:
+        cells.append((pooled_observed, pooled_expected))
+    statistic = sum((seen - mean) ** 2 / mean for seen, mean in cells)
+    dof = len(cells) - 1
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha)
+    critical = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
+    return statistic <= critical, (statistic, critical, dof)
+
+
+#: (circuit, noise model) pairs for the sampler's goodness-of-fit gates.
+SAMPLER_CASES = [
+    pytest.param(lambda: ghz(6), HOT_NOISE, id="ghz6"),
+    pytest.param(lambda: qft(4), HOT_NOISE, id="qft4"),
+    pytest.param(lambda: ghz(6), CROSSTALK_NOISE, id="ghz6-crosstalk"),
+]
+
+
+class TestDirectSampler:
+    """The first-error draw against the closed form and the rng dry run."""
+
+    @pytest.mark.parametrize("factory, noise_model", SAMPLER_CASES)
+    def test_draw_matches_closed_form(self, factory, noise_model):
+        plan = StrataPlan(_prefix_plan(factory(), noise_model))
+        assert plan.active
+        observed, branches = Counter(), {DEPOLARIZING: Counter(), CROSSTALK: Counter()}
+        for seed in range(20_000):
+            _, (step, _, mechanism, branch) = plan.find_erring_seed(5_000_000 + seed)
+            observed[(step, mechanism)] += 1
+            if mechanism in branches:
+                branches[mechanism][branch] += 1
+        fits, detail = _chi_square_fits(observed, _closed_form(plan.prefix_plan))
+        assert fits, detail
+        # Conditioned on changing the state, the fired Pauli (pair) is
+        # uniform over the non-identity branches.
+        for mechanism, width in ((DEPOLARIZING, 3), (CROSSTALK, 15)):
+            if branches[mechanism]:
+                uniform = {branch: 1.0 / width for branch in range(1, width + 1)}
+                fits, detail = _chi_square_fits(branches[mechanism], uniform)
+                assert fits, (MECHANISMS[mechanism], detail)
+        assert bool(branches[CROSSTALK]) == (noise_model is CROSSTALK_NOISE)
+
+    @pytest.mark.parametrize("factory, noise_model", SAMPLER_CASES)
+    def test_dry_run_divergences_match_closed_form(self, factory, noise_model):
+        # The same closed form against the applier's own draw order: each
+        # erring dry run's divergence step and the tally it moved last.
+        prefix = _prefix_plan(factory(), noise_model)
+        observed = Counter()
+        for seed in range(20_000):
+            fired = _LastTally(depolarizing=0, amplitude_damping=0, phase_flip=0)
+            step = prefix.first_divergence(random.Random(7_000_000 + seed), fired)
+            if step is not None:
+                observed[(step, MECHANISMS.index(fired.last))] += 1
+        fits, detail = _chi_square_fits(observed, _closed_form(prefix))
+        assert fits, detail
+
+    def test_fit_rejects_a_table_that_counts_identity_branches(self):
+        # Power check: a table giving depolarization its whole rate p, as
+        # if the identity branch left the prefix, fails the same gate.
+        prefix = _prefix_plan(ghz(6), HOT_NOISE)
+        plan = StrataPlan(prefix)
+        observed = Counter()
+        for seed in range(20_000):
+            _, (step, _, mechanism, _) = plan.find_erring_seed(5_000_000 + seed)
+            observed[(step, mechanism)] += 1
+        whole_rate = {DEPOLARIZING: 4.0 / 3.0}
+        assert not _chi_square_fits(observed, _closed_form(prefix, whole_rate))[0]
+
+    def test_low_noise_costs_one_draw_per_erring_trajectory(self, monkeypatch):
+        # At 1e-3 of the paper's rates the erring mass of GHZ-10 is ~5e-5:
+        # a rejection search would dry-run ~2e4 seeds per trajectory.
+        monkeypatch.setenv(TRAJECTORY_MODE_ENV, "stratified")
+        result = run_trajectory_span(
+            ghz(10), NoiseModel.paper_defaults().scaled(1e-3), [IdealFidelity()],
+            backend_kind="dd", first_trajectory=0, num_trajectories=30,
+            master_seed=3, sample_shots=1,
+        )
+        strata = result.strata
+        assert 1.0 - strata["p_clean"] < 1e-4
+        assert strata["erring_sampled"] == 30
+        assert strata["attempts"] == strata["erring_sampled"]
 
 
 class TestEstimatorEquivalence:

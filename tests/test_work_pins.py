@@ -10,19 +10,22 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
   DD package's mat-vec compute-table lookups by at least a fixed factor.
 * Stratified (80 erring GHZ-10 and 40 erring QFT-6 trajectories): the
   estimate agrees with the naive one, the closed-form ``p_clean`` and the
-  rejection search's dry-run attempts are exact, and each mat-vec lookup
-  buys at least a fixed multiple of the naive run's effective trajectories.
+  first-error draws (one per erring trajectory) are exact, and each
+  mat-vec lookup buys at least a fixed multiple of the naive run's
+  effective trajectories.
 * Exact: the peak rho-DD node count of one ``simulate_exact`` pass per
   circuit, the machine-independent size measure of the density-matrix
   representation.
 * Engine choice: one serial 2-trajectory ``auto`` span per circuit (no
   sampled shots; ``IdealFidelity`` except on measured BV-11).  The engine,
-  the span's peak DD nodes and its ``dd.compute.mat_vec`` lookups are
-  exact; on the DD-hostile circuits the peak is the censored one at which
-  the engine-choosing run stopped, and the lookups are that run's.
+  the span's peak DD nodes, its ``dd.compute.mat_vec`` lookups and its
+  ``gateplan.compiled`` count are exact; on the DD-hostile circuits the
+  peak is the censored one at which the engine-choosing run stopped, the
+  lookups are that run's, and the compiled count is the operator DDs that
+  run reached plus the statevector plan's gate steps.
 
-The lookup floors sit just under today's ratios (7.04, 3.47, 225 and
-48.5), so a change that shares less work fails here long before it shows
+The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
+46.0), so a change that shares less work fails here long before it shows
 up in wall time.
 """
 
@@ -61,7 +64,7 @@ PREFIX_COUNTERS = {
 LOOKUP_RATIO_FLOOR = {"ghz-10": 7.0, "qft-6": 3.4}
 
 #: Stratified run's ``p_clean`` (to six places) and ``strata.attempts``.
-STRATA = {"ghz-10": (0.949068, 1576), "qft-6": (0.874973, 276)}
+STRATA = {"ghz-10": (0.949068, 80), "qft-6": (0.874973, 40)}
 
 #: Floor on effective trajectories per mat-vec lookup, stratified over naive.
 EFFECTIVE_PER_LOOKUP_FLOOR = {"ghz-10": 200.0, "qft-6": 45.0}
@@ -78,18 +81,20 @@ PEAK_RHO_NODES = {
 }
 
 #: name -> (circuit factory, properties, engine, peak DD nodes, mat-vec
-#: lookups) of one auto span.  The whole ideal runs of the dense rows peak
-#: at 31, 127, 11, 63 and 1023 nodes and cost 1034, 4128, 6104, 36546 and
-#: 194052 lookups; the engine-choosing run stops at 2^(n-1) nodes.
+#: lookups, gate DDs compiled) of one auto span.  The whole ideal runs of
+#: the dense rows peak at 31, 127, 11, 63 and 1023 nodes and cost 1034,
+#: 4128, 6104, 36546 and 194052 lookups; the engine-choosing run stops at
+#: 2^(n-1) nodes.  Resolving every step's operator DD up front compiled
+#: 65, 91, 847, 808 and 418 on the dense rows.
 ENGINE_CHOICE = {
-    "qaoa-5": (lambda: qaoa_maxcut(5, measure=False), True, "statevector", 23, 280),
-    "qaoa-7": (lambda: qaoa_maxcut(7, measure=False), True, "statevector", 95, 690),
-    "basis_trotter-4": (lambda: basis_trotter(4), True, "statevector", 9, 89),
-    "vqe_uccsd-6": (lambda: vqe_uccsd(6), True, "statevector", 42, 2702),
-    "ising-10": (lambda: ising(10), True, "statevector", 513, 2273),
-    "ghz-12": (lambda: ghz(12), True, "dd", 23, 284),
-    "qft-8": (lambda: qft(8), True, "dd", 11, 829),
-    "bv-11": (lambda: bernstein_vazirani(11), False, "dd", 11, 453),
+    "qaoa-5": (lambda: qaoa_maxcut(5, measure=False), True, "statevector", 23, 280, 61),
+    "qaoa-7": (lambda: qaoa_maxcut(7, measure=False), True, "statevector", 95, 690, 87),
+    "basis_trotter-4": (lambda: basis_trotter(4), True, "statevector", 9, 89, 524),
+    "vqe_uccsd-6": (lambda: vqe_uccsd(6), True, "statevector", 42, 2702, 779),
+    "ising-10": (lambda: ising(10), True, "statevector", 513, 2273, 416),
+    "ghz-12": (lambda: ghz(12), True, "dd", 23, 261, 12),
+    "qft-8": (lambda: qft(8), True, "dd", 9, 752, 44),
+    "bv-11": (lambda: bernstein_vazirani(11), False, "dd", 11, 453, 17),
 }
 
 
@@ -183,9 +188,12 @@ def test_exact_peak_rho_nodes(name):
 
 @pytest.mark.parametrize("name", ENGINE_CHOICE)
 def test_engine_choice(name):
-    factory, fidelity, engine, peak, lookups = ENGINE_CHOICE[name]
+    factory, fidelity, engine, peak, lookups, compiled = ENGINE_CHOICE[name]
     properties = (IdealFidelity(),) if fidelity else ()
     result = run_trajectory_span(factory(), NOISE, properties, AUTO_ENGINE, 0, 2, 7)
-    assert (result.backend_kind, result.peak_nodes, mat_vec_lookups(result)) == (
-        engine, peak, lookups
-    )
+    assert (
+        result.backend_kind,
+        result.peak_nodes,
+        mat_vec_lookups(result),
+        result.metrics["counters"]["gateplan.compiled"],
+    ) == (engine, peak, lookups, compiled)
