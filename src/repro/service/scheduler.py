@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import threading
@@ -118,8 +119,10 @@ _CHECKPOINT_EVERY = 1
 #: ``multiprocessing`` start method of the worker pool.
 _MP_CONTEXT = "fork"
 
-#: Seconds the dispatcher sleeps after a pass that found no worker output,
-#: and :meth:`Scheduler.drain` between checks for busy workers.
+#: Longest the dispatcher waits for worker output or a wake between passes
+#: (the cadence of lease renewal, deadline checks, reaping and delayed-chunk
+#: release), and what :meth:`Scheduler.drain` sleeps between checks for
+#: busy workers.
 _POLL_INTERVAL = 0.02
 
 #: Base and cap (seconds) of the exponential delay before a dead worker's
@@ -186,7 +189,7 @@ class _WorkerHandle:
     result queue would be a liability: killing a worker mid-``put`` leaves
     the queue's write lock held by a dead process, wedging every other
     worker forever.  With per-worker queues a kill can only corrupt the
-    victim's own channel, which is discarded along with the handle.
+    victim's own channel, which is closed and discarded with the handle.
     """
 
     __slots__ = (
@@ -211,6 +214,28 @@ class _WorkerHandle:
         self.dead = False
         self.respawn_due = 0.0
         self.process.start()
+
+    def close(self) -> None:
+        """Release the queues and process record of a worker that has
+        exited or been terminated; the handle is unusable afterwards.
+
+        The task queue's feeder thread closes that pipe once it has written
+        what was queued.  It is joined only when the worker exited cleanly,
+        having read everything; a dead worker may have left it blocked on a
+        full pipe.  This process never feeds the result queue, so no feeder
+        closes that pipe: it is closed here.
+        """
+        clean = self.process.exitcode == 0
+        if not clean:
+            self.task_queue.cancel_join_thread()
+        self.task_queue.close()
+        if clean:
+            self.task_queue.join_thread()
+        self.result_queue.close()
+        self.result_queue._reader.close()
+        self.result_queue._writer.close()
+        if self.process.exitcode is not None:
+            self.process.close()
 
 
 class _Job:
@@ -458,6 +483,12 @@ class Scheduler:
             _WorkerHandle(i, self._ctx) for i in range(workers)
         ]
         self._next_worker_id = workers
+        #: Handles whose result read raised during the current pass.
+        self._unreadable: Set[_WorkerHandle] = set()
+        #: Self-pipe that cuts the dispatcher's wait short (see _wake).
+        self._wake_reader, self._wake_writer = os.pipe()
+        os.set_blocking(self._wake_reader, False)
+        os.set_blocking(self._wake_writer, False)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="repro-scheduler"
         )
@@ -536,6 +567,8 @@ class Scheduler:
                         self._plan_chunks(job)
             self._jobs[key] = job
             self._order.append(key)
+            if job.pending:
+                self._wake()
         if run_exact:
             self._run_exact(job)
         return key
@@ -637,6 +670,8 @@ class Scheduler:
                     self._finalize(job)
             self._jobs[key] = job
             self._order.append(key)
+            if job.pending:
+                self._wake()
         return key
 
     def drain(self, timeout: float = 10.0) -> bool:
@@ -789,7 +824,8 @@ class Scheduler:
             return True
 
     def shutdown(self) -> None:
-        """Stop the dispatcher and terminate the worker pool (idempotent)."""
+        """Stop the dispatcher, terminate the worker pool and release its
+        processes, queues and wake pipe (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -799,6 +835,8 @@ class Scheduler:
                     job.state = JobState.CANCELLED
                     self._checkpoint(job, force=True)
                     job.done.set()
+            self._wake()
+        atexit.unregister(self.shutdown)
         if self._dispatcher.is_alive():
             self._dispatcher.join(timeout=2.0)
         for handle in self._workers:
@@ -811,6 +849,15 @@ class Scheduler:
             handle.process.join(timeout=max(0.0, deadline - time.time()))
             if handle.process.is_alive():
                 handle.process.terminate()
+                handle.process.join(timeout=1.0)
+        if self._dispatcher.is_alive():
+            return  # a wedged pass may still read the queues and the pipe
+        for handle in self._workers:
+            handle.close()
+        with self._lock:
+            os.close(self._wake_reader)
+            os.close(self._wake_writer)
+            self._wake_writer = None
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -910,6 +957,7 @@ class Scheduler:
                     else time.monotonic() + spec.timeout
                 )
                 self._plan_chunks(job)
+                self._wake()
             return
         except Exception as error:
             with self._lock:
@@ -1058,6 +1106,11 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        # Event-driven, like the manager thread of ProcessPoolExecutor: after
+        # a pass that drained nothing, block until a live worker's result
+        # queue turns readable, another thread writes to the wake pipe, or
+        # _POLL_INTERVAL passes (the housekeeping cadence).
+        wake = self._wake_reader
         while not self._closed:
             with self._lock:
                 self._reap_dead_workers()
@@ -1065,11 +1118,44 @@ class Scheduler:
                 self._service_leases()
                 self._check_deadlines()
                 self._assign_chunks()
+                self._unreadable.clear()
                 drained = sum(
                     self._drain_results(handle) for handle in list(self._workers)
                 )
+                # A channel whose read raised may stay readable: waiting on
+                # it would spin, so it waits out the timeout instead.
+                readers = [
+                    handle.result_queue._reader
+                    for handle in self._workers
+                    if not handle.dead
+                    and handle not in self._unreadable
+                    and handle.process.is_alive()
+                ]
             if not drained:
-                time.sleep(_POLL_INTERVAL)
+                ready = multiprocessing.connection.wait(
+                    readers + [wake], timeout=_POLL_INTERVAL
+                )
+                if wake in ready:
+                    self._clear_wake()
+
+    def _wake(self) -> None:
+        """Cut the dispatcher's wait short: another thread added work or is
+        stopping the loop.  Called with the lock held; never blocks, since a
+        full pipe already holds a pending wake."""
+        if self._wake_writer is None:
+            return  # shut down: the pipe is closed
+        try:
+            os.write(self._wake_writer, b"\0")
+        except BlockingIOError:
+            pass
+
+    def _clear_wake(self) -> None:
+        """Empty the wake pipe, so the next wait blocks until a new wake."""
+        try:
+            while os.read(self._wake_reader, 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def _drain_results(self, handle: _WorkerHandle) -> int:
         """Consume every outcome currently readable from one worker."""
@@ -1082,6 +1168,7 @@ class Scheduler:
             except Exception as exc:
                 # A write torn by a mid-put kill, or a queue whose feeder
                 # died: visible in metrics/traces, never silently dropped.
+                self._unreadable.add(handle)
                 self.metrics.counter("scheduler.drain.errors").inc()
                 self.tracer.event(
                     "drain.error",
@@ -1220,6 +1307,7 @@ class Scheduler:
             )
 
     def _respawn(self, position: int, handle: _WorkerHandle) -> None:
+        handle.close()
         replacement = _WorkerHandle(self._next_worker_id, self._ctx)
         self._next_worker_id += 1
         self._workers[position] = replacement

@@ -240,8 +240,6 @@ def compile_plan(
         plan.adjoints = adjoints
         if resolve:
             plan.resolve()
-    else:
-        plan.compiled_gates = plan.gate_step_count()
     return plan
 
 

@@ -140,7 +140,6 @@ def run_until_precision(
     )
     per_round_delta = delta / (len(properties) * max_batches)
 
-    simulator = StochasticSimulator(backend=backend, workers=workers)
     aggregate: Optional[StochasticResult] = None
     next_index = 0
     batch_size = initial_batch
@@ -155,17 +154,19 @@ def run_until_precision(
         # Trajectory indices continue across batches: the runner derives
         # per-trajectory seeds from the index, so an adaptive session is
         # bit-identical to one big batch of the same total size.
-        partial = simulator.run(
-            circuit,
-            noise_model=noise_model,
-            properties=properties,
-            trajectories=next_index + size,
-            seed=seed,
-            sample_shots=0,
-            timeout=timeout,
-        ) if aggregate is None else None
-        if partial is not None:
-            aggregate = partial
+        if aggregate is None:
+            # Only the first batch runs on the simulator, so a parallel
+            # run's worker pool is shut down right after it.
+            with StochasticSimulator(backend=backend, workers=workers) as simulator:
+                aggregate = simulator.run(
+                    circuit,
+                    noise_model=noise_model,
+                    properties=properties,
+                    trajectories=next_index + size,
+                    seed=seed,
+                    sample_shots=0,
+                    timeout=timeout,
+                )
         else:
             # Re-run with the larger total; estimates are cumulative because
             # trajectory seeds are index-derived.  To avoid recomputing old

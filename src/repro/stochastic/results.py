@@ -124,8 +124,13 @@ class PropertyEstimate:
 
     def add(self, value: float) -> None:
         """Fold one trajectory's property value into the estimate."""
-        self.count += 1
-        self._extend((value,), (value * value,))
+        self.add_all([value])
+
+    def add_all(self, values: List[float]) -> None:
+        """Fold many trajectories' property values in at once: the same
+        sums as one :meth:`add` per value, canonicalised once."""
+        self.count += len(values)
+        self._extend(values, [value * value for value in values])
 
     def _extend(self, values, squares) -> None:
         """Add to both exact sums and re-round ``total``/``total_squared``."""

@@ -533,11 +533,15 @@ def _run_span_body(
                 prof.pop()
         return values, counts
 
+    # Property values per estimate, added to the exact sums once the loop
+    # ends (one canonicalisation per span rather than per trajectory).
+    span_values = [[] for _ in properties]
+
     def fold(values, counts, fired):
         """Add one trajectory's property values, sampled outcome counts and
         fired-error tallies to the span's result and metrics."""
-        for prop, value in zip(properties, values):
-            result.estimates[prop.name].add(value)
+        for collected, value in zip(span_values, values):
+            collected.append(value)
             evaluation_counter.inc()
         tally(result.outcome_counts, counts)
         tally(result.errors_fired, fired)
@@ -662,6 +666,8 @@ def _run_span_body(
         trajectory_hist.observe(time.perf_counter() - trajectory_started)
         result.completed_trajectories += 1
         completed_counter.inc()
+    for prop, collected in zip(properties, span_values):
+        result.estimates[prop.name].add_all(collected)
 
     if strata_plan is not None:
         result.strata = {
@@ -871,14 +877,15 @@ def simulate_stochastic(
     sample_shots: int = 1,
     timeout: Optional[float] = None,
 ) -> StochasticResult:
-    """One-call wrapper around :class:`StochasticSimulator`."""
-    simulator = StochasticSimulator(backend=backend, workers=workers)
-    return simulator.run(
-        circuit,
-        noise_model=noise_model,
-        properties=properties,
-        trajectories=trajectories,
-        seed=seed,
-        sample_shots=sample_shots,
-        timeout=timeout,
-    )
+    """One-call wrapper around :class:`StochasticSimulator` (a parallel
+    call's worker pool is shut down before it returns)."""
+    with StochasticSimulator(backend=backend, workers=workers) as simulator:
+        return simulator.run(
+            circuit,
+            noise_model=noise_model,
+            properties=properties,
+            trajectories=trajectories,
+            seed=seed,
+            sample_shots=sample_shots,
+            timeout=timeout,
+        )

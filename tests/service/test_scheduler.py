@@ -1,6 +1,8 @@
 """Tests for the sharded scheduler: streaming, caching, resume, faults."""
 
 import gc
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -16,6 +18,7 @@ from repro.service import (
     ResultStore,
     Scheduler,
 )
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import _remaining_spans
 from repro.stochastic import BasisProbability, simulate_stochastic
 
@@ -272,3 +275,96 @@ class TestShutdown:
         scheduler.shutdown()
         with pytest.raises(Exception):
             scheduler.submit(ghz_spec())
+
+
+class TestEventDrivenDispatch:
+    """The dispatcher wakes on worker output, submissions and shutdown.
+    With the poll interval at an hour, a dispatcher that only woke on its
+    timer would stall every test here."""
+
+    @pytest.fixture
+    def hour_poll(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "_POLL_INTERVAL", 3600.0)
+
+    def test_job_runs_on_worker_output_alone(self, hour_poll):
+        spec = ghz_spec(trajectories=32)  # 16 chunks of 2 on two workers
+        with Scheduler(workers=2) as scheduler:
+            result = scheduler.result(scheduler.submit(spec), timeout=60)
+            chunks = scheduler.metrics_snapshot()["counters"][
+                "scheduler.chunks_completed"
+            ]
+        assert chunks == 16
+        assert result.completed_trajectories == spec.trajectories
+
+    def test_submission_wakes_an_idle_dispatcher(self, hour_poll):
+        with Scheduler(workers=2) as scheduler:
+            scheduler.result(scheduler.submit(ghz_spec(trajectories=32)), timeout=60)
+            later = ghz_spec(trajectories=32, seed=6)
+            result = scheduler.result(scheduler.submit(later), timeout=60)
+        assert result.completed_trajectories == later.trajectories
+
+    def test_shutdown_stops_the_dispatcher(self, hour_poll):
+        scheduler = Scheduler(workers=2)
+        scheduler.shutdown()
+        assert not scheduler._dispatcher.is_alive()
+
+    def test_unreadable_channel_is_not_waited_on(self, monkeypatch):
+        # A live handle whose reader stays readable but whose read raises:
+        # waited on, it would wake the dispatcher at once, every pass.
+        monkeypatch.setattr(scheduler_module, "_POLL_INTERVAL", 0.05)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.send_bytes(b"never read")
+
+        class _ExplodingQueue:
+            _reader = reader
+
+            def get_nowait(self):
+                raise RuntimeError("feeder died mid-put")
+
+        class _Process:
+            def is_alive(self):
+                return True
+
+        class _Handle:
+            worker_id = 99
+            dead = False
+            busy = None
+            process = _Process()
+            result_queue = _ExplodingQueue()
+
+        handle = _Handle()
+        try:
+            with Scheduler(workers=1) as scheduler:
+                with scheduler._lock:
+                    scheduler._workers.append(handle)
+                time.sleep(0.5)
+                with scheduler._lock:
+                    scheduler._workers.remove(handle)
+                errors = scheduler.metrics_snapshot()["counters"][
+                    "scheduler.drain.errors"
+                ]
+        finally:
+            reader.close()
+            writer.close()
+        # One failed read per 0.05 s pass makes about 10; a spin, thousands.
+        assert 1 <= errors <= 20
+
+
+class TestPoolRelease:
+    def test_parallel_simulate_leaves_no_worker_processes(self):
+        before = len(multiprocessing.active_children())
+        for seed in range(3):
+            simulate_stochastic(
+                ghz(4), NOISE, [BasisProbability("0000")],
+                trajectories=8, workers=2, seed=seed, sample_shots=0,
+            )
+        assert len(multiprocessing.active_children()) <= before
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_scheduler_lifetimes_leave_no_open_descriptors(self):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            Scheduler(workers=1).shutdown()
+        assert len(os.listdir("/proc/self/fd")) == before

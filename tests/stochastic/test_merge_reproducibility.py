@@ -94,8 +94,12 @@ class TestPropertyEstimateMerge:
         for index in order:
             part = estimate_from(parts[index])
             merged.merge(PropertyEstimate.from_dict(part.to_dict()))
+        batched = estimate_from([])
+        for part in parts:
+            batched.add_all(part)
         streamed = estimate_from(values)
         assert merged == streamed
+        assert batched == streamed
         assert merged.total == math.fsum(values)
         assert merged.total_squared == math.fsum(v * v for v in values)
 

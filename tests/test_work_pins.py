@@ -22,7 +22,7 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
   ``gateplan.compiled`` count are exact; on the DD-hostile circuits the
   peak is the censored one at which the engine-choosing run stopped, the
   lookups are that run's, and the compiled count is the operator DDs that
-  run reached plus the statevector plan's gate steps.
+  run reached.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
 46.0), so a change that shares less work fails here long before it shows
@@ -84,14 +84,14 @@ PEAK_RHO_NODES = {
 #: lookups, gate DDs compiled) of one auto span.  The whole ideal runs of
 #: the dense rows peak at 31, 127, 11, 63 and 1023 nodes and cost 1034,
 #: 4128, 6104, 36546 and 194052 lookups; the engine-choosing run stops at
-#: 2^(n-1) nodes.  Resolving every step's operator DD up front compiled
-#: 65, 91, 847, 808 and 418 on the dense rows.
+#: 2^(n-1) nodes.  Resolving every step's operator DD up front built 20,
+#: 28, 335, 67 and 38 operator DDs on the dense rows.
 ENGINE_CHOICE = {
-    "qaoa-5": (lambda: qaoa_maxcut(5, measure=False), True, "statevector", 23, 280, 61),
-    "qaoa-7": (lambda: qaoa_maxcut(7, measure=False), True, "statevector", 95, 690, 87),
-    "basis_trotter-4": (lambda: basis_trotter(4), True, "statevector", 9, 89, 524),
-    "vqe_uccsd-6": (lambda: vqe_uccsd(6), True, "statevector", 42, 2702, 779),
-    "ising-10": (lambda: ising(10), True, "statevector", 513, 2273, 416),
+    "qaoa-5": (lambda: qaoa_maxcut(5, measure=False), True, "statevector", 23, 280, 16),
+    "qaoa-7": (lambda: qaoa_maxcut(7, measure=False), True, "statevector", 95, 690, 24),
+    "basis_trotter-4": (lambda: basis_trotter(4), True, "statevector", 9, 89, 12),
+    "vqe_uccsd-6": (lambda: vqe_uccsd(6), True, "statevector", 42, 2702, 38),
+    "ising-10": (lambda: ising(10), True, "statevector", 513, 2273, 36),
     "ghz-12": (lambda: ghz(12), True, "dd", 23, 261, 12),
     "qft-8": (lambda: qft(8), True, "dd", 9, 752, 44),
     "bv-11": (lambda: bernstein_vazirani(11), False, "dd", 11, 453, 17),
