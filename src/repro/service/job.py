@@ -32,6 +32,7 @@ from ..stochastic.properties import (
     PauliExpectation,
     PropertySpec,
     StateFidelity,
+    require_unique_names,
 )
 from ..stochastic.runner import AUTO_ENGINE, BACKEND_KINDS
 
@@ -164,6 +165,7 @@ class JobSpec:
                 f"backend_kind must be one of {BACKEND_KINDS}, got {self.backend_kind!r}"
             )
         object.__setattr__(self, "properties", tuple(self.properties))
+        require_unique_names(self.properties)
 
     @classmethod
     def build(

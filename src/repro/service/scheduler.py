@@ -63,6 +63,7 @@ Key behaviours:
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -116,6 +117,16 @@ _TIMEOUT_DRAIN_GRACE = 1.0
 #: store (1 = after every chunk).
 _CHECKPOINT_EVERY = 1
 
+#: Chunks per worker of a job whose work is unmeasured, and the most a
+#: measured job gets.
+_CHUNKS_PER_WORKER = 8
+
+#: CPU seconds of work a measured job's chunk aims at: about 20x what the
+#: dispatcher spends serving one chunk (lease and chunk-done journal
+#: appends, checkpoint, hand-off; ~2.5 ms), so that service stays a small
+#: share of a chunk's time.
+_CHUNK_SECONDS = 0.05
+
 #: ``multiprocessing`` start method of the worker pool.
 _MP_CONTEXT = "fork"
 
@@ -145,6 +156,26 @@ def _remaining_spans(total: int, done: List[Span]) -> List[Span]:
     if cursor < total:
         remaining.append((cursor, total - cursor))
     return remaining
+
+
+def _cpu_per_trajectory(records: List[Dict[str, object]]) -> Optional[float]:
+    """CPU seconds per trajectory over a family's recent stochastic run
+    records (exact runs carry CPU but no trajectories), or ``None`` when
+    none of them measured a trajectory."""
+    cpu = 0.0
+    trajectories = 0
+    for record in records:
+        if record.get("rec") != "run" or record.get("method") != "stochastic":
+            continue
+        try:
+            seconds = float(record.get("cpu_seconds") or 0.0)
+            count = int(record.get("trajectories") or 0)
+        except (TypeError, ValueError):
+            continue  # a hand-edited or foreign record: not evidence
+        if count > 0 and 0.0 <= seconds < math.inf:
+            cpu += seconds
+            trajectories += count
+    return cpu / trajectories if trajectories else None
 
 
 def _outcome_anomaly(
@@ -310,6 +341,10 @@ class _Job:
         self.timeout_at: Optional[float] = None
         self.done = threading.Event()
         self.chunks_since_checkpoint = 0
+        #: Basis of the chunk plan: "measured", "default" or "explicit"
+        #: (see Scheduler._chunk_size), "journal" for a plan restored from
+        #: the journal, None while the job has planned no chunks.
+        self.chunking: Optional[str] = None
 
     @property
     def total_retries(self) -> int:
@@ -338,9 +373,15 @@ class Scheduler:
     store:
         Result cache / checkpoint store; defaults to a memory-only store.
     chunk_size:
-        Trajectories per chunk; default aims at ~8 chunks per worker
-        (bounded below by 1) so streaming estimates refresh frequently and
-        a lost chunk is cheap to retry.
+        Trajectories per chunk.  By default a job whose circuit family has
+        recent stochastic runs in the ``ledger`` is cut into chunks of
+        about 0.05 s of measured CPU each (``_CHUNK_SECONDS``), between
+        one and 8 per worker, so the per-chunk commit (journal appends,
+        checkpoint, hand-off) stays a small share of a short job; without
+        that history every job gets 8 chunks per worker.  Either way the
+        result is the same bits (index-derived seeds, exact estimate
+        sums); only how often streaming estimates refresh and how much a
+        lost chunk costs change.
     max_retries:
         Requeue budget per chunk before the whole job is failed.
     chunk_timeout:
@@ -457,6 +498,10 @@ class Scheduler:
             # 4^n/2^n bounds (empty or thin history).
             "dispatch.measured",
             "dispatch.worst_case",
+            # Basis of each chunk plan (see _chunk_size).
+            "chunking.measured",
+            "chunking.default",
+            "chunking.explicit",
             # Durable-execution layer: chunk-ownership leases and drain.
             "lease.granted",
             "lease.renewed",
@@ -635,6 +680,7 @@ class Scheduler:
                     job.aggregate.merge(result)
                     restored += result.completed_trajectories
                 backend_kind = job.chunk_backend()
+                job.chunking = "journal"
                 for index, first, count in plan:
                     job.chunks[index] = ChunkTask(
                         job_key=key,
@@ -920,6 +966,15 @@ class Scheduler:
             job = self._jobs.get(key)
             return None if job is None else job.decision
 
+    def plan_for(self, key: str) -> Optional[Tuple[int, str]]:
+        """``(chunks, basis)`` of the chunk plan ``key`` ran under, or
+        ``None`` when it planned none (exact runs, cache hits)."""
+        with self._lock:
+            job = self._jobs.get(key)
+            if job is None or job.chunking is None:
+                return None
+            return len(job.chunks), job.chunking
+
     def _run_exact(self, job: _Job) -> None:
         """Run one exact-dispatched job to completion in the calling thread.
 
@@ -990,8 +1045,32 @@ class Scheduler:
     # Planning
     # ------------------------------------------------------------------
 
-    def _default_chunk_size(self, trajectories: int) -> int:
-        return max(1, -(-trajectories // (self.workers * 8)))
+    def _chunk_size(self, job: _Job) -> Tuple[int, str]:
+        """Trajectories per chunk of ``job`` and the basis of that size.
+
+        ``explicit``: the ``chunk_size`` option.  ``measured``: the job's
+        work ``W`` (``M`` times the CPU seconds per trajectory of its
+        family's recent stochastic runs in the ledger) split into
+        ``workers x min(8, max(1, ceil(W / (workers x _CHUNK_SECONDS))))``
+        chunks.  ``default``: no ledger or no such history, 8 chunks per
+        worker.
+        """
+        if self.chunk_size is not None:
+            return self.chunk_size, "explicit"
+        trajectories = job.spec.trajectories
+        per_worker, basis = _CHUNKS_PER_WORKER, "default"
+        rate = (
+            None if self.ledger is None
+            else _cpu_per_trajectory(self.ledger.recent(job.fingerprint))
+        )
+        if rate is not None:
+            work = trajectories * rate
+            per_worker = min(
+                per_worker,
+                max(1, math.ceil(work / (self.workers * _CHUNK_SECONDS))),
+            )
+            basis = "measured"
+        return max(1, -(-trajectories // (self.workers * per_worker))), basis
 
     def _plan_chunks(self, job: _Job) -> None:
         # Chunk indices partition the job's trajectory index space.  Under
@@ -1001,8 +1080,9 @@ class Scheduler:
         # alone, so any chunking reproduces the same samples, exactly as
         # with naive index-derived seeds, and the exact estimate sums make
         # the merged result independent of the chunking too.  Job keys are
-        # unaffected either way.
-        size = self.chunk_size or self._default_chunk_size(job.spec.trajectories)
+        # unaffected either way.  A checkpoint resume cuts its remaining
+        # spans with the size a fresh job of the spec would get.
+        size, basis = self._chunk_size(job)
         remaining = _remaining_spans(job.spec.trajectories, job.base_spans)
         backend_kind = job.chunk_backend()
         index = 0
@@ -1028,6 +1108,12 @@ class Scheduler:
                 offset += take
         if job.chunks:
             job.state = JobState.RUNNING
+            job.chunking = basis
+            self.metrics.counter(f"chunking.{basis}").inc()
+            self.tracer.event(
+                "job.plan", job=job.key[:16], chunks=len(job.chunks),
+                chunk_size=size, basis=basis,
+            )
             self._journal_plan(job)
 
     # ------------------------------------------------------------------

@@ -316,7 +316,8 @@ class _Telemetry:
         )
 
     def job_finished(
-        self, key: str, result=None, error: Optional[str] = None, decision=None
+        self, key: str, result=None, error: Optional[str] = None, decision=None,
+        plan: Optional[Tuple[int, str]] = None,
     ) -> None:
         status = self._refresh_status()
         with self._lock:
@@ -340,6 +341,9 @@ class _Telemetry:
                 fields["dispatch"] = decision.render()
                 fields["dispatch_evidence"] = decision.evidence
                 fields["fingerprint"] = decision.fingerprint
+            if plan is not None:
+                # How the trajectories were cut (Scheduler.plan_for).
+                fields["chunks"], fields["chunking"] = plan
             self.emit("job.done", **fields)
             self._write_trace(key, result)
 
@@ -529,7 +533,9 @@ def _run_one(
     decision = scheduler.decision_for(key)
     if decision is not None:
         log(f"[serve] job {key[:16]}… {decision.render()}")
-    telemetry.job_finished(key, result=result, decision=decision)
+    telemetry.job_finished(
+        key, result=result, decision=decision, plan=scheduler.plan_for(key)
+    )
     store.delete_queued(key)
     return True
 

@@ -35,6 +35,7 @@ __all__ = [
     "PauliExpectation",
     "ClassicalOutcome",
     "PropertySpec",
+    "require_unique_names",
 ]
 
 
@@ -223,3 +224,20 @@ PropertySpec = Union[
     PauliExpectation,
     ClassicalOutcome,
 ]
+
+
+def require_unique_names(properties: Sequence[PropertySpec]) -> None:
+    """Raise ``ValueError`` if two properties share a name.
+
+    Estimates and evaluation caches are keyed by name, so two properties
+    with one name (e.g. two ``StateFidelity`` targets that both keep the
+    default label) would share one estimate holding two values per
+    trajectory, and the second target would never be evaluated."""
+    seen = set()
+    for prop in properties:
+        if prop.name in seen:
+            raise ValueError(
+                f"duplicate property name {prop.name!r}: give each property "
+                f"a distinct name (e.g. a StateFidelity label)"
+            )
+        seen.add(prop.name)

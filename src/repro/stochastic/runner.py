@@ -43,7 +43,12 @@ from ..simulators.ddsim import DDBackend
 from ..simulators.gateplan import compile_plan
 from ..simulators.statevector import StatevectorBackend
 from .prefix import compile_prefix_plan
-from .properties import IdealFidelity, PropertySpec, StateFidelity
+from .properties import (
+    IdealFidelity,
+    PropertySpec,
+    StateFidelity,
+    require_unique_names,
+)
 from .results import PropertyEstimate, StochasticResult, tally
 from .strata import StrataPlan, trajectory_mode
 
@@ -792,6 +797,7 @@ class StochasticSimulator:
         if trajectories < 1:
             raise ValueError("trajectories must be >= 1")
         properties = tuple(properties)
+        require_unique_names(properties)
 
         started = time.perf_counter()
         span_started = time.monotonic()

@@ -104,6 +104,18 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="trajectories"):
             spec(trajectories=0)
 
+    def test_duplicate_property_names_rejected(self):
+        # Chunk results key estimates by name: a scheduled job with two
+        # "F(target)" properties would fail every chunk's outcome check.
+        targets = [
+            StateFidelity.from_vector([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+            StateFidelity.from_vector([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        ]
+        with pytest.raises(ValueError, match=r"duplicate property name 'F\(target\)'"):
+            spec(properties=targets)
+        with pytest.raises(ValueError, match=r"'P\(\|000>\)'"):
+            spec(properties=[BasisProbability("000"), BasisProbability("000")])
+
     @pytest.mark.parametrize("prop", ALL_PROPERTIES, ids=lambda p: type(p).__name__)
     def test_property_round_trip(self, prop):
         restored = property_from_dict(property_to_dict(prop))

@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from repro.circuits.library import ghz
+from repro.circuits.library import ghz, qaoa_maxcut
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
+from repro.obs.ledger import RunLedger, circuit_fingerprint
 from repro.service import (
     JobCancelledError,
     JobFailedError,
@@ -19,8 +20,9 @@ from repro.service import (
     Scheduler,
 )
 from repro.service import scheduler as scheduler_module
-from repro.service.scheduler import _remaining_spans
-from repro.stochastic import BasisProbability, simulate_stochastic
+from repro.service.scheduler import _cpu_per_trajectory, _remaining_spans
+from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
+from repro.stochastic.runner import run_trajectory_span
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
 
@@ -368,3 +370,183 @@ class TestPoolRelease:
         for _ in range(10):
             Scheduler(workers=1).shutdown()
         assert len(os.listdir("/proc/self/fd")) == before
+
+
+def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
+    """A ledger holding one finished run of ``spec``'s circuit family with
+    a fixed CPU cost, so the plan it leads to involves no clock."""
+    ledger = RunLedger(str(path))
+    ledger.record_run(
+        key="0" * 64,
+        fingerprint=circuit_fingerprint(spec.circuit, spec.noise_model, spec.backend_kind),
+        method=method,
+        qubits=spec.circuit.num_qubits,
+        depth=spec.circuit.depth(),
+        peak_nodes=1,
+        cpu_seconds=cpu_seconds,
+        elapsed_seconds=cpu_seconds,
+        trajectories=trajectories,
+        effective_trajectories=float(trajectories),
+        trajectories_per_second=1.0,
+    )
+    return ledger
+
+
+def plan_of(scheduler, spec):
+    """``(chunks, basis)`` and chunk sizes of ``spec``'s plan, once it ran."""
+    key = scheduler.submit(spec)
+    result = scheduler.result(key, timeout=120)
+    assert result.completed_trajectories == spec.trajectories
+    sizes = [task.num_trajectories for _, task in sorted(scheduler._jobs[key].chunks.items())]
+    return scheduler.plan_for(key), sizes
+
+
+class TestMeasuredChunking:
+    """Chunk plans from the ledger's CPU per trajectory.  On two workers a
+    32-trajectory job's work W splits into 2 x min(8, max(1, ceil(W / 0.1)))
+    chunks; without stochastic history it gets 8 chunks per worker."""
+
+    SPEC = ghz_spec(trajectories=32)
+
+    def test_no_ledger_plans_eight_chunks_per_worker(self):
+        with Scheduler(workers=2) as scheduler:
+            assert plan_of(scheduler, self.SPEC) == ((16, "default"), [2] * 16)
+            counters = scheduler.metrics_snapshot()["counters"]
+        assert counters["chunking.default"] == 1
+        assert counters["chunking.measured"] == counters["chunking.explicit"] == 0
+
+    def test_empty_family_plans_eight_chunks_per_worker(self, tmp_path):
+        other = ghz_spec(n=5, trajectories=32)
+        with seeded_ledger(tmp_path / "runs.jsonl", other, 0.001, 32) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == ((16, "default"), [2] * 16)
+
+    def test_exact_only_family_plans_eight_chunks_per_worker(self, tmp_path):
+        # An exact run carries CPU but no trajectories: no rate to size by,
+        # however its record reads.
+        with seeded_ledger(
+            tmp_path / "runs.jsonl", self.SPEC, 0.001, 32, method="exact"
+        ) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == ((16, "default"), [2] * 16)
+
+    def test_small_work_plans_one_chunk_per_worker(self, tmp_path):
+        # W = 32 x 1e-4 s = 0.0032 s: ceil(W / 0.1) = 1 chunk per worker.
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 0.01, 100) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == ((2, "measured"), [16, 16])
+                counters = scheduler.metrics_snapshot()["counters"]
+                events = [e for e in scheduler.trace_events() if e["name"] == "job.plan"]
+        assert counters["chunking.measured"] == 1
+        assert counters["chunking.default"] == 0
+        assert [e["attrs"] for e in events] == [
+            {"job": self.SPEC.job_key()[:16], "chunks": 2, "chunk_size": 16,
+             "basis": "measured"}
+        ]
+
+    def test_intermediate_work_plans_by_the_rule(self, tmp_path):
+        # W = 32 x (0.25 / 32) = 0.25 s: ceil(2.5) = 3 chunks per worker,
+        # so 6 chunks of ceil(32 / 6) = 6 trajectories (the last one short).
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 0.25, 32) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == (
+                    (6, "measured"), [6, 6, 6, 6, 6, 2]
+                )
+
+    def test_large_work_is_capped_at_eight_chunks_per_worker(self, tmp_path):
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 100.0, 10) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == ((16, "measured"), [2] * 16)
+
+    def test_explicit_chunk_size_wins(self, tmp_path):
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 0.01, 100) as ledger:
+            with Scheduler(workers=2, ledger=ledger, chunk_size=5) as scheduler:
+                assert plan_of(scheduler, self.SPEC) == (
+                    (7, "explicit"), [5, 5, 5, 5, 5, 5, 2]
+                )
+                counters = scheduler.metrics_snapshot()["counters"]
+        assert counters["chunking.explicit"] == 1
+        assert counters["chunking.measured"] == 0
+
+    def test_rate_reads_only_stochastic_runs_that_measured_trajectories(self):
+        run = {"rec": "run", "method": "stochastic"}
+        records = [
+            {"rec": "fallback", "nodes": 9, "ceiling": 8},
+            {"rec": "run", "method": "exact", "cpu_seconds": 5.0, "trajectories": 0},
+            dict(run, cpu_seconds="n/a", trajectories=10),
+            dict(run, cpu_seconds=float("nan"), trajectories=10),
+            dict(run, cpu_seconds=0.3, trajectories=10),
+            dict(run, cpu_seconds=0.1, trajectories=30),
+        ]
+        assert _cpu_per_trajectory(records) == pytest.approx(0.01)
+        assert _cpu_per_trajectory(records[:4]) is None
+
+    def test_journal_resume_keeps_the_journaled_plan(self, tmp_path):
+        plan = [(0, 0, 10), (1, 10, 10), (2, 20, 12)]
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 0.01, 100) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                key = scheduler.submit_resumed(self.SPEC, plan, {})
+                result = scheduler.result(key, timeout=120)
+                assert scheduler.plan_for(key) == (3, "journal")
+                sizes = [t.num_trajectories for _, t in sorted(scheduler._jobs[key].chunks.items())]
+                counters = scheduler.metrics_snapshot()["counters"]
+        assert sizes == [10, 10, 12]
+        assert result.completed_trajectories == self.SPEC.trajectories
+        assert counters["chunking.measured"] == counters["chunking.default"] == 0
+
+    def test_checkpoint_resume_plans_its_remaining_spans_by_the_rule(self, tmp_path):
+        spec = self.SPEC
+        done = run_trajectory_span(
+            spec.circuit, spec.noise_model, spec.properties, spec.backend_kind,
+            0, 8, spec.seed, sample_shots=spec.sample_shots,
+        )
+        store = ResultStore(directory=str(tmp_path / "store"))
+        store.put_partial(spec.job_key(), [(0, 8)], done)
+        with seeded_ledger(tmp_path / "runs.jsonl", spec, 0.01, 100) as ledger:
+            with Scheduler(workers=2, store=store, ledger=ledger) as scheduler:
+                # The fresh plan's size (16) cuts the 24 remaining.
+                assert plan_of(scheduler, spec) == ((2, "measured"), [16, 8])
+                assert scheduler.trajectories_executed == 24
+        with Scheduler(workers=2) as scheduler:
+            assert plan_of(scheduler, spec)[0] == (16, "default")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            JobSpec.build(
+                ghz(10), NoiseModel.paper_defaults(), (IdealFidelity(),),
+                trajectories=64, seed=11,
+            ),
+            JobSpec.build(
+                qaoa_maxcut(7, measure=False),
+                NoiseModel.paper_defaults(),
+                (IdealFidelity(), BasisProbability("0101010")),
+                trajectories=25,
+                seed=11,
+                method="auto",
+            ),
+        ],
+        ids=["ghz10-dd-stratified", "qaoa7-dense-auto"],
+    )
+    def test_measured_plan_gives_the_default_plans_bits(self, tmp_path, spec):
+        with Scheduler(workers=2) as scheduler:
+            default_plan, _ = plan_of(scheduler, spec)
+            default = scheduler.result(spec.job_key())
+        with seeded_ledger(tmp_path / "runs.jsonl", spec, 0.001, 100) as ledger:
+            with Scheduler(workers=2, ledger=ledger) as scheduler:
+                measured_plan, _ = plan_of(scheduler, spec)
+                measured = scheduler.result(spec.job_key())
+        assert default_plan[1] == "default" and measured_plan == (2, "measured")
+        assert default_plan[0] > measured_plan[0]
+        assert measured.backend_kind == default.backend_kind
+        assert measured.strata == default.strata
+        if spec.method == "auto":
+            assert measured.backend_kind == "statevector"
+        else:
+            assert measured.strata  # stratified on the DD engine
+        for field in (
+            "estimates", "outcome_counts", "clean_outcome_counts", "errors_fired",
+            "strata", "peak_nodes", "completed_trajectories",
+        ):
+            assert measured.to_dict().get(field) == default.to_dict().get(field), field
+

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.obs.export import read_event_log
 from repro.service import ResultStore, query_status
 from repro.service.job import JobState
 
@@ -83,6 +84,25 @@ class TestSubmitServeRoundTrip:
         # Nothing was re-queued, so another serve pass finds no work.
         assert main(["serve", "--once", "--store", store_dir]) == 0
         assert "processed 0 job(s)" in capsys.readouterr().out
+
+    def test_job_done_reports_the_chunk_plan(self, tmp_path, capsys):
+        """The first job of a circuit family is cut 8 ways per worker; the
+        next one, in a later serve pass, is sized from the run ledger."""
+        store_dir = str(tmp_path / "store")
+        done = []
+        for seed in ("7", "8"):
+            assert main(["submit", "ghz:10", "-M", "200", "--seed", seed,
+                         "--fidelity", "--store", store_dir]) == 0
+            events = str(tmp_path / f"events-{seed}.jsonl")
+            assert main(["serve", "--once", "-w", "2", "--store", store_dir,
+                         "--events-log", events]) == 0
+            done += [e for e in read_event_log(events) if e["event"] == "job.done"]
+        capsys.readouterr()
+        first, second = done
+        assert (first["chunking"], first["chunks"]) == ("default", 16)
+        assert second["chunking"] == "measured"
+        assert second["chunks"] < 16
+        assert first["completed"] == second["completed"] == 200
 
     def test_streaming_estimates_visible_while_serving(self, tmp_path, capsys):
         """A status poller in a separate thread (standing in for a separate

@@ -11,6 +11,7 @@ from repro.stochastic import (
     BasisProbability,
     ClassicalOutcome,
     IdealFidelity,
+    StateFidelity,
     StochasticSimulator,
     simulate_stochastic,
 )
@@ -171,6 +172,15 @@ class TestCpuSeconds:
 
 
 class TestPropertyHandling:
+    def test_duplicate_property_names_rejected(self):
+        # Both targets keep the default label, so both are named
+        # "F(target)": one estimate would hold both values per trajectory
+        # and the second target would never be evaluated.
+        ghz_target = StateFidelity.from_vector([1, 0, 0, 0, 0, 0, 0, 1])
+        zero_target = StateFidelity.from_vector([1, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match=r"duplicate property name 'F\(target\)'"):
+            simulate_stochastic(ghz(3), NOISE, [ghz_target, zero_target], trajectories=50)
+
     def test_ideal_fidelity_on_measured_circuit_rejected(self):
         circuit = QuantumCircuit(2, 2)
         circuit.h(0).measure(0, 0)
