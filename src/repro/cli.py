@@ -234,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--resume", action="store_true",
-        help="replay the write-ahead journal on startup and re-enqueue "
-        "incomplete jobs with their original chunk plans (bit-identical "
-        "to an uninterrupted run; docs/ROBUSTNESS.md)",
+        help="replay the write-ahead journal on startup and finish "
+        "incomplete jobs from their journaled progress, running only the "
+        "missing trajectories (bit-identical to an uninterrupted run; "
+        "docs/ROBUSTNESS.md)",
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",

@@ -6,12 +6,13 @@ logs every job submission, chunk plan, chunk-ownership lease, committed
 chunk result, and job completion.  A ``repro serve --resume`` after a
 hard death (``kill -9``, power loss, OOM) replays the journal and
 reconstructs every incomplete job — its :class:`~repro.service.job.JobSpec`,
-its *original* chunk plan, and the set of chunk results that already
-committed — then re-enqueues only the missing chunks.  Because per-
-trajectory seeds derive from absolute trajectory indices and the final
-merge folds chunk results in chunk-index order, the resumed result is
-**bit-identical** to an uninterrupted run no matter which chunk subset
-had completed when the process died.
+the base its current chunk plan was laid over, and the chunk results of
+that plan that already committed — folds that progress into one
+checkpoint, and plans only the missing trajectory spans afresh.  Because
+per-trajectory seeds derive from absolute trajectory indices and
+estimate sums are exact, the resumed result is **bit-identical** to an
+uninterrupted run no matter which chunks had completed when the process
+died, and under whatever plan the rest runs.
 
 Durability is the :class:`~repro.obs.appendlog.AppendLog` contract:
 every record is flushed and ``fsync``'d before the append returns, so a
@@ -83,16 +84,17 @@ class JournalJob:
 
     key: str
     spec_dict: Optional[Dict[str, object]] = None
-    #: Original chunk plan: (index, first_trajectory, num_trajectories).
+    #: Latest chunk plan: (index, first_trajectory, num_trajectories).
     plan: List[ChunkPlanEntry] = field(default_factory=list)
     #: Checkpoint spans the plan was laid over (empty for fresh jobs —
     #: only a job that itself resumed from a checkpoint has a base).
     base_spans: List[Span] = field(default_factory=list)
     #: The checkpoint partial the plan was laid over (result payload
-    #: dict), so a journal resume folds the *same* base the original run
-    #: folded — without it, bit-identity would only hold for fresh jobs.
+    #: dict): the trajectories of ``base_spans``, which the plan's chunks
+    #: do not run again.
     base_result: Optional[Dict[str, object]] = None
-    #: Committed chunk results, by chunk index (payload dicts).
+    #: Committed chunk results of the latest plan, by chunk index
+    #: (payload dicts).
     completed: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: Highest fencing token ever granted for this job (resume must
     #: issue strictly greater tokens so stale commits stay rejectable).
@@ -162,6 +164,10 @@ class _ReplayState:
                 job.base_spans = [(int(f), int(c)) for f, c in base]
             base_result = record.get("base_result")
             job.base_result = base_result if isinstance(base_result, dict) else None
+            # A plan starts a fresh chunk set: an earlier plan's committed
+            # chunks are in this plan's base or run again, and their indices
+            # may name other spans now.  The token horizon carries over.
+            job.completed = {}
         elif kind == "lease":
             job = self._job(key)
             token = record.get("token")

@@ -37,23 +37,24 @@ Key behaviours:
 * **Outcome validation** — chunk results are sanity-checked (trajectory
   counts and estimate counts must be internally consistent) before they
   merge; a corrupt outcome is rejected and the chunk re-executed.
-* **Determinism** — the final result is re-merged from chunk results in
-  chunk-index order, so it is bit-identical for a given chunk plan no
-  matter how many workers raced, which worker ran what, in which order
-  chunks finished, or which faults forced re-execution.
+* **Determinism** — each committed chunk folds into the running aggregate
+  once, and the final result is a copy of it.  Estimate sums are exact,
+  so the result is bit-identical under any chunk plan, no matter how many
+  workers raced, which worker ran what, in which order chunks finished,
+  or which faults forced re-execution.
 * **Hybrid dispatch** — a spec may request ``method="exact"`` (one-pass
   density-matrix DD evaluation, no trajectories) or ``method="auto"``
   (the :mod:`repro.exact.cost` model picks the cheaper side).  Exact jobs
   run synchronously in the submitter thread — there is nothing to shard —
   and an exact run that outgrows its rho-DD node ceiling mid-flight
-  *falls back* to the stochastic path with the job's original chunk plan,
-  so the fallback result is bit-identical to a job that was never
-  dispatched exact at all (``dispatch.fallback`` counts these).
+  *falls back* to the stochastic chunk path, and the fallback result is
+  bit-identical to a job that was never dispatched exact at all
+  (``dispatch.fallback`` counts these).
 * **Engine choice** — the chunks of a ``method="auto"`` DD job leave the
   trajectory engine to each span's compile step
   (:data:`~repro.stochastic.runner.AUTO_ENGINE`): a pure function of the
-  spec, so every chunk of a job — fresh, fallen back, resumed from a
-  checkpoint or from the journal — runs on the same engine, which the
+  spec, so every chunk of a job — fresh, fallen back, or resumed from a
+  store or journal checkpoint — runs on the same engine, which the
   merged result reports and outcome validation enforces.  A resume whose
   restored trajectories ran on an engine the spec would no longer pick
   (a partial left by an older build) ships its remaining chunks on that
@@ -94,7 +95,7 @@ from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
 from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
-from .journal import ChunkPlanEntry, JobJournal
+from .journal import JobJournal
 from .store import ResultStore, Span
 from .worker import ChunkOutcome, ChunkTask, worker_main
 
@@ -112,10 +113,6 @@ __all__ = [
 #: same absolute deadline the scheduler does, so they normally drain within
 #: one trajectory's latency — the grace only bounds a wedged straggler.
 _TIMEOUT_DRAIN_GRACE = 1.0
-
-#: Chunk completions between checkpoints of a job's merged partial to the
-#: store (1 = after every chunk).
-_CHECKPOINT_EVERY = 1
 
 #: Chunks per worker of a job whose work is unmeasured, and the most a
 #: measured job gets.
@@ -283,7 +280,8 @@ class _Job:
         self.chunks: Dict[int, ChunkTask] = {}
         self.pending: Deque[int] = deque()
         self.in_flight: Set[int] = set()
-        self.completed: Dict[int, StochasticResult] = {}
+        #: Indices of committed chunks (their results are in ``aggregate``).
+        self.completed: Set[int] = set()
         self.retries: Dict[int, int] = {}
         #: Chunk index -> count of attempts that KILLED the worker (poison
         #: detection counts fatalities, not mere errors).
@@ -293,7 +291,6 @@ class _Job:
         #: Chunk index -> monotonic instant a queue-delay fault holds it to.
         self.delayed: Dict[int, float] = {}
         self.base_spans: List[Span] = []  #: spans restored from a checkpoint
-        self.base_partial: Optional[StochasticResult] = None
         #: Lease book-keeping (docs/ROBUSTNESS.md, "Durability & restart
         #: semantics"): fencing tokens are monotonic per job; the *current*
         #: token per chunk is the only one whose commit is accepted.
@@ -340,10 +337,9 @@ class _Job:
         #: When the deadline was first observed tripped (drain-grace anchor).
         self.timeout_at: Optional[float] = None
         self.done = threading.Event()
-        self.chunks_since_checkpoint = 0
         #: Basis of the chunk plan: "measured", "default" or "explicit"
-        #: (see Scheduler._chunk_size), "journal" for a plan restored from
-        #: the journal, None while the job has planned no chunks.
+        #: (see Scheduler._chunk_size), None while the job has planned no
+        #: chunks.
         self.chunking: Optional[str] = None
 
     @property
@@ -544,16 +540,28 @@ class Scheduler:
     # Public API
     # ------------------------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> str:
+    def submit(
+        self,
+        spec: JobSpec,
+        checkpoint: Optional[Tuple[List[Span], StochasticResult]] = None,
+        token_base: int = 0,
+    ) -> str:
         """Register a job; returns its content-addressed key immediately.
 
         Cache hit → the job is born COMPLETED with the stored result.
-        Checkpoint hit → only the missing trajectory spans are scheduled.
+        Checkpoint → a fresh chunk plan covers only the missing trajectory
+        spans, and the job samples whatever its ``method``.  The checkpoint
+        is ``checkpoint`` — ``(spans, partial)`` restored by the caller, as
+        ``serve --resume`` folds it from the journal — or else the store's.
         Identical key already live → idempotent, the existing job is kept.
         Exact-dispatched jobs (``method="exact"``, or ``"auto"`` when the
         cost model favours exact) run *synchronously* in this thread —
         there are no chunks to shard — so for them ``submit`` returns
         only once the job has completed or fallen back to stochastic.
+
+        ``token_base`` must exceed every fencing token an earlier
+        incarnation of the job granted (the journal tracks the horizon), so
+        a zombie commit from a pre-crash worker can never pass as current.
         """
         key = spec.job_key()
         run_exact = False
@@ -565,11 +573,12 @@ class Scheduler:
                 return key  # identical job already in flight — join it
 
             job = _Job(spec, key)
-            if existing is not None:
-                # Resubmitted after a cancel or timeout: keep the fencing
-                # tokens monotonic so the earlier run's in-flight chunks
-                # can never commit into this one.
-                job.next_token = existing.next_token
+            # Resubmitted after a cancel or timeout, or resumed after a
+            # crash: keep the fencing tokens monotonic so an earlier run's
+            # in-flight chunks can never commit into this one.
+            job.next_token = max(
+                token_base, 0 if existing is None else existing.next_token
+            )
             cached = self.store.get(key)
             if cached is not None:
                 self.metrics.counter("store.hits").inc()
@@ -578,17 +587,23 @@ class Scheduler:
                 job.cached = True
                 job.method = cached.method
                 job.state = JobState.COMPLETED
+                journaled = None if self.journal is None else self.journal.job(key)
+                if journaled is not None and not journaled.done:
+                    # The result landed before a crash took the job-done
+                    # record: settle the journal entry.
+                    self._journal_job_done(job, "completed")
                 job.done.set()
             else:
                 self.metrics.counter("store.misses").inc()
-                checkpoint = self.store.get_partial(key)
+                if checkpoint is None:
+                    checkpoint = self.store.get_partial(key)
                 if checkpoint is not None:
                     # A checkpoint only ever comes from a stochastic run;
                     # resume it rather than re-deciding the method.
                     spans, partial = checkpoint
-                    job.base_spans = spans
-                    job.base_partial = partial
+                    job.base_spans = list(spans)
                     job.aggregate.merge(partial)
+                    self.metrics.counter("scheduler.jobs_resumed").inc()
                     self.tracer.event(
                         "job.resume", job=key[:16],
                         restored=partial.completed_trajectories,
@@ -618,114 +633,12 @@ class Scheduler:
             self._run_exact(job)
         return key
 
-    def submit_resumed(
-        self,
-        spec: JobSpec,
-        plan: List[ChunkPlanEntry],
-        completed: Dict[int, StochasticResult],
-        base_spans: Optional[List[Span]] = None,
-        base_partial: Optional[StochasticResult] = None,
-        token_base: int = 0,
-    ) -> str:
-        """Re-enqueue an interrupted job from its journaled state.
-
-        Unlike the checkpoint path in :meth:`submit` — which lays a *new*
-        chunk plan over the checkpoint's merged spans — this restores the
-        job's **original** chunk plan and the individual chunk results
-        that already committed.  The final :meth:`_ordered_merge` then
-        folds exactly the same sequence of chunk results in exactly the
-        same order an uninterrupted run would have, so the resumed result
-        is bit-identical no matter which chunk subset survived the crash.
-
-        ``token_base`` must exceed every fencing token the previous
-        incarnation granted (the journal tracks the horizon), so a zombie
-        commit from a pre-crash worker can never be mistaken for current.
-        """
-        key = spec.job_key()
-        with self._lock:
-            if self._closed:
-                raise SchedulerError("scheduler is shut down")
-            existing = self._jobs.get(key)
-            if existing is not None and not existing.finished():
-                return key
-            job = _Job(spec, key)
-            if existing is not None:
-                job.next_token = existing.next_token  # as in submit()
-            cached = self.store.get(key)
-            if cached is not None:
-                # The final result landed before the crash (the journal's
-                # job-done record was the casualty, not the data).
-                self.metrics.counter("store.hits").inc()
-                self.tracer.event("job.cache_hit", job=key[:16])
-                job.final = cached
-                job.cached = True
-                job.method = cached.method
-                job.state = JobState.COMPLETED
-                self._journal_job_done(job, "completed")
-                job.done.set()
-            else:
-                job.method = "stochastic"
-                job.next_token = max(job.next_token, token_base)
-                job.base_spans = list(base_spans or [])
-                job.base_partial = base_partial
-                if base_partial is not None:
-                    job.aggregate.merge(base_partial)
-                planned = {index for index, _, _ in plan}
-                restored = 0
-                for index in sorted(completed):
-                    if index not in planned:
-                        continue
-                    result = completed[index]
-                    job.completed[index] = result
-                    job.aggregate.merge(result)
-                    restored += result.completed_trajectories
-                backend_kind = job.chunk_backend()
-                job.chunking = "journal"
-                for index, first, count in plan:
-                    job.chunks[index] = ChunkTask(
-                        job_key=key,
-                        chunk_index=index,
-                        circuit=spec.circuit,
-                        noise_model=spec.noise_model,
-                        properties=spec.properties,
-                        backend_kind=backend_kind,
-                        first_trajectory=first,
-                        num_trajectories=count,
-                        master_seed=spec.seed,
-                        sample_shots=spec.sample_shots,
-                        deadline=job.deadline,
-                    )
-                job.pending.extend(
-                    index for index in sorted(job.chunks)
-                    if index not in job.completed
-                )
-                self.metrics.counter("scheduler.jobs_resumed").inc()
-                self.tracer.event(
-                    "job.resume_journal", job=key[:16],
-                    restored=restored, missing=len(job.pending),
-                )
-                if self.journal is not None and self.journal.job(key) is None:
-                    # Resuming against a journal with no memory of this job
-                    # (e.g. replayed from a dict): re-anchor the records so
-                    # the resumed run is itself durable.
-                    self._journal_submit(job)
-                    self._journal_plan(job)
-                if job.pending:
-                    job.state = JobState.RUNNING
-                else:
-                    self._finalize(job)
-            self._jobs[key] = job
-            self._order.append(key)
-            if job.pending:
-                self._wake()
-        return key
-
     def drain(self, timeout: float = 10.0) -> bool:
         """Graceful drain: stop assigning chunks, land what's in flight.
 
         Within ``timeout`` seconds the dispatcher keeps consuming worker
         outcomes (each one journaled and merged as usual) but assigns
-        nothing new.  Whatever is still unfinished afterwards is force-
+        nothing new.  Whatever is still unfinished afterwards is
         checkpointed and left journal-incomplete — exactly the state
         ``serve --resume`` restarts from.  Returns True when every
         in-flight chunk landed inside the deadline.
@@ -745,7 +658,7 @@ class Scheduler:
             clean = all(h.busy is None or h.dead for h in self._workers)
             for job in self._jobs.values():
                 if not job.finished():
-                    self._checkpoint(job, force=True)
+                    self._checkpoint(job)
             if self.journal is not None:
                 self.journal.flush()
             self.metrics.counter(
@@ -864,7 +777,7 @@ class Scheduler:
             job.pending.clear()
             job.delayed.clear()
             job.state = JobState.CANCELLED
-            self._checkpoint(job, force=True)
+            self._checkpoint(job)
             self._journal_job_done(job, "cancelled")
             job.done.set()
             return True
@@ -879,7 +792,7 @@ class Scheduler:
             for job in self._jobs.values():
                 if not job.finished():
                     job.state = JobState.CANCELLED
-                    self._checkpoint(job, force=True)
+                    self._checkpoint(job)
                     job.done.set()
             self._wake()
         atexit.unregister(self.shutdown)
@@ -1080,8 +993,9 @@ class Scheduler:
         # alone, so any chunking reproduces the same samples, exactly as
         # with naive index-derived seeds, and the exact estimate sums make
         # the merged result independent of the chunking too.  Job keys are
-        # unaffected either way.  A checkpoint resume cuts its remaining
-        # spans with the size a fresh job of the spec would get.
+        # unaffected either way.  A resume, from the store's checkpoint or
+        # the journal's, cuts its remaining spans with the size a fresh job
+        # of the spec would get.
         size, basis = self._chunk_size(job)
         remaining = _remaining_spans(job.spec.trajectories, job.base_spans)
         backend_kind = job.chunk_backend()
@@ -1133,7 +1047,8 @@ class Scheduler:
                     for index, task in sorted(job.chunks.items())
                 ],
                 list(job.base_spans),
-                None if job.base_partial is None else job.base_partial.to_dict(),
+                # Planned before any chunk commits: the aggregate is the base.
+                job.aggregate.to_dict() if job.base_spans else None,
             )
 
     def _journal_job_done(
@@ -1443,7 +1358,7 @@ class Scheduler:
             job.error_kind = "breaker"
             job.pending.clear()
             job.delayed.clear()
-            self._checkpoint(job, force=True)
+            self._checkpoint(job)
             self._journal_job_done(job, "failed", job.error)
             job.done.set()
 
@@ -1641,7 +1556,7 @@ class Scheduler:
             job.pending.remove(outcome.chunk_index)
         except ValueError:
             pass
-        job.completed[outcome.chunk_index] = outcome.result
+        job.completed.add(outcome.chunk_index)
         job.lease_deadlines.pop(outcome.chunk_index, None)
         job.no_renew.discard(outcome.chunk_index)
         job.aggregate.merge(outcome.result)
@@ -1650,7 +1565,6 @@ class Scheduler:
             outcome.result.completed_trajectories
         )
         self.metrics.counter("scheduler.chunks_completed").inc()
-        job.chunks_since_checkpoint += 1
         if self.journal is not None:
             # WAL ordering: the commit is journaled before any dependent
             # store write, so a crash at any later instant still replays
@@ -1697,43 +1611,17 @@ class Scheduler:
         )
         return sorted(spans)
 
-    def _ordered_merge(self, job: _Job) -> StochasticResult:
-        """Checkpoint-base + completed chunks merged in chunk-index order.
-
-        Both checkpoints and final results go through this, so the merge
-        structure — and therefore every floating-point sum — is a function
-        of *which* chunks completed, never of the order workers happened
-        to finish them in.
-        """
-        merged = StochasticResult(
-            circuit_name=job.spec.circuit.name,
-            backend_kind=job.spec.backend_kind,
-            requested_trajectories=job.spec.trajectories,
-        )
-        for prop in job.spec.properties:
-            merged.estimates[prop.name] = PropertyEstimate(prop.name)
-        if job.base_partial is not None:
-            merged.merge(job.base_partial)
-        for index in sorted(job.completed):
-            merged.merge(job.completed[index])
-        return merged
-
-    def _checkpoint(self, job: _Job, force: bool = False) -> None:
-        if not force and job.chunks_since_checkpoint < _CHECKPOINT_EVERY:
-            return
-        if job.base_partial is None and not job.completed:
+    def _checkpoint(self, job: _Job) -> None:
+        """Persist the running aggregate with the spans it covers."""
+        if not job.base_spans and not job.completed:
             return  # nothing worth persisting yet
-        job.chunks_since_checkpoint = 0
-        snapshot = self._ordered_merge(job)
-        snapshot.timed_out = job.aggregate.timed_out
-        snapshot.elapsed_seconds = time.perf_counter() - job.started_at
-        self.store.put_partial(job.key, self._completed_spans(job), snapshot)
+        job.aggregate.elapsed_seconds = time.perf_counter() - job.started_at
+        self.store.put_partial(job.key, self._completed_spans(job), job.aggregate)
         self.metrics.counter("scheduler.checkpoint_writes").inc()
 
     def _finalize(self, job: _Job) -> None:
-        """Re-merge in chunk-index order for a deterministic final result."""
-        final = self._ordered_merge(job)
-        final.timed_out = final.timed_out or job.aggregate.timed_out
+        """Stamp a copy of the running aggregate as the job's result."""
+        final = job.aggregate.copy()
         final.elapsed_seconds = time.perf_counter() - job.started_at
         final.workers = self.workers
         # Close the job's root span: the chunk spans merged in from worker

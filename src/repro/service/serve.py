@@ -26,7 +26,7 @@ from ..stochastic.results import StochasticResult
 from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
 from .journal import JobJournal, JournalJob, journal_path, replay_journal
 from .scheduler import Scheduler, SchedulerError
-from .store import ResultStore
+from .store import ResultStore, Span
 
 __all__ = ["enqueue_job", "list_queue", "list_jobs", "query_status", "serve"]
 
@@ -461,21 +461,31 @@ class _Telemetry:
         self.close()
 
 
-def _restore_chunk_results(journaled: JournalJob):
-    """Parse a journaled job's committed chunk results (skip unparsable)."""
-    completed = {}
-    for index, payload in journaled.completed.items():
+def _journaled_checkpoint(
+    spec: JobSpec, journaled: JournalJob
+) -> Tuple[List[Span], StochasticResult]:
+    """A journaled job's progress as one checkpoint: the base its plan was
+    laid over and its committed chunks, folded into (spans, partial).  A
+    payload that does not parse adds neither, so its trajectories run
+    again."""
+    planned = {index: (first, count) for index, first, count in journaled.plan}
+    parts = [(journaled.base_spans, journaled.base_result)] + [
+        ([planned[index]], payload)
+        for index, payload in sorted(journaled.completed.items())
+        if index in planned
+    ]
+    spans: List[Span] = []
+    partial = StochasticResult(
+        spec.circuit.name, spec.backend_kind, spec.trajectories
+    )
+    for covered, payload in parts:
         try:
-            completed[index] = StochasticResult.from_dict(payload)
+            result = StochasticResult.from_dict(payload)
         except (KeyError, TypeError, ValueError):
-            continue
-    base_partial = None
-    if journaled.base_result is not None:
-        try:
-            base_partial = StochasticResult.from_dict(journaled.base_result)
-        except (KeyError, TypeError, ValueError):
-            base_partial = None
-    return completed, base_partial
+            continue  # absent (a base-less plan) or unparsable
+        partial.merge(result)
+        spans.extend(covered)
+    return spans, partial
 
 
 def _run_one(
@@ -548,7 +558,7 @@ def _resume_incomplete(
     log: Callable[[str], None],
     draining: threading.Event,
 ) -> int:
-    """Re-enqueue and run every journal-incomplete job; returns count run."""
+    """Resume and run every journal-incomplete job; returns count run."""
     processed = 0
     for journaled in journal.incomplete_jobs():
         if draining.is_set():
@@ -564,25 +574,22 @@ def _resume_incomplete(
             )
             continue
         key = journaled.key
-        completed, base_partial = _restore_chunk_results(journaled)
         if journaled.plan:
+            # Planned means sampling: even with nothing committed, resume
+            # through the checkpoint path rather than re-routing the job.
+            checkpoint = _journaled_checkpoint(spec, journaled)
             log(
                 f"[serve] resuming job {key[:16]}… "
-                f"({len(completed)}/{len(journaled.plan)} chunks already "
-                f"committed)"
+                f"({len(journaled.completed)}/{len(journaled.plan)} chunks "
+                f"already committed)"
             )
             telemetry.emit(
                 "job.resume", job=key,
-                completed_chunks=len(completed),
+                completed_chunks=len(journaled.completed),
                 planned_chunks=len(journaled.plan),
             )
-            submit = lambda: scheduler.submit_resumed(  # noqa: E731
-                spec,
-                journaled.plan,
-                completed,
-                base_spans=journaled.base_spans,
-                base_partial=base_partial,
-                token_base=journaled.max_token + 1,
+            submit = lambda: scheduler.submit(  # noqa: E731
+                spec, checkpoint, token_base=journaled.max_token + 1
             )
         else:
             # Submitted but never planned: an ordinary resubmission (the
@@ -623,8 +630,9 @@ def serve(
     submission, chunk plan, lease, committed chunk result, and completion
     is journaled with fsync, so a hard death (``kill -9``) loses at most
     uncommitted chunk work.  ``resume=True`` replays the journal on
-    startup and re-enqueues every incomplete job with its *original*
-    chunk plan, producing results bit-identical to an uninterrupted run.
+    startup and resumes every incomplete job from the progress it
+    journaled, planning only its missing trajectories, with results
+    bit-identical to an uninterrupted run.
     SIGTERM/SIGINT trigger a graceful drain: stop admitting work, let
     in-flight chunks land (bounded by ``drain_timeout`` seconds),
     checkpoint the rest, flush journal/metrics/events, and return

@@ -7,8 +7,8 @@ Three kinds of entries live under the store directory:
   that produced it, for provenance and CLI display);
 * ``partials/<key>.json`` — checkpoint of a job in flight: the trajectory
   spans already completed and the merged partial result, written by the
-  scheduler after (configurably) every chunk so an interrupted job resumes
-  instead of restarting at trajectory 0;
+  scheduler after every chunk so an interrupted job resumes instead of
+  restarting at trajectory 0;
 * ``queue/<key>.json`` — specs spooled by ``repro submit`` awaiting a
   ``repro serve`` batch runner (managed by :mod:`repro.service.serve`).
 
@@ -334,6 +334,8 @@ class ResultStore:
         Best-effort like :meth:`put`: a failed checkpoint write costs
         resume granularity, not the job.
         """
+        if self.directory is None:
+            return  # nothing would read the payload: do not build it
         self._write_cached(
             "partials",
             key,

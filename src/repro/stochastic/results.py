@@ -380,8 +380,8 @@ class StochasticResult:
     #: Observability snapshot (see :mod:`repro.obs`); merges associatively.
     metrics: Dict[str, object] = field(default_factory=dict)
     #: Correlated trace events recorded while producing this result (see
-    #: :mod:`repro.obs.context`); concatenated on merge, stitched by the
-    #: consumer — chunk-index-ordered merging keeps the order deterministic.
+    #: :mod:`repro.obs.context`); concatenated on merge, in the order chunks
+    #: committed, and stitched by the consumer from their span ids.
     trace_events: List[Dict[str, object]] = field(default_factory=list)
     #: Hot-loop profile (see :mod:`repro.obs.profile`); empty unless the
     #: run executed with ``REPRO_PROFILE`` enabled; adds on merge.

@@ -11,15 +11,21 @@ from repro.circuits.library import ghz
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.service.job import JobSpec
-from repro.service.journal import JobJournal, journal_path, replay_journal
+from repro.service.journal import (
+    JobJournal,
+    JournalJob,
+    journal_path,
+    replay_journal,
+)
 from repro.service.scheduler import Scheduler
-from repro.service.serve import enqueue_job, serve
+from repro.service.serve import _journaled_checkpoint, enqueue_job, serve
 from repro.service.store import ResultStore
 from repro.stochastic import IdealFidelity
 from repro.stochastic.results import StochasticResult
+from repro.stochastic.runner import run_trajectory_span
 
 
-def _spec(trajectories, num_qubits=3, seed=7):
+def _spec(trajectories, num_qubits=3, seed=7, sample_shots=0):
     return JobSpec(
         circuit=ghz(num_qubits),
         noise_model=NoiseModel.paper_defaults(),
@@ -27,12 +33,40 @@ def _spec(trajectories, num_qubits=3, seed=7):
         trajectories=trajectories,
         seed=seed,
         backend_kind="dd",
-        sample_shots=0,
+        sample_shots=sample_shots,
     )
 
 
 def _estimates(result):
     return {name: est.mean for name, est in result.estimates.items()}
+
+
+#: The fields of a result that the spec alone determines.
+DETERMINISTIC_FIELDS = (
+    "estimates", "outcome_counts", "clean_outcome_counts", "errors_fired",
+    "strata", "completed_trajectories", "backend_kind", "peak_nodes",
+)
+
+
+def _assert_same_bits(result, reference):
+    for name in DETERMINISTIC_FIELDS:
+        assert result.to_dict().get(name) == reference.to_dict().get(name), name
+
+
+def _span_payload(spec, first, count):
+    """The payload a chunk of ``spec`` over ``[first, first + count)`` commits."""
+    return run_trajectory_span(
+        spec.circuit, spec.noise_model, spec.properties, spec.backend_kind,
+        first, count, spec.seed, sample_shots=spec.sample_shots,
+    ).to_dict()
+
+
+def _resume_serve(store_dir, chunk_size):
+    assert serve(
+        ResultStore(directory=store_dir), workers=1, once=True,
+        chunk_size=chunk_size, resume=True, install_signal_handlers=False,
+        log=lambda _: None,
+    ) == 1
 
 
 def _slow_all_chunks_plan(seconds):
@@ -96,21 +130,15 @@ class TestDrainResumeBitIdentity:
         reset_injector_cache()
         resume_journal = JobJournal(journal_path(store_dir))
         (incomplete,) = resume_journal.incomplete_jobs()
-        completed = {
-            index: StochasticResult.from_dict(payload)
-            for index, payload in incomplete.completed.items()
-        }
         with Scheduler(
             workers=2,
             store=ResultStore(directory=store_dir),
             chunk_size=4,
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit_resumed(
+            scheduler.submit(
                 spec,
-                incomplete.plan,
-                completed,
-                base_spans=incomplete.base_spans,
+                _journaled_checkpoint(spec, incomplete),
                 token_base=incomplete.max_token + 1,
             )
             resumed = scheduler.result(key, timeout=120.0)
@@ -118,8 +146,8 @@ class TestDrainResumeBitIdentity:
         resume_journal.close()
 
         assert resumed.completed_trajectories == 40
-        # Bit-identical, not merely close: same chunk plan, same per-
-        # trajectory seeds, same chunk-index merge order.
+        # Bit-identical, not merely close: same per-trajectory seeds and
+        # exact estimate sums, whichever chunks committed before the drain.
         assert _estimates(resumed) == _estimates(reference)
 
     def test_resume_when_final_result_landed_before_the_crash(self, tmp_path):
@@ -135,20 +163,23 @@ class TestDrainResumeBitIdentity:
             journal.job_submitted(key, spec.to_dict())
             journal.plan_recorded(key, [(0, 0, 8)], [])
         resume_journal = JobJournal(journal_path(store_dir))
-        assert [j.key for j in resume_journal.incomplete_jobs()] == [key]
+        (incomplete,) = resume_journal.incomplete_jobs()
+        assert incomplete.key == key
         with Scheduler(
             workers=1,
             store=ResultStore(directory=store_dir),
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit_resumed(spec, [(0, 0, 8)], {}, token_base=0)
+            scheduler.submit(
+                spec, _journaled_checkpoint(spec, incomplete), token_base=0
+            )
             resumed = scheduler.result(key, timeout=30.0)
             # Answered by the cache — and the journal entry is settled.
             assert resume_journal.incomplete_jobs() == []
         resume_journal.close()
         assert _estimates(resumed) == _estimates(stored)
 
-    def test_submit_resumed_converges_with_prepopulated_results(self, tmp_path):
+    def test_journal_resume_converges_with_prepopulated_results(self, tmp_path):
         """Replaying chunk results the store already merged stays idempotent:
         resuming with every chunk already committed recomputes nothing."""
         spec = _spec(trajectories=16, seed=2)
@@ -173,12 +204,145 @@ class TestDrainResumeBitIdentity:
         with Scheduler(
             workers=2, store=ResultStore(directory=fresh_dir), chunk_size=4
         ) as scheduler:
-            scheduler.submit_resumed(
-                spec, journaled.plan, completed, token_base=journaled.max_token + 1
+            scheduler.submit(
+                spec,
+                _journaled_checkpoint(spec, journaled),
+                token_base=journaled.max_token + 1,
             )
             rebuilt = scheduler.result(key, timeout=30.0)
+            assert scheduler.trajectories_executed == 0
         assert rebuilt.completed_trajectories == 16
         assert _estimates(rebuilt) == _estimates(direct)
+
+
+class TestJournalLayouts:
+    """Journals as the previous build wrote them (each plan journaled with
+    its base, committed chunks by plan index) resume to the uninterrupted
+    result, under a chunk plan of another size."""
+
+    SPEC = _spec(trajectories=24, num_qubits=4, seed=3, sample_shots=2)
+
+    def journal(self, store_dir, chunks, base, base_result, committed):
+        spec, key = self.SPEC, self.SPEC.job_key()
+        with JobJournal(journal_path(store_dir)) as journal:
+            journal.job_submitted(key, spec.to_dict())
+            journal.plan_recorded(key, chunks, base, base_result)
+            for token, (index, first, count) in enumerate(chunks):
+                journal.lease_granted(key, index, "host:1", token, 99.0)
+                if index in committed:
+                    journal.chunk_done(
+                        key, index, first, count, token,
+                        committed[index] or _span_payload(spec, first, count),
+                    )
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["mid-job", "over-a-base", "unparsable-base", "unparsable-chunk"],
+    )
+    def test_resume_gives_the_uninterrupted_bits(self, tmp_path, layout):
+        spec = self.SPEC
+        with Scheduler(workers=1) as scheduler:
+            reference = scheduler.run(spec, timeout=120.0)
+        store_dir = str(tmp_path)
+        if layout == "mid-job":
+            chunks = [(i, 4 * i, 4) for i in range(6)]
+            self.journal(store_dir, chunks, [], None, {1: None, 4: None})
+        else:
+            # A plan laid over a checkpoint of the first 8 trajectories.
+            base_result = (
+                {"completed_trajectories": 8} if layout == "unparsable-base"
+                else _span_payload(spec, 0, 8)
+            )
+            committed = {2: None}
+            if layout == "unparsable-chunk":
+                committed[0] = {"completed_trajectories": 4}
+            chunks = [(i, 8 + 4 * i, 4) for i in range(4)]
+            self.journal(store_dir, chunks, [(0, 8)], base_result, committed)
+        _resume_serve(store_dir, chunk_size=5)
+        resumed = ResultStore(directory=store_dir).get(spec.job_key())
+        _assert_same_bits(resumed, reference)
+        assert replay_journal(journal_path(store_dir))[spec.job_key()].done
+
+    def test_a_planned_auto_job_resumes_on_sampling(self, tmp_path, monkeypatch):
+        """An ``auto`` job the journal shows as planned was sampling: it
+        resumes on sampling even with nothing committed, though the cost
+        model (here forced) would now route a fresh submission exact."""
+        spec = JobSpec.build(
+            ghz(4), NoiseModel.paper_defaults(), (IdealFidelity(),),
+            trajectories=40, seed=5, method="auto",
+        )
+        with JobJournal(journal_path(str(tmp_path))) as journal:
+            journal.job_submitted(spec.job_key(), spec.to_dict())
+            journal.plan_recorded(spec.job_key(), [(0, 0, 20), (1, 20, 20)], [])
+        monkeypatch.setattr(
+            Scheduler, "_resolve_method", lambda self, spec, job=None: "exact"
+        )
+        _resume_serve(str(tmp_path), chunk_size=10)
+        resumed = ResultStore(directory=str(tmp_path)).get(spec.job_key())
+        assert resumed.method == "stochastic"
+        assert resumed.completed_trajectories == 40
+
+    def test_unparsable_payloads_add_neither_spans_nor_trajectories(self):
+        spec = self.SPEC
+        journaled = JournalJob(
+            spec.job_key(),
+            plan=[(0, 8, 4), (1, 12, 4), (2, 16, 8)],
+            base_spans=[(0, 8)],
+            base_result={"completed_trajectories": 8},
+            completed={0: {"bad": True}, 1: _span_payload(spec, 12, 4),
+                       7: _span_payload(spec, 0, 4)},
+        )
+        spans, partial = _journaled_checkpoint(spec, journaled)
+        assert spans == [(12, 4)]
+        assert partial.completed_trajectories == 4
+
+
+class TestResumeAfterResubmission:
+    def test_journaled_commits_of_a_cancelled_run_are_not_restored(
+        self, tmp_path, monkeypatch
+    ):
+        """Cancel after a chunk commits and resubmit in the same scheduler:
+        the resubmission resumes the checkpoint under a new plan whose chunk
+        indices name other spans.  A crash before any of its chunks commits
+        must resume to the uninterrupted result, shot histograms and fired
+        errors included, not restore the cancelled run's commits in their
+        place."""
+        spec = _spec(trajectories=16, num_qubits=6, seed=3, sample_shots=4)
+        with Scheduler(workers=1, chunk_size=4) as scheduler:
+            reference = scheduler.run(spec, timeout=120.0)
+
+        monkeypatch.setenv(PLAN_ENV, _slow_all_chunks_plan(0.2).to_json())
+        reset_injector_cache()
+        store_dir = str(tmp_path / "store")
+        journal = JobJournal(journal_path(store_dir))
+        scheduler = Scheduler(
+            workers=1, store=ResultStore(directory=store_dir), chunk_size=4,
+            journal=journal,
+        )
+        try:
+            key = scheduler.submit(spec)
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not journal.job(key).completed:
+                time.sleep(0.005)
+            # Drained, the scheduler lands what is in flight and then
+            # dispatches nothing: the resubmission plans but never runs.
+            assert scheduler.drain(timeout=10.0)
+            assert scheduler.cancel(key)
+            scheduler.submit(spec)
+        finally:
+            scheduler.shutdown()  # the crash: no job-done record
+            journal.close()
+        journaled = replay_journal(journal_path(store_dir))[key]
+        assert journaled.base_spans and not journaled.done
+        # The new plan's chunk 0 starts where the cancelled run stopped.
+        assert journaled.plan[0][:2] == (
+            0, sum(count for _, count in journaled.base_spans)
+        )
+
+        monkeypatch.delenv(PLAN_ENV)
+        reset_injector_cache()
+        _resume_serve(store_dir, chunk_size=4)
+        _assert_same_bits(ResultStore(directory=store_dir).get(key), reference)
 
 
 class TestSignalDrain:

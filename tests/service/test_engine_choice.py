@@ -36,9 +36,15 @@ from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
 from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path
 from repro.service import JobSpec, ResultStore, Scheduler
-from repro.service.journal import JobJournal, journal_path
+from repro.service.journal import JobJournal, JournalJob, journal_path
 from repro.service.scheduler import _outcome_anomaly
-from repro.service.serve import enqueue_job, list_jobs, query_status, serve
+from repro.service.serve import (
+    _journaled_checkpoint,
+    enqueue_job,
+    list_jobs,
+    query_status,
+    serve,
+)
 from repro.service.worker import ChunkOutcome
 from repro.simulators.ddsim import DDBackend
 from repro.simulators.gateplan import compile_plan
@@ -319,9 +325,8 @@ class TestAutoJobsRunDense:
             workers=2, store=ResultStore(directory=store_dir), chunk_size=CHUNK,
             journal=resume_journal,
         ) as resumed_scheduler:
-            resumed_scheduler.submit_resumed(
-                spec, incomplete.plan, completed,
-                base_spans=incomplete.base_spans,
+            resumed_scheduler.submit(
+                spec, _journaled_checkpoint(spec, incomplete),
                 token_base=incomplete.max_token + 1,
             )
             resumed = resumed_scheduler.result(key, timeout=120)
@@ -449,10 +454,16 @@ class TestResumeKeepsTheRestoredEngine:
         self.run_both(lambda scheduler, spec: scheduler.submit(spec), store)
 
     def test_journal_resume(self):
-        plan = [(0, 0, 12), (1, 12, 12), (2, 24, 16)]
+        def journaled(spec):
+            return JournalJob(
+                spec.job_key(),
+                plan=[(0, 0, 12), (1, 12, 12), (2, 24, 16)],
+                completed={1: self.dd_span(12, 12).to_dict()},
+            )
+
         self.run_both(
-            lambda scheduler, spec: scheduler.submit_resumed(
-                spec, plan, {1: self.dd_span(12, 12)}
+            lambda scheduler, spec: scheduler.submit(
+                spec, _journaled_checkpoint(spec, journaled(spec))
             )
         )
 

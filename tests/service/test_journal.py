@@ -66,6 +66,24 @@ class TestReplayIdempotency:
     def test_missing_file_replays_empty(self, tmp_path):
         assert replay_journal(str(tmp_path / "nope" / "wal.jsonl")) == {}
 
+    def test_a_plan_starts_a_fresh_chunk_set(self, wal):
+        """A resubmission's plan reuses chunk indices for other spans: the
+        earlier plan's commits must not stand in for its chunks."""
+        with JobJournal(wal) as journal:
+            _populate(journal)
+            journal.job_done(KEY, "cancelled")
+            journal.job_submitted(KEY, {"circuit_name": "ghz-3", "trajectories": 16})
+            journal.plan_recorded(
+                KEY, [(0, 8, 4), (1, 12, 4)], [(0, 4), (4, 4)],
+                base_result=_result_payload(0, 8),
+            )
+        job = replay_journal(wal)[KEY]
+        assert not job.done
+        assert job.plan == [(0, 8, 4), (1, 12, 4)]
+        assert job.completed == {}
+        assert job.max_token == 1  # the token horizon carries over
+        assert job.completed_trajectories() == 8
+
 
 class TestTornTail:
     def test_truncated_final_record_is_skipped(self, wal):

@@ -55,13 +55,13 @@ def _real_chunk_result(spec, first, count):
 class TestFencing:
     def test_stale_token_rejected_current_token_commits(self):
         spec = _spec(trajectories=8)
-        with Scheduler(workers=1, store=ResultStore(directory=None)) as scheduler:
+        with Scheduler(
+            workers=1, store=ResultStore(directory=None), chunk_size=4
+        ) as scheduler:
             # Drain mode parks the job: chunks stay pending, never leased,
             # so the test can inject outcomes with chosen tokens.
             scheduler._draining = True
-            key = scheduler.submit_resumed(
-                spec, [(0, 0, 4), (1, 4, 4)], {}, token_base=5
-            )
+            key = scheduler.submit(spec, token_base=5)
             with scheduler._lock:
                 job = scheduler._jobs[key]
                 job.lease_tokens[0] = 5
@@ -97,16 +97,17 @@ class TestFencing:
         and grants tokens past the cancelled run's, so that chunk's late
         report cannot commit into it under either condition."""
         spec = _spec(trajectories=8)
-        plan = [(0, 0, 4), (1, 4, 4)]
-        with Scheduler(workers=1, store=ResultStore(directory=None)) as scheduler:
+        with Scheduler(
+            workers=1, store=ResultStore(directory=None), chunk_size=4
+        ) as scheduler:
             scheduler._draining = True
-            key = scheduler.submit_resumed(spec, plan, {})
+            key = scheduler.submit(spec)
             with scheduler._lock:
                 cancelled = scheduler._jobs[key]
                 cancelled.lease_tokens[0] = cancelled.next_token  # in flight
                 cancelled.next_token += 1
             assert scheduler.cancel(key)
-            scheduler.submit_resumed(spec, plan, {})
+            scheduler.submit(spec)
             stale = ChunkOutcome(
                 worker_id=0, job_key=key, chunk_index=0,
                 first_trajectory=0, num_trajectories=4,
@@ -126,9 +127,11 @@ class TestFencing:
     def test_pre_lease_outcomes_are_not_fenced(self):
         """Tasks dispatched before leasing existed (token None) still commit."""
         spec = _spec(trajectories=4)
-        with Scheduler(workers=1, store=ResultStore(directory=None)) as scheduler:
+        with Scheduler(
+            workers=1, store=ResultStore(directory=None), chunk_size=4
+        ) as scheduler:
             scheduler._draining = True
-            key = scheduler.submit_resumed(spec, [(0, 0, 4)], {}, token_base=0)
+            key = scheduler.submit(spec, token_base=0)
             outcome = ChunkOutcome(
                 worker_id=0, job_key=key, chunk_index=0,
                 first_trajectory=0, num_trajectories=4,

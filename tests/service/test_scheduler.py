@@ -20,7 +20,9 @@ from repro.service import (
     Scheduler,
 )
 from repro.service import scheduler as scheduler_module
+from repro.service.journal import JournalJob
 from repro.service.scheduler import _cpu_per_trajectory, _remaining_spans
+from repro.service.serve import _journaled_checkpoint
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
 from repro.stochastic.runner import run_trajectory_span
 
@@ -392,9 +394,9 @@ def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
     return ledger
 
 
-def plan_of(scheduler, spec):
+def plan_of(scheduler, spec, *checkpoint):
     """``(chunks, basis)`` and chunk sizes of ``spec``'s plan, once it ran."""
-    key = scheduler.submit(spec)
+    key = scheduler.submit(spec, *checkpoint)
     result = scheduler.result(key, timeout=120)
     assert result.completed_trajectories == spec.trajectories
     sizes = [task.num_trajectories for _, task in sorted(scheduler._jobs[key].chunks.items())]
@@ -481,31 +483,33 @@ class TestMeasuredChunking:
         assert _cpu_per_trajectory(records) == pytest.approx(0.01)
         assert _cpu_per_trajectory(records[:4]) is None
 
-    def test_journal_resume_keeps_the_journaled_plan(self, tmp_path):
-        plan = [(0, 0, 10), (1, 10, 10), (2, 20, 12)]
-        with seeded_ledger(tmp_path / "runs.jsonl", self.SPEC, 0.01, 100) as ledger:
-            with Scheduler(workers=2, ledger=ledger) as scheduler:
-                key = scheduler.submit_resumed(self.SPEC, plan, {})
-                result = scheduler.result(key, timeout=120)
-                assert scheduler.plan_for(key) == (3, "journal")
-                sizes = [t.num_trajectories for _, t in sorted(scheduler._jobs[key].chunks.items())]
-                counters = scheduler.metrics_snapshot()["counters"]
-        assert sizes == [10, 10, 12]
-        assert result.completed_trajectories == self.SPEC.trajectories
-        assert counters["chunking.measured"] == counters["chunking.default"] == 0
-
-    def test_checkpoint_resume_plans_its_remaining_spans_by_the_rule(self, tmp_path):
+    @pytest.mark.parametrize("source", ["store", "journal"])
+    def test_checkpoint_resume_plans_its_remaining_spans_by_the_rule(
+        self, tmp_path, source
+    ):
         spec = self.SPEC
         done = run_trajectory_span(
             spec.circuit, spec.noise_model, spec.properties, spec.backend_kind,
             0, 8, spec.seed, sample_shots=spec.sample_shots,
         )
         store = ResultStore(directory=str(tmp_path / "store"))
-        store.put_partial(spec.job_key(), [(0, 8)], done)
+        checkpoint = ()
+        if source == "store":
+            store.put_partial(spec.job_key(), [(0, 8)], done)
+        else:
+            # Journaled under an older plan of 8-trajectory chunks, of
+            # which chunk 0 committed.
+            journaled = JournalJob(
+                spec.job_key(), plan=[(i, 8 * i, 8) for i in range(4)],
+                completed={0: done.to_dict()},
+            )
+            checkpoint = (_journaled_checkpoint(spec, journaled),)
         with seeded_ledger(tmp_path / "runs.jsonl", spec, 0.01, 100) as ledger:
             with Scheduler(workers=2, store=store, ledger=ledger) as scheduler:
                 # The fresh plan's size (16) cuts the 24 remaining.
-                assert plan_of(scheduler, spec) == ((2, "measured"), [16, 8])
+                assert plan_of(scheduler, spec, *checkpoint) == (
+                    (2, "measured"), [16, 8]
+                )
                 assert scheduler.trajectories_executed == 24
         with Scheduler(workers=2) as scheduler:
             assert plan_of(scheduler, spec)[0] == (16, "default")

@@ -54,9 +54,12 @@ class TestMemoryStore:
         assert store.get("k1") is not None
         assert store.get("k3") is not None
 
-    def test_partials_are_noop_without_disk(self):
+    def test_partials_are_noop_without_disk(self, monkeypatch):
         store = ResultStore(directory=None)
-        store.put_partial("k1", [(0, 5)], make_result(5))
+        result = make_result(5)
+        # Nothing reads a memory-only checkpoint, so no payload is built.
+        monkeypatch.setattr(result, "to_dict", lambda: pytest.fail("payload built"))
+        store.put_partial("k1", [(0, 5)], result)
         assert store.get_partial("k1") is None
 
     def test_invalid_capacity(self):

@@ -23,6 +23,10 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
   peak is the censored one at which the engine-choosing run stopped, the
   lookups are that run's, and the compiled count is the operator DDs that
   run reached.
+* Scheduler merges: a 16-chunk job makes 16 ``StochasticResult.merge``
+  calls in the scheduler's process, on one worker and on two: each chunk
+  folds into the running aggregate once.  Re-merging every committed
+  chunk at each checkpoint and at finalize would make 152.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
 46.0), so a change that shares less work fails here long before it shows
@@ -42,7 +46,9 @@ from repro.circuits.library import (
 )
 from repro.exact import simulate_exact
 from repro.noise import NoiseModel
+from repro.service import JobSpec, Scheduler
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
+from repro.stochastic.results import StochasticResult
 from repro.stochastic.runner import AUTO_ENGINE, run_trajectory_span
 from repro.stochastic.strata import TRAJECTORY_MODE_ENV
 
@@ -197,3 +203,20 @@ def test_engine_choice(name):
         mat_vec_lookups(result),
         result.metrics["counters"]["gateplan.compiled"],
     ) == (engine, peak, lookups, compiled)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scheduler_merges_each_chunk_once(monkeypatch, workers):
+    merged = []
+    merge = StochasticResult.merge
+
+    def counting_merge(self, other):
+        merged.append(other.completed_trajectories)
+        merge(self, other)
+
+    monkeypatch.setattr(StochasticResult, "merge", counting_merge)
+    spec = JobSpec.build(ghz(6), NOISE, (IdealFidelity(),), trajectories=64, seed=7)
+    with Scheduler(workers=workers, chunk_size=4) as scheduler:
+        result = scheduler.run(spec, timeout=120)
+    assert result.completed_trajectories == 64
+    assert merged == [4] * 16
