@@ -244,11 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on SIGTERM/SIGINT, wait this long for in-flight chunks to "
         "land before checkpointing the rest and exiting",
     )
-    serve.add_argument(
-        "--lease-duration", type=float, default=30.0, metavar="SECONDS",
-        help="chunk ownership lease length; expired leases are reclaimed "
-        "and re-dispatched with a new fencing token",
-    )
     _add_store_argument(serve)
 
     jobs = subparsers.add_parser(
@@ -566,7 +561,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         heartbeat_interval=args.heartbeat_interval,
         resume=args.resume,
         drain_timeout=args.drain_timeout,
-        lease_duration=args.lease_duration,
     )
     print(f"processed {processed} job(s)")
     return 0

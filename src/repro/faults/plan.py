@@ -54,7 +54,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     "scheduler-crash",  # os._exit the scheduler after a journaled chunk-done
     "torn-journal",     # truncate the journal mid-record after an append
     "enospc-journal",   # the journal append raises OSError(ENOSPC)
-    "lease-expiry",     # stop renewing a chunk's lease so the reaper reclaims it
     # obs/ledger.py — run-ledger telemetry history
     "torn-ledger",      # truncate the ledger mid-record after an append
     "enospc-ledger",    # the ledger append raises OSError(ENOSPC)
@@ -74,7 +73,6 @@ KIND_ALIASES: Dict[str, str] = {
     "drop": "queue-drop",
     "delay": "queue-delay",
     "kill-scheduler": "scheduler-crash",
-    "lease": "lease-expiry",
 }
 
 
@@ -101,8 +99,8 @@ class FaultSpec:
     worker_id: Optional[int] = None
     chunk_index: Optional[int] = None
     trajectory: Optional[int] = None
-    #: Store op ("put", "put_partial", "put_queued") or journal record
-    #: type ("submit", "plan", "lease", "chunk-done", "job-done").
+    #: Store op ("put", "put_partial", "put_queued"), journal record type
+    #: ("submit", "plan", "chunk-done", "job-done") or ledger record type.
     operation: Optional[str] = None
     #: Firing budget (per process, unless coordinated via markers).
     times: int = 1
@@ -264,7 +262,7 @@ class FaultPlan:
             kind = canonical_kind(name)
             if kind in ("crash-before", "crash-mid-chunk", "hang", "slow-chunk",
                         "corrupt-outcome", "queue-drop", "queue-delay",
-                        "scheduler-crash", "lease-expiry"):
+                        "scheduler-crash"):
                 chunk = rng.randrange(num_chunks)
                 seconds = 0.0
                 if kind == "hang":

@@ -2,17 +2,17 @@
 
 The journal is the durable record of what the service *was doing*: an
 append-only JSONL file under the store directory where the scheduler
-logs every job submission, chunk plan, chunk-ownership lease, committed
-chunk result, and job completion.  A ``repro serve --resume`` after a
-hard death (``kill -9``, power loss, OOM) replays the journal and
-reconstructs every incomplete job — its :class:`~repro.service.job.JobSpec`,
-the base its current chunk plan was laid over, and the chunk results of
-that plan that already committed — folds that progress into one
-checkpoint, and plans only the missing trajectory spans afresh.  Because
-per-trajectory seeds derive from absolute trajectory indices and
-estimate sums are exact, the resumed result is **bit-identical** to an
-uninterrupted run no matter which chunks had completed when the process
-died, and under whatever plan the rest runs.
+logs every job submission, chunk plan, committed chunk result, and job
+completion.  A ``repro serve --resume`` after a hard death (``kill -9``,
+power loss, OOM) replays the journal and reconstructs every incomplete
+job — its :class:`~repro.service.job.JobSpec`, the base its current
+chunk plan was laid over, and the chunk results of that plan that
+already committed — folds that progress into one checkpoint, and plans
+only the missing trajectory spans afresh.  Because per-trajectory seeds
+derive from absolute trajectory indices and estimate sums are exact,
+the resumed result is **bit-identical** to an uninterrupted run no
+matter which chunks had completed when the process died, and under
+whatever plan the rest runs.
 
 Durability is the :class:`~repro.obs.appendlog.AppendLog` contract:
 every record is flushed and ``fsync``'d before the append returns, so a
@@ -34,8 +34,14 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 ``submit``      ``{"rec","job","spec"}`` — full canonical JobSpec dict
 ``plan``        ``{"rec","job","chunks":[[i,first,count]..],"base":[..],
                 "base_result"?}``
-``lease``       ``{"rec","job","chunk","owner","token","deadline"}``
+``lease``       ``{"rec","job","chunk","owner","token","deadline"}`` — no
+                longer written; journals of older builds hold one per
+                dispatched chunk, and replay ignores them
 ``chunk-done``  ``{"rec","job","chunk","first","count","token","result"}``
+                — ``first``/``count`` are the planned span (the result's
+                ``completed_trajectories`` says how much of it ran);
+                ``token`` is the dispatch's fencing token, -1 once
+                compacted
 ``job-done``    ``{"rec","job","status","error"?}``
 ==============  =========================================================
 
@@ -96,9 +102,6 @@ class JournalJob:
     #: Committed chunk results of the latest plan, by chunk index
     #: (payload dicts).
     completed: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    #: Highest fencing token ever granted for this job (resume must
-    #: issue strictly greater tokens so stale commits stay rejectable).
-    max_token: int = -1
     #: Terminal status ("completed" / "failed" / "cancelled"), or None
     #: while the job is still incomplete — the resumable set.
     status: Optional[str] = None
@@ -166,21 +169,13 @@ class _ReplayState:
             job.base_result = base_result if isinstance(base_result, dict) else None
             # A plan starts a fresh chunk set: an earlier plan's committed
             # chunks are in this plan's base or run again, and their indices
-            # may name other spans now.  The token horizon carries over.
+            # may name other spans now.
             job.completed = {}
-        elif kind == "lease":
-            job = self._job(key)
-            token = record.get("token")
-            if isinstance(token, int):
-                job.max_token = max(job.max_token, token)
         elif kind == "chunk-done":
             job = self._job(key)
             result = record.get("result")
             if isinstance(result, dict):
                 job.completed[int(record["chunk"])] = result
-            token = record.get("token")
-            if isinstance(token, int):
-                job.max_token = max(job.max_token, token)
         elif kind == "job-done":
             job = self._job(key)
             job.status = str(record.get("status", "completed"))
@@ -220,18 +215,6 @@ def _live_records(state: _ReplayState) -> List[Dict[str, object]]:
             if job.base_result is not None:
                 plan_record["base_result"] = job.base_result
             records.append(plan_record)
-        if job.max_token >= 0:
-            # One summary lease record preserves the token horizon.
-            records.append(
-                {
-                    "rec": "lease",
-                    "job": job.key,
-                    "chunk": -1,
-                    "owner": "compaction",
-                    "token": job.max_token,
-                    "deadline": 0.0,
-                }
-            )
         for index in sorted(job.completed):
             first, count = 0, 0
             for i, f, c in job.plan:
@@ -245,7 +228,7 @@ def _live_records(state: _ReplayState) -> List[Dict[str, object]]:
                     "chunk": index,
                     "first": first,
                     "count": count,
-                    "token": job.max_token,
+                    "token": -1,
                     "result": job.completed[index],
                 }
             )
@@ -310,6 +293,10 @@ class JobJournal:
     def lease_granted(
         self, key: str, chunk: int, owner: str, token: int, deadline: float
     ) -> None:
+        """Append a ``lease`` record.  Nothing in the service calls this
+        since chunk leases were retired (replay ignores the record); the
+        e2e tracer (``benchmarks/e2e/trace.py``) still wraps it by name,
+        so it goes when that wrapper does."""
         self._log.append(
             {
                 "rec": "lease",

@@ -24,15 +24,21 @@ Key behaviours:
   (docs/ROBUSTNESS.md):
 
   - *poison-chunk quarantine* — a chunk whose execution reliably **kills**
-    its worker is quarantined after ``poison_retries`` fatal attempts and
-    the job fails fast with a structured
+    its worker is quarantined once it has killed more than ``max_retries``
+    of them, and the job fails fast with a structured
     :class:`~repro.errors.PoisonChunkError` diagnosis instead of
     respawn-retrying forever;
-  - *respawn circuit breaker* — a respawn storm (``breaker_threshold``
-    worker deaths inside ``breaker_window`` seconds) fails the pending
+  - *respawn circuit breaker* — a respawn storm (``_BREAKER_THRESHOLD``
+    worker deaths inside ``_BREAKER_WINDOW`` seconds) fails the pending
     jobs with :class:`~repro.errors.WorkerPoolBrokenError` and resets,
     so a wedged environment produces one clear error, not an unbounded
     fork storm.
+
+* **Commit fencing** — every dispatch stamps the chunk with a fresh
+  per-job fencing token, and only an outcome carrying the chunk's current
+  token commits, so a report from an earlier run of the same key (one
+  cancelled while the chunk was in flight) never commits into its
+  resubmission.
 
 * **Outcome validation** — chunk results are sanity-checked (trajectory
   counts and estimate counts must be internally consistent) before they
@@ -68,7 +74,6 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
-import socket
 import threading
 import time
 from collections import deque
@@ -119,19 +124,23 @@ _TIMEOUT_DRAIN_GRACE = 1.0
 _CHUNKS_PER_WORKER = 8
 
 #: CPU seconds of work a measured job's chunk aims at: about 20x what the
-#: dispatcher spends serving one chunk (lease and chunk-done journal
-#: appends, checkpoint, hand-off; ~2.5 ms), so that service stays a small
-#: share of a chunk's time.
+#: dispatcher spends serving one chunk (chunk-done journal append,
+#: checkpoint, hand-off; under 2.5 ms), so that service stays a small share
+#: of a chunk's time.
 _CHUNK_SECONDS = 0.05
 
 #: ``multiprocessing`` start method of the worker pool.
 _MP_CONTEXT = "fork"
 
 #: Longest the dispatcher waits for worker output or a wake between passes
-#: (the cadence of lease renewal, deadline checks, reaping and delayed-chunk
-#: release), and what :meth:`Scheduler.drain` sleeps between checks for
-#: busy workers.
+#: (the cadence of deadline checks, reaping and delayed-chunk release), and
+#: what :meth:`Scheduler.drain` sleeps between checks for busy workers.
 _POLL_INTERVAL = 0.02
+
+#: Worker deaths within ``_BREAKER_WINDOW`` seconds that open the respawn
+#: circuit breaker.
+_BREAKER_THRESHOLD = 12
+_BREAKER_WINDOW = 10.0
 
 #: Base and cap (seconds) of the exponential delay before a dead worker's
 #: slot is refilled; the exponent is the number of worker deaths inside
@@ -280,8 +289,10 @@ class _Job:
         self.chunks: Dict[int, ChunkTask] = {}
         self.pending: Deque[int] = deque()
         self.in_flight: Set[int] = set()
-        #: Indices of committed chunks (their results are in ``aggregate``).
-        self.completed: Set[int] = set()
+        #: Committed chunk index -> the span its trajectories cover (their
+        #: results are in ``aggregate``); a timed-out chunk covers only the
+        #: trajectories it completed.
+        self.completed: Dict[int, Span] = {}
         self.retries: Dict[int, int] = {}
         #: Chunk index -> count of attempts that KILLED the worker (poison
         #: detection counts fatalities, not mere errors).
@@ -291,14 +302,11 @@ class _Job:
         #: Chunk index -> monotonic instant a queue-delay fault holds it to.
         self.delayed: Dict[int, float] = {}
         self.base_spans: List[Span] = []  #: spans restored from a checkpoint
-        #: Lease book-keeping (docs/ROBUSTNESS.md, "Durability & restart
-        #: semantics"): fencing tokens are monotonic per job; the *current*
-        #: token per chunk is the only one whose commit is accepted.
+        #: Commit fencing (docs/ROBUSTNESS.md, "Commit fencing"): every
+        #: dispatch takes the next token, and a chunk's outcome commits only
+        #: with the token of its latest dispatch.
         self.next_token = 0
-        self.lease_tokens: Dict[int, int] = {}
-        self.lease_deadlines: Dict[int, float] = {}
-        #: Chunks whose lease renewal is suppressed (lease-expiry fault).
-        self.no_renew: Set[int] = set()
+        self.fencing_tokens: Dict[int, int] = {}
         self.aggregate = StochasticResult(
             circuit_name=spec.circuit.name,
             backend_kind=spec.backend_kind,
@@ -372,7 +380,7 @@ class Scheduler:
         Trajectories per chunk.  By default a job whose circuit family has
         recent stochastic runs in the ``ledger`` is cut into chunks of
         about 0.05 s of measured CPU each (``_CHUNK_SECONDS``), between
-        one and 8 per worker, so the per-chunk commit (journal appends,
+        one and 8 per worker, so the per-chunk commit (journal append,
         checkpoint, hand-off) stays a small share of a short job; without
         that history every job gets 8 chunks per worker.  Either way the
         result is the same bits (index-derived seeds, exact estimate
@@ -380,17 +388,15 @@ class Scheduler:
         lost chunk costs change.
     max_retries:
         Requeue budget per chunk before the whole job is failed.
+        A chunk that has killed more than ``max_retries`` workers is
+        quarantined instead, and the job failed with
+        :class:`~repro.errors.PoisonChunkError`.
     chunk_timeout:
         Wall-clock seconds an in-flight chunk may take before its worker
         is presumed wedged, killed, and the chunk retried (None = never).
-    poison_retries:
-        Worker-fatal attempts a single chunk may accumulate before it is
-        quarantined and the job failed with
-        :class:`~repro.errors.PoisonChunkError` (default: ``max_retries``).
-    breaker_threshold / breaker_window:
-        Open the pool circuit breaker — failing all pending jobs with
-        :class:`~repro.errors.WorkerPoolBrokenError` — when this many
-        worker deaths land within the window (seconds).
+        A dead worker's chunk is requeued at the next dispatcher pass; this
+        is the only thing that reclaims a chunk from a worker that is alive
+        but wedged.
     exact_node_ceiling:
         Rho-DD node budget for exact-dispatched jobs; exceeding it
         mid-flight falls the job back to stochastic sampling.  ``None``
@@ -398,8 +404,8 @@ class Scheduler:
         (unset means "no ceiling": exact runs to completion).
     journal:
         Optional write-ahead :class:`~repro.service.journal.JobJournal`.
-        When present, every submission, chunk plan, lease grant, committed
-        chunk result, and job completion is journaled durably, making the
+        When present, every submission, chunk plan, committed chunk
+        result, and job completion is journaled durably, making the
         scheduler's work resumable after a hard death (``serve --resume``).
     ledger:
         Optional :class:`~repro.obs.ledger.RunLedger`.  When present, every
@@ -410,12 +416,6 @@ class Scheduler:
         the accumulated family history through the measured cost model
         (``dispatch.measured`` / ``dispatch.worst_case`` count which basis
         each decision used).
-    lease_duration:
-        Seconds a dispatched chunk's ownership lease lasts before the
-        reaper reclaims it (the dispatcher heartbeats leases on behalf of
-        its live workers, so only genuinely lost holders expire).  Commits
-        carrying a stale fencing token are rejected — re-executions are
-        at-most-once-committed.
     """
 
     def __init__(
@@ -425,28 +425,19 @@ class Scheduler:
         chunk_size: Optional[int] = None,
         max_retries: int = 2,
         chunk_timeout: Optional[float] = None,
-        poison_retries: Optional[int] = None,
-        breaker_threshold: int = 12,
-        breaker_window: float = 10.0,
         exact_node_ceiling: Optional[int] = None,
         journal: Optional[JobJournal] = None,
         ledger: Optional[RunLedger] = None,
-        lease_duration: float = 30.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         self.workers = workers
         self.store = store if store is not None else ResultStore(directory=None)
         self.chunk_size = chunk_size
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
-        self.poison_retries = max_retries if poison_retries is None else poison_retries
-        self.breaker_threshold = breaker_threshold
-        self.breaker_window = breaker_window
         self.exact_node_ceiling = (
             exact_node_ceiling
             if exact_node_ceiling is not None
@@ -454,10 +445,6 @@ class Scheduler:
         )
         self.journal = journal
         self.ledger = ledger
-        self.lease_duration = lease_duration
-        #: Lease owner identity for this scheduler instance — stable for
-        #: its lifetime, distinct across restarts (the PID changes).
-        self.owner_id = f"{socket.gethostname()}:{os.getpid()}"
         #: Set by :meth:`drain`: stop assigning new chunks, let in-flight
         #: ones land, checkpoint the rest.
         self._draining = False
@@ -498,10 +485,7 @@ class Scheduler:
             "chunking.measured",
             "chunking.default",
             "chunking.explicit",
-            # Durable-execution layer: chunk-ownership leases and drain.
-            "lease.granted",
-            "lease.renewed",
-            "lease.expired",
+            # Durable-execution layer: commit fencing, resume and drain.
             "lease.fenced",
             "scheduler.jobs_resumed",
             "scheduler.drain.completed",
@@ -517,8 +501,11 @@ class Scheduler:
 
         self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._lock = threading.RLock()
+        #: Every job this scheduler has seen, by key (status and results).
         self._jobs: Dict[str, _Job] = {}
-        self._order: List[str] = []  #: submission order, for FIFO dispatch
+        #: The unfinished ones, in submission order: what the dispatcher's
+        #: passes walk, FIFO.  A job leaves when it finishes (_settle).
+        self._active: Dict[str, _Job] = {}
         self._closed = False
         self._workers: List[_WorkerHandle] = [
             _WorkerHandle(i, self._ctx) for i in range(workers)
@@ -544,7 +531,6 @@ class Scheduler:
         self,
         spec: JobSpec,
         checkpoint: Optional[Tuple[List[Span], StochasticResult]] = None,
-        token_base: int = 0,
     ) -> str:
         """Register a job; returns its content-addressed key immediately.
 
@@ -558,10 +544,6 @@ class Scheduler:
         cost model favours exact) run *synchronously* in this thread —
         there are no chunks to shard — so for them ``submit`` returns
         only once the job has completed or fallen back to stochastic.
-
-        ``token_base`` must exceed every fencing token an earlier
-        incarnation of the job granted (the journal tracks the horizon), so
-        a zombie commit from a pre-crash worker can never pass as current.
         """
         key = spec.job_key()
         run_exact = False
@@ -573,12 +555,11 @@ class Scheduler:
                 return key  # identical job already in flight — join it
 
             job = _Job(spec, key)
-            # Resubmitted after a cancel or timeout, or resumed after a
-            # crash: keep the fencing tokens monotonic so an earlier run's
-            # in-flight chunks can never commit into this one.
-            job.next_token = max(
-                token_base, 0 if existing is None else existing.next_token
-            )
+            if existing is not None:
+                # Resubmitted after a cancel or timeout: continue the
+                # earlier run's token numbering, so its in-flight chunks
+                # can never commit into this one.
+                job.next_token = existing.next_token
             cached = self.store.get(key)
             if cached is not None:
                 self.metrics.counter("store.hits").inc()
@@ -592,7 +573,7 @@ class Scheduler:
                     # The result landed before a crash took the job-done
                     # record: settle the journal entry.
                     self._journal_job_done(job, "completed")
-                job.done.set()
+                self._settle(job)
             else:
                 self.metrics.counter("store.misses").inc()
                 if checkpoint is None:
@@ -603,6 +584,9 @@ class Scheduler:
                     spans, partial = checkpoint
                     job.base_spans = list(spans)
                     job.aggregate.merge(partial)
+                    # A timed-out partial's flag described the run that
+                    # left it; this run times out only on its own deadline.
+                    job.aggregate.timed_out = False
                     self.metrics.counter("scheduler.jobs_resumed").inc()
                     self.tracer.event(
                         "job.resume", job=key[:16],
@@ -626,7 +610,8 @@ class Scheduler:
                         self.metrics.counter("dispatch.stochastic").inc()
                         self._plan_chunks(job)
             self._jobs[key] = job
-            self._order.append(key)
+            if not job.finished():
+                self._active[key] = job
             if job.pending:
                 self._wake()
         if run_exact:
@@ -656,9 +641,8 @@ class Scheduler:
             time.sleep(_POLL_INTERVAL)
         with self._lock:
             clean = all(h.busy is None or h.dead for h in self._workers)
-            for job in self._jobs.values():
-                if not job.finished():
-                    self._checkpoint(job)
+            for job in self._active.values():
+                self._checkpoint(job)
             if self.journal is not None:
                 self.journal.flush()
             self.metrics.counter(
@@ -779,7 +763,7 @@ class Scheduler:
             job.state = JobState.CANCELLED
             self._checkpoint(job)
             self._journal_job_done(job, "cancelled")
-            job.done.set()
+            self._settle(job)
             return True
 
     def shutdown(self) -> None:
@@ -789,11 +773,10 @@ class Scheduler:
             if self._closed:
                 return
             self._closed = True
-            for job in self._jobs.values():
-                if not job.finished():
-                    job.state = JobState.CANCELLED
-                    self._checkpoint(job)
-                    job.done.set()
+            for job in list(self._active.values()):
+                job.state = JobState.CANCELLED
+                self._checkpoint(job)
+                self._settle(job)
             self._wake()
         atexit.unregister(self.shutdown)
         if self._dispatcher.is_alive():
@@ -936,7 +919,7 @@ class Scheduler:
                     f"exact simulation failed: {type(error).__name__}: {error}"
                 )
                 self._journal_job_done(job, "failed", job.error)
-                job.done.set()
+                self._settle(job)
             return
         with self._lock:
             if job.finished():
@@ -952,7 +935,7 @@ class Scheduler:
             self.store.put(job.key, result, spec_dict=spec.to_dict())
             self._ledger_record_run(job, result)
             self._journal_job_done(job, "completed")
-            job.done.set()
+            self._settle(job)
 
     # ------------------------------------------------------------------
     # Planning
@@ -1116,7 +1099,6 @@ class Scheduler:
             with self._lock:
                 self._reap_dead_workers()
                 self._release_delayed_chunks()
-                self._service_leases()
                 self._check_deadlines()
                 self._assign_chunks()
                 self._unreadable.clear()
@@ -1181,6 +1163,12 @@ class Scheduler:
                 self._handle_outcome(outcome)
                 count += 1
 
+    def _settle(self, job: _Job) -> None:
+        """Drop ``job`` from the dispatcher's walks and mark it finished."""
+        if self._active.get(job.key) is job:
+            del self._active[job.key]
+        job.done.set()
+
     def _idle_workers(self) -> List[_WorkerHandle]:
         return [
             h for h in self._workers
@@ -1190,28 +1178,22 @@ class Scheduler:
     def _release_delayed_chunks(self) -> None:
         """Return chunks held by a queue-delay fault once their hold expires."""
         now = time.perf_counter()
-        for job in self._jobs.values():
-            if job.finished() or not job.delayed:
-                continue
+        for job in self._active.values():
             for index, due in list(job.delayed.items()):
                 if now >= due:
                     del job.delayed[index]
                     job.pending.append(index)
 
     def _assign_chunks(self) -> None:
-        depth = sum(
-            len(job.pending) for job in self._jobs.values() if not job.finished()
-        )
+        depth = sum(len(job.pending) for job in self._active.values())
         self.metrics.gauge("scheduler.queue_depth").max(depth)
         if self._draining:
             return  # drain: land in-flight work, assign nothing new
         idle = self._idle_workers()
         if not idle:
             return
-        for key in self._order:
-            job = self._jobs.get(key)
-            if job is None or job.finished() or not job.pending:
-                continue
+        # A snapshot: a requeue below may fail, and so settle, a job.
+        for job in list(self._active.values()):
             while idle and job.pending:
                 index = job.pending.popleft()
                 task = job.chunks[index]
@@ -1220,7 +1202,7 @@ class Scheduler:
                         "queue-drop", job_key=task.job_key, chunk_index=index
                     ):
                         self.tracer.event(
-                            "chunk.queue_drop", job=key[:16], chunk=index
+                            "chunk.queue_drop", job=job.key[:16], chunk=index
                         )
                         self._requeue(task, "fault: queue delivery dropped")
                         continue
@@ -1231,26 +1213,17 @@ class Scheduler:
                         hold = delay.seconds or 0.1
                         job.delayed[index] = time.perf_counter() + hold
                         self.tracer.event(
-                            "chunk.queue_delay", job=key[:16],
+                            "chunk.queue_delay", job=job.key[:16],
                             chunk=index, seconds=hold,
                         )
                         continue
                 handle = idle.pop()
                 job.in_flight.add(index)
-                # Grant the chunk's ownership lease: a fresh monotonic
-                # fencing token (also stamped on the task, echoed in the
-                # outcome) and a deadline the dispatcher keeps renewing
-                # while the worker stays alive.
+                # A fresh fencing token per dispatch, stamped on the task and
+                # echoed in the outcome: only this dispatch's report commits.
                 token = job.next_token
                 job.next_token += 1
-                lease_deadline = time.monotonic() + self.lease_duration
-                job.lease_tokens[index] = token
-                job.lease_deadlines[index] = lease_deadline
-                self.metrics.counter("lease.granted").inc()
-                if self.journal is not None:
-                    self.journal.lease_granted(
-                        job.key, index, self.owner_id, token, lease_deadline
-                    )
+                job.fencing_tokens[index] = token
                 # Stamp the span context at dispatch time (not planning
                 # time) so each retry gets a distinct, deterministic span —
                 # the attempt number is the disambiguator.
@@ -1324,11 +1297,11 @@ class Scheduler:
         """Track a death for breaker/backoff; returns the respawn delay."""
         now = time.perf_counter()
         self._death_stamps.append(now)
-        horizon = now - self.breaker_window
+        horizon = now - _BREAKER_WINDOW
         while self._death_stamps and self._death_stamps[0] < horizon:
             self._death_stamps.popleft()
         recent = len(self._death_stamps)
-        if recent >= self.breaker_threshold:
+        if recent >= _BREAKER_THRESHOLD:
             self._trip_breaker(recent)
             self._death_stamps.clear()
         if recent <= 1:
@@ -1344,15 +1317,13 @@ class Scheduler:
         """Respawn storm: fail everything pending with one clear error."""
         message = (
             f"worker pool circuit breaker open: {recent} worker deaths "
-            f"within {self.breaker_window:.1f} s — failing pending jobs "
+            f"within {_BREAKER_WINDOW:.1f} s — failing pending jobs "
             f"(the pool keeps respawning with backoff; resubmit once the "
             f"environment is healthy)"
         )
         self.metrics.counter("scheduler.breaker.trips").inc()
-        self.tracer.event("breaker.open", deaths=recent, window=self.breaker_window)
-        for job in self._jobs.values():
-            if job.finished():
-                continue
+        self.tracer.event("breaker.open", deaths=recent, window=_BREAKER_WINDOW)
+        for job in list(self._active.values()):
             job.state = JobState.FAILED
             job.error = message
             job.error_kind = "breaker"
@@ -1360,62 +1331,7 @@ class Scheduler:
             job.delayed.clear()
             self._checkpoint(job)
             self._journal_job_done(job, "failed", job.error)
-            job.done.set()
-
-    # ------------------------------------------------------------------
-    # Lease heartbeat and reaper
-    # ------------------------------------------------------------------
-
-    def _service_leases(self) -> None:
-        """Heartbeat live leases; reclaim expired ones.
-
-        The dispatcher renews on behalf of its live workers (a worker has
-        no clock of its own to heartbeat with), so a lease only expires
-        when the holder — worker *or* the whole scheduler process — has
-        genuinely stopped making progress.  An expired lease invalidates
-        its fencing token and requeues the chunk: the original holder, if
-        it ever reports, is fenced at commit time.
-        """
-        now = time.monotonic()
-        for handle in self._workers:
-            task = handle.busy
-            if task is None or handle.dead or not handle.process.is_alive():
-                continue
-            job = self._jobs.get(task.job_key)
-            if job is None or job.finished():
-                continue
-            index = task.chunk_index
-            if job.lease_tokens.get(index) != task.fencing_token:
-                continue  # ownership moved on; this holder is a zombie
-            if index in job.no_renew:
-                continue
-            if self._injector is not None and self._injector.fire(
-                "lease-expiry", job_key=job.key, chunk_index=index
-            ):
-                # Simulate a lost heartbeat: stop renewing so the reaper
-                # below reclaims the lease while the worker still runs.
-                job.no_renew.add(index)
-                self.tracer.event(
-                    "lease.renewal_blocked", job=job.key[:16], chunk=index
-                )
-                continue
-            deadline = job.lease_deadlines.get(index)
-            if deadline is not None and deadline - now < self.lease_duration / 2.0:
-                job.lease_deadlines[index] = now + self.lease_duration
-                self.metrics.counter("lease.renewed").inc()
-        for job in self._jobs.values():
-            if job.finished():
-                continue
-            for index in list(job.in_flight):
-                deadline = job.lease_deadlines.get(index)
-                if deadline is None or now < deadline:
-                    continue
-                self.metrics.counter("lease.expired").inc()
-                self.tracer.event("lease.expired", job=job.key[:16], chunk=index)
-                job.lease_tokens[index] = -1  # fence the lost holder
-                job.lease_deadlines.pop(index, None)
-                job.no_renew.discard(index)
-                self._requeue(job.chunks[index], "lease expired")
+            self._settle(job)
 
     # ------------------------------------------------------------------
     # Outcome handling
@@ -1423,9 +1339,7 @@ class Scheduler:
 
     def _check_deadlines(self) -> None:
         now = time.monotonic()
-        for job in self._jobs.values():
-            if job.finished():
-                continue
+        for job in list(self._active.values()):  # _finalize settles jobs
             tripped = job.deadline is not None and now >= job.deadline
             if not tripped and job.timeout_at is None:
                 continue
@@ -1445,7 +1359,6 @@ class Scheduler:
         if job is None or job.finished():
             return
         job.in_flight.discard(task.chunk_index)
-        job.lease_deadlines.pop(task.chunk_index, None)
         if task.chunk_index in job.completed:
             return  # result raced in before the death was noticed
         attempts = job.retries.get(task.chunk_index, 0) + 1
@@ -1459,7 +1372,7 @@ class Scheduler:
         if worker_death:
             deaths = job.worker_deaths.get(task.chunk_index, 0) + 1
             job.worker_deaths[task.chunk_index] = deaths
-            if deaths > self.poison_retries:
+            if deaths > self.max_retries:
                 self._quarantine_chunk(job, task, attempts, deaths)
                 return
         if attempts > self.max_retries:
@@ -1470,7 +1383,7 @@ class Scheduler:
             )
             job.pending.clear()
             self._journal_job_done(job, "failed", job.error)
-            job.done.set()
+            self._settle(job)
         else:
             self.metrics.counter("faults.recovered.requeue").inc()
             job.pending.appendleft(task.chunk_index)
@@ -1505,7 +1418,7 @@ class Scheduler:
             chunk=task.chunk_index, deaths=deaths,
         )
         self._journal_job_done(job, "failed", job.error)
-        job.done.set()
+        self._settle(job)
 
     def _handle_outcome(self, outcome: ChunkOutcome) -> None:
         for handle in self._workers:
@@ -1517,16 +1430,13 @@ class Scheduler:
             return  # late result for a cancelled/timed-out/failed job
         if outcome.chunk_index in job.completed:
             return  # duplicate after a spurious requeue
-        expected_token = job.lease_tokens.get(outcome.chunk_index)
-        if (
-            outcome.fencing_token is not None
-            and outcome.fencing_token != expected_token
-        ):
-            # The chunk's lease expired and ownership moved on, or this job
-            # never leased the chunk at all (the report is from an earlier
-            # run of the same key, cancelled while the chunk was in flight);
-            # either way a zombie holder's report.  Rejecting it (success or
-            # error) is what makes re-executions at-most-once-committed.
+        expected_token = job.fencing_tokens.get(outcome.chunk_index)
+        if expected_token is None or outcome.fencing_token != expected_token:
+            # Not this chunk's latest dispatch, or a chunk this job never
+            # dispatched: the report is from an earlier run of the same key,
+            # cancelled while the chunk was in flight, whose plan covered
+            # other spans.  Rejecting it (success or error) keeps that run's
+            # work out of this one.
             self.metrics.counter("lease.fenced").inc()
             self.tracer.event(
                 "lease.fenced", job=outcome.job_key[:16],
@@ -1556,9 +1466,9 @@ class Scheduler:
             job.pending.remove(outcome.chunk_index)
         except ValueError:
             pass
-        job.completed.add(outcome.chunk_index)
-        job.lease_deadlines.pop(outcome.chunk_index, None)
-        job.no_renew.discard(outcome.chunk_index)
+        job.completed[outcome.chunk_index] = (
+            outcome.first_trajectory, outcome.result.completed_trajectories
+        )
         job.aggregate.merge(outcome.result)
         self.trajectories_executed += outcome.result.completed_trajectories
         self.metrics.counter("scheduler.trajectories_executed").inc(
@@ -1574,7 +1484,7 @@ class Scheduler:
                 outcome.chunk_index,
                 outcome.first_trajectory,
                 outcome.num_trajectories,
-                -1 if outcome.fencing_token is None else outcome.fencing_token,
+                outcome.fencing_token,
                 outcome.result.to_dict(),
             )
         if self._injector is not None and self._injector.fire(
@@ -1604,12 +1514,7 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _completed_spans(self, job: _Job) -> List[Span]:
-        spans = list(job.base_spans)
-        spans.extend(
-            (result_chunk.first_trajectory, result_chunk.num_trajectories)
-            for result_chunk in (job.chunks[i] for i in job.completed)
-        )
-        return sorted(spans)
+        return sorted(job.base_spans + list(job.completed.values()))
 
     def _checkpoint(self, job: _Job) -> None:
         """Persist the running aggregate with the spans it covers."""
@@ -1661,4 +1566,4 @@ class Scheduler:
         # the job as incomplete and the resume finds the cached result —
         # the reverse order could journal "done" with no result on disk.
         self._journal_job_done(job, "completed")
-        job.done.set()
+        self._settle(job)

@@ -466,25 +466,29 @@ def _journaled_checkpoint(
 ) -> Tuple[List[Span], StochasticResult]:
     """A journaled job's progress as one checkpoint: the base its plan was
     laid over and its committed chunks, folded into (spans, partial).  A
-    payload that does not parse adds neither, so its trajectories run
-    again."""
-    planned = {index: (first, count) for index, first, count in journaled.plan}
-    parts = [(journaled.base_spans, journaled.base_result)] + [
-        ([planned[index]], payload)
+    committed chunk covers the trajectories it ran, from its first one: a
+    timed-out chunk only its ``completed_trajectories``.  A payload that
+    does not parse adds neither, so its trajectories run again."""
+    firsts = {index: first for index, first, _ in journaled.plan}
+    parts = [(None, journaled.base_result)] + [
+        (firsts[index], payload)
         for index, payload in sorted(journaled.completed.items())
-        if index in planned
+        if index in firsts
     ]
     spans: List[Span] = []
     partial = StochasticResult(
         spec.circuit.name, spec.backend_kind, spec.trajectories
     )
-    for covered, payload in parts:
+    for first, payload in parts:
         try:
             result = StochasticResult.from_dict(payload)
         except (KeyError, TypeError, ValueError):
             continue  # absent (a base-less plan) or unparsable
         partial.merge(result)
-        spans.extend(covered)
+        if first is None:
+            spans.extend(journaled.base_spans)
+        else:
+            spans.append((first, result.completed_trajectories))
     return spans, partial
 
 
@@ -588,9 +592,7 @@ def _resume_incomplete(
                 completed_chunks=len(journaled.completed),
                 planned_chunks=len(journaled.plan),
             )
-            submit = lambda: scheduler.submit(  # noqa: E731
-                spec, checkpoint, token_base=journaled.max_token + 1
-            )
+            submit = lambda: scheduler.submit(spec, checkpoint)  # noqa: E731
         else:
             # Submitted but never planned: an ordinary resubmission (the
             # checkpoint path inside submit() still applies if one exists).
@@ -616,7 +618,6 @@ def serve(
     heartbeat_interval: float = 1.0,
     resume: bool = False,
     drain_timeout: float = 10.0,
-    lease_duration: float = 30.0,
     install_signal_handlers: bool = True,
 ) -> int:
     """Process queued jobs until the queue stays empty (``once``) or forever.
@@ -627,8 +628,8 @@ def serve(
 
     Durability (docs/ROBUSTNESS.md, "Durability & restart semantics"):
     stores with an on-disk directory get a write-ahead job journal — every
-    submission, chunk plan, lease, committed chunk result, and completion
-    is journaled with fsync, so a hard death (``kill -9``) loses at most
+    submission, chunk plan, committed chunk result, and completion is
+    journaled with fsync, so a hard death (``kill -9``) loses at most
     uncommitted chunk work.  ``resume=True`` replays the journal on
     startup and resumes every incomplete job from the progress it
     journaled, planning only its missing trajectories, with results
@@ -681,7 +682,6 @@ def serve(
             max_retries=max_retries,
             journal=journal,
             ledger=ledger,
-            lease_duration=lease_duration,
         ) as scheduler, _Telemetry(
             store, scheduler, metrics_port, events_log, trace_dir,
             heartbeat_interval, log,

@@ -73,10 +73,10 @@ class ChunkTask:
     #: fresh one carrying the attempt number); observational only — it
     #: never participates in the content-addressed job key.
     trace: Optional[TraceContext] = None
-    #: Fencing token of the chunk's ownership lease, stamped per dispatch
-    #: and echoed in the outcome.  The scheduler rejects commits whose
-    #: token is stale (the lease expired and the chunk was re-leased), so
-    #: duplicate completions are idempotent — at-most-once-committed.
+    #: Fencing token stamped per dispatch (None until dispatched) and
+    #: echoed in the outcome.  The scheduler commits an outcome only with
+    #: the token of the chunk's latest dispatch by the same job run, so a
+    #: report from a cancelled earlier run of the key never commits.
     fencing_token: Optional[int] = None
 
 
@@ -91,7 +91,7 @@ class ChunkOutcome:
     num_trajectories: int
     result: Optional[StochasticResult]
     error: Optional[str]
-    #: Echo of :attr:`ChunkTask.fencing_token` (None for pre-lease tasks).
+    #: Echo of :attr:`ChunkTask.fencing_token`.
     fencing_token: Optional[int] = None
 
 

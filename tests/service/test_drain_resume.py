@@ -136,11 +136,7 @@ class TestDrainResumeBitIdentity:
             chunk_size=4,
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit(
-                spec,
-                _journaled_checkpoint(spec, incomplete),
-                token_base=incomplete.max_token + 1,
-            )
+            scheduler.submit(spec, _journaled_checkpoint(spec, incomplete))
             resumed = scheduler.result(key, timeout=120.0)
             assert resume_journal.incomplete_jobs() == []
         resume_journal.close()
@@ -170,9 +166,7 @@ class TestDrainResumeBitIdentity:
             store=ResultStore(directory=store_dir),
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit(
-                spec, _journaled_checkpoint(spec, incomplete), token_base=0
-            )
+            scheduler.submit(spec, _journaled_checkpoint(spec, incomplete))
             resumed = scheduler.result(key, timeout=30.0)
             # Answered by the cache — and the journal entry is settled.
             assert resume_journal.incomplete_jobs() == []
@@ -204,11 +198,7 @@ class TestDrainResumeBitIdentity:
         with Scheduler(
             workers=2, store=ResultStore(directory=fresh_dir), chunk_size=4
         ) as scheduler:
-            scheduler.submit(
-                spec,
-                _journaled_checkpoint(spec, journaled),
-                token_base=journaled.max_token + 1,
-            )
+            scheduler.submit(spec, _journaled_checkpoint(spec, journaled))
             rebuilt = scheduler.result(key, timeout=30.0)
             assert scheduler.trajectories_executed == 0
         assert rebuilt.completed_trajectories == 16
@@ -216,37 +206,48 @@ class TestDrainResumeBitIdentity:
 
 
 class TestJournalLayouts:
-    """Journals as the previous build wrote them (each plan journaled with
-    its base, committed chunks by plan index) resume to the uninterrupted
-    result, under a chunk plan of another size."""
+    """Journals as earlier builds wrote them (each plan journaled with its
+    base, committed chunks by plan index, a ``lease`` record per dispatched
+    chunk, or one summary ``lease`` record once compacted) resume to the
+    uninterrupted result, under a chunk plan of another size."""
 
     SPEC = _spec(trajectories=24, num_qubits=4, seed=3, sample_shots=2)
 
-    def journal(self, store_dir, chunks, base, base_result, committed):
+    def journal(self, store_dir, chunks, base, base_result, committed,
+                compacted=False):
         spec, key = self.SPEC, self.SPEC.job_key()
+        horizon = len(chunks) - 1  # the highest token granted
         with JobJournal(journal_path(store_dir)) as journal:
             journal.job_submitted(key, spec.to_dict())
             journal.plan_recorded(key, chunks, base, base_result)
+            if compacted:
+                journal.lease_granted(key, -1, "compaction", horizon, 0.0)
             for token, (index, first, count) in enumerate(chunks):
-                journal.lease_granted(key, index, "host:1", token, 99.0)
+                if not compacted:
+                    journal.lease_granted(key, index, "host:1", token, 99.0)
                 if index in committed:
                     journal.chunk_done(
-                        key, index, first, count, token,
+                        key, index, first, count,
+                        horizon if compacted else token,
                         committed[index] or _span_payload(spec, first, count),
                     )
 
     @pytest.mark.parametrize(
         "layout",
-        ["mid-job", "over-a-base", "unparsable-base", "unparsable-chunk"],
+        ["mid-job", "compacted", "over-a-base", "unparsable-base",
+         "unparsable-chunk"],
     )
     def test_resume_gives_the_uninterrupted_bits(self, tmp_path, layout):
         spec = self.SPEC
         with Scheduler(workers=1) as scheduler:
             reference = scheduler.run(spec, timeout=120.0)
         store_dir = str(tmp_path)
-        if layout == "mid-job":
+        if layout in ("mid-job", "compacted"):
             chunks = [(i, 4 * i, 4) for i in range(6)]
-            self.journal(store_dir, chunks, [], None, {1: None, 4: None})
+            self.journal(
+                store_dir, chunks, [], None, {1: None, 4: None},
+                compacted=layout == "compacted",
+            )
         else:
             # A plan laid over a checkpoint of the first 8 trajectories.
             base_result = (

@@ -326,8 +326,7 @@ class TestAutoJobsRunDense:
             journal=resume_journal,
         ) as resumed_scheduler:
             resumed_scheduler.submit(
-                spec, _journaled_checkpoint(spec, incomplete),
-                token_base=incomplete.max_token + 1,
+                spec, _journaled_checkpoint(spec, incomplete)
             )
             resumed = resumed_scheduler.result(key, timeout=120)
         resume_journal.close()

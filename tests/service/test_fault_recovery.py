@@ -16,6 +16,7 @@ from repro.errors import PoisonChunkError, WorkerPoolBrokenError
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.service import JobSpec, ResultStore, Scheduler
+from repro.service import scheduler as scheduler_module
 from repro.stochastic import BasisProbability, simulate_stochastic
 
 NOISE = NoiseModel.paper_defaults().scaled(10)
@@ -229,15 +230,14 @@ class TestStoreFaultRecovery:
 class TestSelfProtection:
     def test_poison_chunk_is_quarantined_with_diagnosis(self, monkeypatch, tmp_path):
         # A chunk that kills its worker on every attempt must not retry
-        # forever: after poison_retries fatal attempts the job fails fast
-        # with a structured diagnosis.
+        # forever: once it has killed more than max_retries workers the job
+        # fails fast with a structured diagnosis.
         arm(
             monkeypatch, tmp_path,
             FaultSpec(kind="crash-before", chunk_index=0, times=10),
         )
         spec = ghz_spec()
-        with Scheduler(workers=2, chunk_size=8, max_retries=5,
-                       poison_retries=2) as scheduler:
+        with Scheduler(workers=2, chunk_size=8, max_retries=2) as scheduler:
             key = scheduler.submit(spec)
             with pytest.raises(PoisonChunkError, match="quarantined") as excinfo:
                 scheduler.result(key, timeout=60)
@@ -258,10 +258,10 @@ class TestSelfProtection:
             monkeypatch, tmp_path,
             FaultSpec(kind="crash-before", times=50),
         )
+        monkeypatch.setattr(scheduler_module, "_BREAKER_THRESHOLD", 3)
+        monkeypatch.setattr(scheduler_module, "_BREAKER_WINDOW", 30.0)
         spec = ghz_spec()
-        with Scheduler(workers=2, chunk_size=8, max_retries=20,
-                       poison_retries=20, breaker_threshold=3,
-                       breaker_window=30.0) as scheduler:
+        with Scheduler(workers=2, chunk_size=8, max_retries=20) as scheduler:
             key = scheduler.submit(spec)
             with pytest.raises(WorkerPoolBrokenError, match="circuit breaker"):
                 scheduler.result(key, timeout=60)

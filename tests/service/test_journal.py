@@ -47,7 +47,6 @@ class TestReplayIdempotency:
         assert first.keys() == second.keys() == {KEY}
         assert first[KEY].plan == second[KEY].plan == [(0, 0, 4), (1, 4, 4)]
         assert first[KEY].completed == second[KEY].completed
-        assert first[KEY].max_token == second[KEY].max_token == 1
         assert not first[KEY].done
 
     def test_records_are_absorbing(self, wal):
@@ -81,7 +80,6 @@ class TestReplayIdempotency:
         assert not job.done
         assert job.plan == [(0, 8, 4), (1, 12, 4)]
         assert job.completed == {}
-        assert job.max_token == 1  # the token horizon carries over
         assert job.completed_trajectories() == 8
 
 
@@ -156,7 +154,9 @@ class TestCompaction:
         assert OTHER.encode() not in raw
         assert KEY.encode() in raw
 
-    def test_rotation_preserves_plan_base_and_token_horizon(self, wal):
+    def test_rotation_preserves_plan_and_base_and_drops_leases(self, wal):
+        """Journals of older builds hold ``lease`` records: replay ignores
+        them and a rotation does not carry them over."""
         with JobJournal(wal) as journal:
             journal.job_submitted(KEY, {"trajectories": 12})
             journal.plan_recorded(
@@ -170,8 +170,10 @@ class TestCompaction:
             assert job.plan == [(0, 4, 4), (1, 8, 4)]
             assert job.base_spans == [(0, 4)]
             assert job.base_result == {"completed_trajectories": 4}
-            assert job.max_token == 7
             assert set(job.completed) == {0}
+        with open(wal, "rb") as handle:
+            kinds = [json.loads(line)["rec"] for line in handle]
+        assert kinds == ["header", "submit", "plan", "chunk-done"]
 
 
 class TestFaultSites:

@@ -272,6 +272,81 @@ class TestFaultTolerance:
         assert store.get(spec.job_key()) is None
 
 
+    def test_timed_out_checkpoint_covers_only_completed_trajectories(
+        self, tmp_path, monkeypatch
+    ):
+        """A timed-out chunk commits only the trajectories it ran.  Its
+        checkpoint must say so, and the timed-out flag must not carry into
+        a resubmission: that resumes the missing trajectories, completes
+        and is cached, with the uninterrupted run's bits."""
+        spec = ghz_spec(trajectories=64, timeout=1.0)
+        with Scheduler(workers=2, chunk_size=8) as scheduler:
+            uninterrupted = scheduler.run(spec, timeout=120)
+        assert not uninterrupted.timed_out
+
+        # Each chunk sleeps 0.6 s first: the second wave starts past the
+        # 1 s deadline, so its chunks commit with no trajectories run.
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="slow-chunk", seconds=0.6, times=100),)
+        )
+        monkeypatch.setenv(PLAN_ENV, plan.to_json())
+        reset_injector_cache()
+        store_dir = str(tmp_path)
+        with Scheduler(
+            workers=2, chunk_size=8, store=ResultStore(directory=store_dir)
+        ) as scheduler:
+            timed_out = scheduler.run(spec, timeout=120)
+        assert timed_out.timed_out
+        assert timed_out.completed_trajectories < spec.trajectories
+        spans, partial = ResultStore(directory=store_dir).get_partial(
+            spec.job_key()
+        )
+        assert partial.completed_trajectories == timed_out.completed_trajectories
+        assert sum(count for _, count in spans) == partial.completed_trajectories
+        assert sum(
+            count for _, count in _remaining_spans(spec.trajectories, spans)
+        ) == spec.trajectories - partial.completed_trajectories
+
+        monkeypatch.delenv(PLAN_ENV)
+        reset_injector_cache()
+        store = ResultStore(directory=store_dir)
+        with Scheduler(workers=2, chunk_size=8, store=store) as scheduler:
+            resumed = scheduler.run(spec, timeout=120)
+            assert scheduler.trajectories_executed == (
+                spec.trajectories - partial.completed_trajectories
+            )
+        assert not resumed.timed_out
+        assert resumed.completed_trajectories == spec.trajectories
+        assert store.get(spec.job_key()) is not None
+        for name in ("estimates", "outcome_counts", "clean_outcome_counts",
+                     "errors_fired", "strata", "completed_trajectories"):
+            assert (
+                resumed.to_dict().get(name) == uninterrupted.to_dict().get(name)
+            ), name
+
+
+class TestActiveJobs:
+    def test_dispatcher_walks_only_unfinished_jobs(self):
+        with Scheduler(workers=2, chunk_size=8) as scheduler:
+            specs = [ghz_spec(trajectories=16, seed=seed) for seed in range(3)]
+            for spec in specs:
+                scheduler.run(spec, timeout=60)
+            for _ in range(3):
+                scheduler.run(specs[0], timeout=60)  # cache hits
+            with scheduler._lock:
+                assert scheduler._active == {}
+                # Drained, the scheduler dispatches nothing: jobs stay live.
+                scheduler._draining = True
+            spec = ghz_spec(trajectories=16, seed=9)
+            key = scheduler.submit(spec)
+            assert scheduler.cancel(key)
+            scheduler.submit(spec)
+            scheduler.submit(spec)  # joins the live job
+            with scheduler._lock:
+                assert list(scheduler._active) == [key]
+                assert scheduler._active[key] is scheduler._jobs[key]
+
+
 class TestShutdown:
     def test_shutdown_is_idempotent_and_rejects_new_work(self):
         scheduler = Scheduler(workers=1)

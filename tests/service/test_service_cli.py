@@ -213,6 +213,6 @@ class TestJobsCommand:
         store_dir = str(tmp_path)
         assert main(
             ["serve", "--once", "--resume", "--drain-timeout", "2",
-             "--lease-duration", "5", "--store", store_dir]
+             "--store", store_dir]
         ) == 0
         assert "processed 0 job(s)" in capsys.readouterr().out

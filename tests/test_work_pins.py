@@ -27,11 +27,17 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
   calls in the scheduler's process, on one worker and on two: each chunk
   folds into the running aggregate once.  Re-merging every committed
   chunk at each checkpoint and at finalize would make 152.
+* Journal records: the same job journals one ``submit``, one ``plan``, a
+  ``chunk-done`` per chunk and one ``job-done``: 19 fsync'd appends.  A
+  ``lease`` record per dispatched chunk would make 35.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
 46.0), so a change that shares less work fails here long before it shows
 up in wall time.
 """
+
+import json
+from collections import Counter
 
 import pytest
 
@@ -47,6 +53,7 @@ from repro.circuits.library import (
 from repro.exact import simulate_exact
 from repro.noise import NoiseModel
 from repro.service import JobSpec, Scheduler
+from repro.service.journal import JobJournal, journal_path
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
 from repro.stochastic.results import StochasticResult
 from repro.stochastic.runner import AUTO_ENGINE, run_trajectory_span
@@ -220,3 +227,20 @@ def test_scheduler_merges_each_chunk_once(monkeypatch, workers):
         result = scheduler.run(spec, timeout=120)
     assert result.completed_trajectories == 64
     assert merged == [4] * 16
+
+
+def test_scheduler_journals_each_chunk_once(tmp_path):
+    spec = JobSpec.build(ghz(6), NOISE, (IdealFidelity(),), trajectories=64, seed=7)
+    path = journal_path(str(tmp_path))
+    with JobJournal(path) as journal:
+        with Scheduler(workers=2, journal=journal) as scheduler:
+            key = scheduler.submit(spec)
+            assert scheduler.result(key, timeout=120).completed_trajectories == 64
+            assert scheduler.plan_for(key) == (16, "default")
+        appends = journal.metrics.snapshot()["counters"]["journal.records.written"]
+    with open(path, encoding="utf-8") as handle:
+        kinds = Counter(json.loads(line)["rec"] for line in handle)
+    assert appends == 19
+    assert kinds == {
+        "header": 1, "submit": 1, "plan": 1, "chunk-done": 16, "job-done": 1,
+    }
