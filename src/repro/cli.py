@@ -8,7 +8,7 @@ Subcommands:
 * ``submit`` / ``status`` / ``result`` / ``serve`` / ``jobs`` / ``monitor``
   — the job-service mode: spool content-addressed jobs into a store, drain
   them with a persistent worker pool (crash-safe via the write-ahead
-  journal behind ``serve --resume``), and poll streaming estimates while
+  journal every ``serve`` resumes from), and poll streaming estimates while
   they run — live, with ``monitor`` and the ``serve --metrics-port``
   OpenMetrics endpoint (docs/SERVICE.md, docs/OBSERVABILITY.md,
   docs/ROBUSTNESS.md);
@@ -234,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--resume", action="store_true",
-        help="replay the write-ahead journal on startup and finish "
-        "incomplete jobs from their journaled progress, running only the "
-        "missing trajectories (bit-identical to an uninterrupted run; "
-        "docs/ROBUSTNESS.md)",
+        help="first finish every job the write-ahead journal shows "
+        "incomplete, spooled or not (any serve resumes a spooled one from "
+        "its journaled progress, running only the missing trajectories, "
+        "bit-identical to an uninterrupted run; docs/ROBUSTNESS.md)",
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=10.0, metavar="SECONDS",

@@ -23,7 +23,9 @@ final result is written through the fault plan's store faults (bit-flip /
 torn-write), so pass 2 — a fresh :class:`ResultStore` instance with a cold
 memory cache — must detect the on-disk corruption by checksum, quarantine
 the entry, and transparently re-execute: the disk-corruption recovery path
-is exercised end to end, not just at unit level.
+is exercised end to end, not just at unit level.  ``enospc`` strikes the
+same write and fails it before a byte lands, so it waits for pass 2 when
+a corrupting kind is armed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.library.ghz import ghz
@@ -240,6 +242,12 @@ def run_chaos(
             f"{len(schedule)} faults derive identically from seed {seed}",
         )
 
+        # Every store kind strikes the final result write, the one store
+        # write a completing pass makes: corruption in pass 1 only, so pass
+        # 2 reads it back through a cold store, and ENOSPC (which fails the
+        # write before a byte lands) in a pass that arms no corruption.
+        corrupting = {"torn-write", "bit-flip"} & set(kinds)
+        held_back = {1: {"enospc"} if corrupting else set(), 2: corrupting}
         passes: List[StochasticResult] = []
         for pass_index in (1, 2):
             state_dir = os.path.join(scratch, f"pass-{pass_index}")
@@ -248,6 +256,10 @@ def run_chaos(
                 seed, kinds, num_chunks,
                 trajectories=trajectories, state_dir=state_dir,
             )
+            plan = replace(plan, faults=tuple(
+                spec for spec in plan.faults
+                if spec.kind not in held_back[pass_index]
+            ))
             os.environ[PLAN_ENV] = plan.to_json()
             reset_injector_cache()
             result, snapshot = _run_pass(

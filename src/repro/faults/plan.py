@@ -274,10 +274,11 @@ class FaultPlan:
                 faults.append(FaultSpec(
                     kind=kind, job_key=job_key, chunk_index=chunk, seconds=seconds,
                 ))
-            elif kind in ("torn-write", "bit-flip"):
+            elif kind in ("torn-write", "bit-flip", "enospc"):
+                # The final result write: the one store write a job that
+                # completes makes (checkpoints are written only by jobs
+                # that end short).
                 faults.append(FaultSpec(kind=kind, job_key=job_key, operation="put"))
-            elif kind == "enospc":
-                faults.append(FaultSpec(kind=kind, job_key=job_key, operation="put_partial"))
             elif kind == "drift":
                 trajectory = rng.randrange(max(1, trajectories))
                 faults.append(FaultSpec(

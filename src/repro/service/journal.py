@@ -1,17 +1,17 @@
 """Crash-safe write-ahead job journal (``repro.journal/v1``).
 
-The journal is the durable record of what the service *was doing*: an
-append-only JSONL file under the store directory where the scheduler
-logs every job submission, chunk plan, committed chunk result, and job
-completion.  A ``repro serve --resume`` after a hard death (``kill -9``,
-power loss, OOM) replays the journal and reconstructs every incomplete
-job — its :class:`~repro.service.job.JobSpec`, the base its current
-chunk plan was laid over, and the chunk results of that plan that
-already committed — folds that progress into one checkpoint, and plans
-only the missing trajectory spans afresh.  Because per-trajectory seeds
-derive from absolute trajectory indices and estimate sums are exact,
-the resumed result is **bit-identical** to an uninterrupted run no
-matter which chunks had completed when the process died, and under
+The journal is the durable record of what the service *was doing*, and
+the one record of a running job's progress: an append-only JSONL file
+under the store directory where the scheduler logs every job
+submission, chunk plan, committed chunk result, and job completion.
+After a hard death (``kill -9``, power loss, OOM), resubmitting an
+incomplete job folds its journaled progress — the base its current chunk
+plan was laid over and the chunk results of that plan that already
+committed (:meth:`JournalJob.checkpoint`) — into one checkpoint and
+plans only the missing trajectory spans afresh.  Because per-trajectory
+seeds derive from absolute trajectory indices and estimate sums are
+exact, the resumed result is **bit-identical** to an uninterrupted run
+no matter which chunks had completed when the process died, and under
 whatever plan the rest runs.
 
 Durability is the :class:`~repro.obs.appendlog.AppendLog` contract:
@@ -22,10 +22,9 @@ undecodable interior lines (``journal.replay.bad_skipped``); a torn or
 failed append never takes the next record with it; compaction is
 atomic; and an ``ENOSPC`` sheds appends for a cooldown
 (``journal.write.errors`` / ``journal.degraded.skipped``) rather than
-killing the service — checkpoint granularity is lost before results
-are (the store applies the same policy to its checkpoint writes; see
-docs/ROBUSTNESS.md "Durability & restart semantics").  Compaction keeps
-only the records of incomplete jobs.
+killing the service — resume granularity is lost before results are
+(see docs/ROBUSTNESS.md "Durability & restart semantics").  Compaction
+keeps only the records of incomplete jobs.
 
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
@@ -57,6 +56,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs.appendlog import AppendLog, fold, read_log, read_records
 from ..obs.metrics import MetricsRegistry
+from ..stochastic.results import StochasticResult
+from .job import JobSpec
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -111,13 +112,34 @@ class JournalJob:
     def done(self) -> bool:
         return self.status is not None
 
-    def completed_trajectories(self) -> int:
-        by_index = {index: (first, count) for index, first, count in self.plan}
-        total = sum(count for _, count in self.base_spans)
-        for index in self.completed:
-            if index in by_index:
-                total += by_index[index][1]
-        return total
+    def checkpoint(self, spec: JobSpec) -> Tuple[List[Span], StochasticResult]:
+        """The job's progress as one checkpoint of ``spec``: the base its
+        plan was laid over and its committed chunks, folded into (spans,
+        partial).  A committed chunk covers the trajectories it ran, from
+        its first one: a timed-out chunk only its ``completed_trajectories``.
+        A payload that does not parse adds neither, so its trajectories run
+        again."""
+        firsts = {index: first for index, first, _ in self.plan}
+        parts = [(None, self.base_result)] + [
+            (firsts[index], payload)
+            for index, payload in sorted(self.completed.items())
+            if index in firsts
+        ]
+        spans: List[Span] = []
+        partial = StochasticResult(
+            spec.circuit.name, spec.backend_kind, spec.trajectories
+        )
+        for first, payload in parts:
+            try:
+                result = StochasticResult.from_dict(payload)
+            except (KeyError, TypeError, ValueError):
+                continue  # absent (a base-less plan) or unparsable
+            partial.merge(result)
+            if first is None:
+                spans.extend(self.base_spans)
+            else:
+                spans.append((first, result.completed_trajectories))
+        return spans, partial
 
     def planned_trajectories(self) -> int:
         return (

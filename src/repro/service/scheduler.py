@@ -15,8 +15,10 @@ Key behaviours:
   the job is still running.
 * **Content-addressed caching** — submissions are checked against the
   :class:`ResultStore` first: a byte-identical resubmission completes
-  instantly without dispatching a single chunk, and a job with an on-disk
-  checkpoint resumes from its completed spans rather than trajectory 0.
+  instantly without dispatching a single chunk.  A job the journal shows
+  incomplete (crash, drain, shutdown) resumes from its journaled chunks,
+  one whose run ended short (cancel, failure, deadline) from the store
+  checkpoint written as it ended, rather than from trajectory 0.
 * **Fault tolerance** — a worker that dies (or errors) has its chunk
   requeued with bounded retries and the worker respawned after an
   exponential backoff; exceeding the retry budget fails the job without
@@ -100,7 +102,7 @@ from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
 from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
-from .journal import JobJournal
+from .journal import JobJournal, journal_path
 from .store import ResultStore, Span
 from .worker import ChunkOutcome, ChunkTask, worker_main
 
@@ -124,9 +126,9 @@ _TIMEOUT_DRAIN_GRACE = 1.0
 _CHUNKS_PER_WORKER = 8
 
 #: CPU seconds of work a measured job's chunk aims at: about 20x what the
-#: dispatcher spends serving one chunk (chunk-done journal append,
-#: checkpoint, hand-off; under 2.5 ms), so that service stays a small share
-#: of a chunk's time.
+#: dispatcher spends serving one chunk (chunk-done journal append and
+#: hand-off; under 2.5 ms), so that service stays a small share of a
+#: chunk's time.
 _CHUNK_SECONDS = 0.05
 
 #: ``multiprocessing`` start method of the worker pool.
@@ -381,7 +383,7 @@ class Scheduler:
         recent stochastic runs in the ``ledger`` is cut into chunks of
         about 0.05 s of measured CPU each (``_CHUNK_SECONDS``), between
         one and 8 per worker, so the per-chunk commit (journal append,
-        checkpoint, hand-off) stays a small share of a short job; without
+        hand-off) stays a small share of a short job; without
         that history every job gets 8 chunks per worker.  Either way the
         result is the same bits (index-derived seeds, exact estimate
         sums); only how often streaming estimates refresh and how much a
@@ -403,10 +405,11 @@ class Scheduler:
         defers to the ``REPRO_EXACT_NODE_CEILING`` environment variable
         (unset means "no ceiling": exact runs to completion).
     journal:
-        Optional write-ahead :class:`~repro.service.journal.JobJournal`.
-        When present, every submission, chunk plan, committed chunk
-        result, and job completion is journaled durably, making the
-        scheduler's work resumable after a hard death (``serve --resume``).
+        Write-ahead :class:`~repro.service.journal.JobJournal`: every
+        submission, chunk plan, committed chunk result, and job completion
+        is journaled durably, so a resubmission resumes after a hard death.
+        Defaults to ``journal_path(store.directory)``, opened here and
+        closed by :meth:`shutdown`, for a store with a directory.
     ledger:
         Optional :class:`~repro.obs.ledger.RunLedger`.  When present, every
         finished job appends a run-profile record (method, peak DD nodes,
@@ -443,10 +446,15 @@ class Scheduler:
             if exact_node_ceiling is not None
             else default_node_ceiling()
         )
-        self.journal = journal
+        self._own_journal = journal is None and self.store.directory is not None
+        self.journal = (
+            JobJournal(journal_path(self.store.directory))
+            if self._own_journal
+            else journal
+        )
         self.ledger = ledger
-        #: Set by :meth:`drain`: stop assigning new chunks, let in-flight
-        #: ones land, checkpoint the rest.
+        #: Set by :meth:`drain`: stop assigning new chunks and let in-flight
+        #: ones land; the journal holds the rest.
         self._draining = False
         #: Trajectories actually executed by this scheduler instance —
         #: cache hits and resumed checkpoints contribute nothing here.
@@ -527,18 +535,16 @@ class Scheduler:
     # Public API
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        spec: JobSpec,
-        checkpoint: Optional[Tuple[List[Span], StochasticResult]] = None,
-    ) -> str:
+    def submit(self, spec: JobSpec) -> str:
         """Register a job; returns its content-addressed key immediately.
 
         Cache hit → the job is born COMPLETED with the stored result.
         Checkpoint → a fresh chunk plan covers only the missing trajectory
         spans, and the job samples whatever its ``method``.  The checkpoint
-        is ``checkpoint`` — ``(spans, partial)`` restored by the caller, as
-        ``serve --resume`` folds it from the journal — or else the store's.
+        is the journal's fold of an incomplete, planned entry for the key
+        (:meth:`~repro.service.journal.JournalJob.checkpoint`; planned
+        means sampling, even with nothing committed), or else the store
+        partial of a run that ended short.
         Identical key already live → idempotent, the existing job is kept.
         Exact-dispatched jobs (``method="exact"``, or ``"auto"`` when the
         cost model favours exact) run *synchronously* in this thread —
@@ -560,6 +566,9 @@ class Scheduler:
                 # earlier run's token numbering, so its in-flight chunks
                 # can never commit into this one.
                 job.next_token = existing.next_token
+            journaled = None if self.journal is None else self.journal.job(key)
+            if journaled is not None and journaled.done:
+                journaled = None  # only an incomplete entry holds progress
             cached = self.store.get(key)
             if cached is not None:
                 self.metrics.counter("store.hits").inc()
@@ -568,15 +577,16 @@ class Scheduler:
                 job.cached = True
                 job.method = cached.method
                 job.state = JobState.COMPLETED
-                journaled = None if self.journal is None else self.journal.job(key)
-                if journaled is not None and not journaled.done:
+                if journaled is not None:
                     # The result landed before a crash took the job-done
                     # record: settle the journal entry.
                     self._journal_job_done(job, "completed")
                 self._settle(job)
             else:
                 self.metrics.counter("store.misses").inc()
-                if checkpoint is None:
+                if journaled is not None and journaled.plan:
+                    checkpoint = journaled.checkpoint(spec)
+                else:
                     checkpoint = self.store.get_partial(key)
                 if checkpoint is not None:
                     # A checkpoint only ever comes from a stochastic run;
@@ -623,10 +633,11 @@ class Scheduler:
 
         Within ``timeout`` seconds the dispatcher keeps consuming worker
         outcomes (each one journaled and merged as usual) but assigns
-        nothing new.  Whatever is still unfinished afterwards is
-        checkpointed and left journal-incomplete — exactly the state
-        ``serve --resume`` restarts from.  Returns True when every
-        in-flight chunk landed inside the deadline.
+        nothing new.  Whatever is still unfinished afterwards stays
+        journal-incomplete, its committed chunks its checkpoint: exactly
+        the state a resubmission (``serve``, with or without
+        ``--resume``) restarts from.  Returns True when every in-flight
+        chunk landed inside the deadline.
         """
         with self._lock:
             self._draining = True
@@ -641,8 +652,6 @@ class Scheduler:
             time.sleep(_POLL_INTERVAL)
         with self._lock:
             clean = all(h.busy is None or h.dead for h in self._workers)
-            for job in self._active.values():
-                self._checkpoint(job)
             if self.journal is not None:
                 self.journal.flush()
             self.metrics.counter(
@@ -761,21 +770,20 @@ class Scheduler:
             job.pending.clear()
             job.delayed.clear()
             job.state = JobState.CANCELLED
-            self._checkpoint(job)
-            self._journal_job_done(job, "cancelled")
-            self._settle(job)
+            self._end_short(job, "cancelled")
             return True
 
     def shutdown(self) -> None:
         """Stop the dispatcher, terminate the worker pool and release its
-        processes, queues and wake pipe (idempotent)."""
+        processes, queues, wake pipe and own journal (idempotent).
+        Unfinished jobs end CANCELLED here and stay journal-incomplete, so
+        a later scheduler on the store resumes them."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             for job in list(self._active.values()):
                 job.state = JobState.CANCELLED
-                self._checkpoint(job)
                 self._settle(job)
             self._wake()
         atexit.unregister(self.shutdown)
@@ -800,6 +808,8 @@ class Scheduler:
             os.close(self._wake_reader)
             os.close(self._wake_writer)
             self._wake_writer = None
+            if self._own_journal:
+                self.journal.close()
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -918,8 +928,7 @@ class Scheduler:
                 job.error = (
                     f"exact simulation failed: {type(error).__name__}: {error}"
                 )
-                self._journal_job_done(job, "failed", job.error)
-                self._settle(job)
+                self._end_short(job, "failed", job.error)
             return
         with self._lock:
             if job.finished():
@@ -1329,9 +1338,7 @@ class Scheduler:
             job.error_kind = "breaker"
             job.pending.clear()
             job.delayed.clear()
-            self._checkpoint(job)
-            self._journal_job_done(job, "failed", job.error)
-            self._settle(job)
+            self._end_short(job, "failed", job.error)
 
     # ------------------------------------------------------------------
     # Outcome handling
@@ -1382,8 +1389,7 @@ class Scheduler:
                 f"chunk {task.chunk_index} failed after {attempts} attempts ({reason})"
             )
             job.pending.clear()
-            self._journal_job_done(job, "failed", job.error)
-            self._settle(job)
+            self._end_short(job, "failed", job.error)
         else:
             self.metrics.counter("faults.recovered.requeue").inc()
             job.pending.appendleft(task.chunk_index)
@@ -1417,8 +1423,7 @@ class Scheduler:
             "chunk.quarantine", job=job.key[:16],
             chunk=task.chunk_index, deaths=deaths,
         )
-        self._journal_job_done(job, "failed", job.error)
-        self._settle(job)
+        self._end_short(job, "failed", job.error)
 
     def _handle_outcome(self, outcome: ChunkOutcome) -> None:
         for handle in self._workers:
@@ -1476,9 +1481,8 @@ class Scheduler:
         )
         self.metrics.counter("scheduler.chunks_completed").inc()
         if self.journal is not None:
-            # WAL ordering: the commit is journaled before any dependent
-            # store write, so a crash at any later instant still replays
-            # this chunk as done.
+            # The journal is the running job's progress record: from here
+            # on, a crash replays this chunk as done.
             self.journal.chunk_done(
                 job.key,
                 outcome.chunk_index,
@@ -1490,8 +1494,8 @@ class Scheduler:
         if self._injector is not None and self._injector.fire(
             "scheduler-crash", job_key=job.key, chunk_index=outcome.chunk_index
         ):
-            # Die hard with a journaled chunk-done but no further store
-            # writes — the deterministic stand-in for kill -9 mid-job.
+            # Die hard with a journaled chunk-done and nothing after it —
+            # the deterministic stand-in for kill -9 mid-job.
             os._exit(1)
         if outcome.result.timed_out:
             # The shared deadline tripped inside this chunk; siblings are
@@ -1506,23 +1510,22 @@ class Scheduler:
             return
         if len(job.completed) == len(job.chunks):
             self._finalize(job)
-        else:
-            self._checkpoint(job)
 
     # ------------------------------------------------------------------
     # Aggregation / persistence
     # ------------------------------------------------------------------
 
-    def _completed_spans(self, job: _Job) -> List[Span]:
-        return sorted(job.base_spans + list(job.completed.values()))
-
-    def _checkpoint(self, job: _Job) -> None:
-        """Persist the running aggregate with the spans it covers."""
-        if not job.base_spans and not job.completed:
-            return  # nothing worth persisting yet
-        job.aggregate.elapsed_seconds = time.perf_counter() - job.started_at
-        self.store.put_partial(job.key, self._completed_spans(job), job.aggregate)
-        self.metrics.counter("scheduler.checkpoint_writes").inc()
+    def _end_short(self, job: _Job, status: str, error: Optional[str] = None) -> None:
+        """Settle a job that ends without its full result, journaling how.
+        The trajectories it ran are checkpointed first: the only store
+        partial, since a running job's progress is its journal."""
+        if job.base_spans or job.completed:
+            job.aggregate.elapsed_seconds = time.perf_counter() - job.started_at
+            spans = sorted(job.base_spans + list(job.completed.values()))
+            self.store.put_partial(job.key, spans, job.aggregate)
+            self.metrics.counter("scheduler.checkpoint_writes").inc()
+        self._journal_job_done(job, status, error)
+        self._settle(job)
 
     def _finalize(self, job: _Job) -> None:
         """Stamp a copy of the running aggregate as the job's result."""
@@ -1553,15 +1556,15 @@ class Scheduler:
             completed=final.completed_trajectories, timed_out=final.timed_out,
         )
         complete = final.completed_trajectories >= job.spec.trajectories
-        if complete and not final.timed_out:
-            self.store.put(job.key, final, spec_dict=job.spec.to_dict())
-            # Only complete runs enter the ledger: a timed-out partial's
-            # throughput and peak nodes would skew the family history.
-            self._ledger_record_run(job, final)
-        else:
+        if not complete or final.timed_out:
             # Timed-out / partial outcomes are checkpointed, never cached
             # as final: a resubmission with more budget resumes from here.
-            self.store.put_partial(job.key, self._completed_spans(job), final)
+            self._end_short(job, "completed")
+            return
+        self.store.put(job.key, final, spec_dict=job.spec.to_dict())
+        # Only complete runs enter the ledger: a timed-out partial's
+        # throughput and peak nodes would skew the family history.
+        self._ledger_record_run(job, final)
         # job-done lands AFTER the store write: a crash in between replays
         # the job as incomplete and the resume finds the cached result —
         # the reverse order could journal "done" with no result on disk.

@@ -3,10 +3,11 @@
 ``repro submit`` serialises a :class:`JobSpec` into ``<store>/queue/<key>.json``;
 :func:`serve` (the engine behind ``repro serve``) picks queued specs up in
 submission order, runs them on a persistent :class:`Scheduler`, and leaves
-final results — and, while a job is still running, streaming checkpoints —
-in the same store, where ``repro status`` and ``repro result`` (separate
-processes) find them.  This decouples producers from the worker pool: many
-``submit`` invocations feed one long-lived ``serve`` process.
+final results in the same store and, while a job is still running, its
+committed chunks in the store's write-ahead journal, where ``repro status``
+and ``repro result`` (separate processes) find them.  This decouples
+producers from the worker pool: many ``submit`` invocations feed one
+long-lived ``serve`` process.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from ..obs.ledger import RunLedger, ledger_path, replay_ledger
 from ..obs.metrics import MetricsRegistry, derive_rates, merge_snapshots
 from ..stochastic.results import StochasticResult
 from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
-from .journal import JobJournal, JournalJob, journal_path, replay_journal
+from .journal import journal_path, replay_journal
 from .scheduler import Scheduler, SchedulerError
-from .store import ResultStore, Span
+from .store import ResultStore
 
 __all__ = ["enqueue_job", "list_queue", "list_jobs", "query_status", "serve"]
 
@@ -97,9 +98,10 @@ def list_jobs(store: ResultStore) -> List[dict]:
 
     One row per job, keyed by where the resumable state lives:
     ``journal`` (incomplete in the write-ahead journal — what
-    ``serve --resume`` restarts, with its committed-chunk progress),
+    ``serve --resume`` restarts, with the progress its committed chunks
+    fold to, :meth:`~repro.service.journal.JournalJob.checkpoint`),
     ``queued`` (spooled spec not yet picked up), or ``checkpoint``
-    (an orphaned partial with no journal entry, resumable by plain
+    (the partial of a run that ended short, resumable by plain
     resubmission).  Each row carries its resolved ``method`` and, for
     ``auto`` specs, the one-line ``dispatch`` evidence the cost model
     would cite — scored against the store's run-ledger history.  Rows
@@ -119,25 +121,23 @@ def list_jobs(store: ResultStore) -> List[dict]:
                 "source": "journal",
                 "planned_chunks": len(job.plan),
                 "completed_chunks": len(job.completed),
-                "completed_trajectories": job.completed_trajectories(),
+                "completed_trajectories": 0,
                 "trajectories": job.planned_trajectories(),
             }
             if job.spec_dict is not None:
                 row["circuit"] = str(job.spec_dict.get("circuit_name", "?"))
                 row["trajectories"] = int(job.spec_dict.get("trajectories", 0))
-                try:
-                    journaled_spec: Optional[JobSpec] = JobSpec.from_dict(
-                        job.spec_dict
-                    )
-                except (KeyError, TypeError, ValueError):
-                    journaled_spec = None
+                journaled_spec = _spec_of(job.spec_dict)
                 method, evidence = _dispatch_preview(journaled_spec, history)
                 row["method"] = method
                 if evidence is not None:
                     row["dispatch"] = evidence
-                # Every committed chunk names the engine its span ran on.
-                committed = next(iter(job.completed.values()), {})
-                ran_on = committed.get("backend_kind")
+                ran_on = None
+                if journaled_spec is not None:
+                    _, partial = job.checkpoint(journaled_spec)
+                    row["completed_trajectories"] = partial.completed_trajectories
+                    if partial.completed_trajectories:
+                        ran_on = partial.backend_kind
                 if ran_on is not None or not method.endswith("exact"):
                     row["engine"] = job_engine(journaled_spec, ran_on)
             rows.append(row)
@@ -183,8 +183,8 @@ def list_jobs(store: ResultStore) -> List[dict]:
     return rows
 
 
-def _dequeue(store: ResultStore, key: str) -> Optional[JobSpec]:
-    data = store.get_queued(key)  # checksum-verified; corruption quarantined
+def _spec_of(data: Optional[dict]) -> Optional[JobSpec]:
+    """The spec a spooled or journaled spec dict holds, or None."""
     if data is None:
         return None
     try:
@@ -193,54 +193,69 @@ def _dequeue(store: ResultStore, key: str) -> Optional[JobSpec]:
         return None
 
 
+def _dequeue(store: ResultStore, key: str) -> Optional[JobSpec]:
+    # Checksum-verified; corruption quarantined.
+    return _spec_of(store.get_queued(key))
+
+
 def query_status(store: ResultStore, key: str) -> JobStatus:
-    """Reconstruct a job's status purely from the store (cross-process).
+    """Reconstruct a job's status from the store directory (cross-process).
 
     This is what lets ``repro status`` observe a job that a separate
-    ``repro serve`` process is running: final results, streaming
-    checkpoints, and queued specs all live on disk.
+    ``repro serve`` process is running.  Only a key the journal shows
+    incomplete is RUNNING, with the progress its committed chunks fold to
+    (:meth:`~repro.service.journal.JournalJob.checkpoint`).  A store
+    partial is a run that ended short: it reads as the journal recorded
+    its end while it holds the job, else COMPLETED when its deadline cut
+    it short (as :meth:`Scheduler.status` reports in process), else FAILED.
     """
 
-    def estimates_of(result) -> dict:
-        return {
-            name: StreamingEstimate(
-                name=name,
-                mean=estimate.mean,
-                halfwidth=estimate.hoeffding_halfwidth(),
-                count=estimate.count,
-            )
-            for name, estimate in result.estimates.items()
-            if estimate.count > 0
-        }
+    def status_of(state: JobState, result: StochasticResult, **fields) -> JobStatus:
+        fields.setdefault("engine", job_engine(None, result.backend_kind))
+        return JobStatus(
+            key=key,
+            state=state,
+            circuit_name=result.circuit_name,
+            requested_trajectories=result.requested_trajectories,
+            completed_trajectories=result.completed_trajectories,
+            estimates={
+                name: StreamingEstimate(
+                    name=name,
+                    mean=estimate.mean,
+                    halfwidth=estimate.hoeffding_halfwidth(),
+                    count=estimate.count,
+                )
+                for name, estimate in result.estimates.items()
+                if estimate.count > 0
+            },
+            elapsed_seconds=result.elapsed_seconds,
+            metrics=dict(result.metrics),
+            **fields,
+        )
 
     final = store.get(key)
     if final is not None:
-        return JobStatus(
-            key=key,
-            state=JobState.COMPLETED,
-            circuit_name=final.circuit_name,
-            requested_trajectories=final.requested_trajectories,
-            completed_trajectories=final.completed_trajectories,
-            estimates=estimates_of(final),
-            elapsed_seconds=final.elapsed_seconds,
-            method=final.method,
-            engine=job_engine(None, final.backend_kind),
-            metrics=dict(final.metrics),
-        )
+        return status_of(JobState.COMPLETED, final, method=final.method)
+    journaled = None
+    if store.directory is not None:
+        journaled = replay_journal(journal_path(store.directory)).get(key)
+    spec = None if journaled is None else _spec_of(journaled.spec_dict)
+    if spec is not None and not journaled.done:
+        _, partial = journaled.checkpoint(spec)
+        try:  # the journal keeps no clock: time the spooled submission
+            queued = os.path.join(store.directory, "queue", f"{key}.json")
+            partial.elapsed_seconds = time.time() - os.path.getmtime(queued)
+        except OSError:
+            pass
+        ran_on = partial.backend_kind if partial.completed_trajectories else None
+        return status_of(JobState.RUNNING, partial, engine=job_engine(spec, ran_on))
     checkpoint = store.get_partial(key)
     if checkpoint is not None:
         _, partial = checkpoint
-        return JobStatus(
-            key=key,
-            state=JobState.RUNNING,
-            circuit_name=partial.circuit_name,
-            requested_trajectories=partial.requested_trajectories,
-            completed_trajectories=partial.completed_trajectories,
-            estimates=estimates_of(partial),
-            elapsed_seconds=partial.elapsed_seconds,
-            engine=job_engine(None, partial.backend_kind),
-            metrics=dict(partial.metrics),
+        ended = (journaled and journaled.status) or (
+            "completed" if partial.timed_out else "failed"
         )
+        return status_of(JobState(ended), partial, error=journaled and journaled.error)
     if key in store.queued_keys():
         spec = _dequeue(store, key)
         return JobStatus(
@@ -461,37 +476,6 @@ class _Telemetry:
         self.close()
 
 
-def _journaled_checkpoint(
-    spec: JobSpec, journaled: JournalJob
-) -> Tuple[List[Span], StochasticResult]:
-    """A journaled job's progress as one checkpoint: the base its plan was
-    laid over and its committed chunks, folded into (spans, partial).  A
-    committed chunk covers the trajectories it ran, from its first one: a
-    timed-out chunk only its ``completed_trajectories``.  A payload that
-    does not parse adds neither, so its trajectories run again."""
-    firsts = {index: first for index, first, _ in journaled.plan}
-    parts = [(None, journaled.base_result)] + [
-        (firsts[index], payload)
-        for index, payload in sorted(journaled.completed.items())
-        if index in firsts
-    ]
-    spans: List[Span] = []
-    partial = StochasticResult(
-        spec.circuit.name, spec.backend_kind, spec.trajectories
-    )
-    for first, payload in parts:
-        try:
-            result = StochasticResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            continue  # absent (a base-less plan) or unparsable
-        partial.merge(result)
-        if first is None:
-            spans.extend(journaled.base_spans)
-        else:
-            spans.append((first, result.completed_trajectories))
-    return spans, partial
-
-
 def _run_one(
     store: ResultStore,
     scheduler: Scheduler,
@@ -500,18 +484,25 @@ def _run_one(
     draining: threading.Event,
     key: str,
     spec: JobSpec,
-    submit: Callable[[], str],
 ) -> bool:
     """Submit one job and poll it to completion (or until a drain).
 
     Returns True when the job reached a terminal state (success or
     failure: counted as processed, dequeued).  Returns False when a drain
     interrupted the wait — the job stays journal-incomplete and spooled,
-    exactly the state ``serve --resume`` restarts from.
+    exactly the state the next ``serve`` restarts from.
     """
+    journaled = None if scheduler.journal is None else scheduler.journal.job(key)
+    if journaled is not None and not journaled.done:
+        # The submission resumes it from the progress the journal holds.
+        completed, planned = len(journaled.completed), len(journaled.plan)
+        log(f"[serve] resuming job {key[:16]}… ({completed}/{planned} "
+            f"chunks already committed)")
+        telemetry.emit("job.resume", job=key, completed_chunks=completed,
+                       planned_chunks=planned)
     telemetry.job_started(key, spec)
     try:
-        submit()
+        scheduler.submit(spec)
     except SchedulerError as error:
         log(f"[serve] job {key[:16]}… FAILED: {error}")
         telemetry.job_finished(key, error=str(error))
@@ -557,48 +548,21 @@ def _run_one(
 def _resume_incomplete(
     store: ResultStore,
     scheduler: Scheduler,
-    journal: JobJournal,
     telemetry: _Telemetry,
     log: Callable[[str], None],
     draining: threading.Event,
 ) -> int:
-    """Resume and run every journal-incomplete job; returns count run."""
+    """Run every journal-incomplete job, spooled or not, before the queue;
+    returns the count run."""
     processed = 0
-    for journaled in journal.incomplete_jobs():
+    for journaled in scheduler.journal.incomplete_jobs():
         if draining.is_set():
             break
-        if journaled.spec_dict is None:
-            continue  # torn before the submit record — nothing to restore
-        try:
-            spec = JobSpec.from_dict(journaled.spec_dict)
-        except (KeyError, TypeError, ValueError) as error:
-            log(
-                f"[serve] journal entry {journaled.key[:16]}… has an "
-                f"unusable spec ({error}); skipping"
-            )
-            continue
-        key = journaled.key
-        if journaled.plan:
-            # Planned means sampling: even with nothing committed, resume
-            # through the checkpoint path rather than re-routing the job.
-            checkpoint = _journaled_checkpoint(spec, journaled)
-            log(
-                f"[serve] resuming job {key[:16]}… "
-                f"({len(journaled.completed)}/{len(journaled.plan)} chunks "
-                f"already committed)"
-            )
-            telemetry.emit(
-                "job.resume", job=key,
-                completed_chunks=len(journaled.completed),
-                planned_chunks=len(journaled.plan),
-            )
-            submit = lambda: scheduler.submit(spec, checkpoint)  # noqa: E731
-        else:
-            # Submitted but never planned: an ordinary resubmission (the
-            # checkpoint path inside submit() still applies if one exists).
-            log(f"[serve] re-running unplanned job {key[:16]}…")
-            submit = lambda: scheduler.submit(spec)  # noqa: E731
-        if _run_one(store, scheduler, telemetry, log, draining, key, spec, submit):
+        spec = _spec_of(journaled.spec_dict)
+        if spec is None:  # torn before the submit record, or unusable
+            log(f"[serve] journal entry {journaled.key[:16]}… has no usable "
+                f"spec; skipping")
+        elif _run_one(store, scheduler, telemetry, log, draining, journaled.key, spec):
             processed += 1
     return processed
 
@@ -627,16 +591,17 @@ def serve(
     the queue; their partial checkpoints remain for post-mortem or resume.
 
     Durability (docs/ROBUSTNESS.md, "Durability & restart semantics"):
-    stores with an on-disk directory get a write-ahead job journal — every
+    the scheduler opens the store's write-ahead job journal — every
     submission, chunk plan, committed chunk result, and completion is
     journaled with fsync, so a hard death (``kill -9``) loses at most
-    uncommitted chunk work.  ``resume=True`` replays the journal on
-    startup and resumes every incomplete job from the progress it
-    journaled, planning only its missing trajectories, with results
-    bit-identical to an uninterrupted run.
+    uncommitted chunk work.  Every submission of a job the journal shows
+    incomplete resumes from the progress it journaled, planning only its
+    missing trajectories, with results bit-identical to an uninterrupted
+    run: a spooled job resumes on a plain ``serve``.  ``resume=True``
+    first runs every journal-incomplete job, spooled or not.
     SIGTERM/SIGINT trigger a graceful drain: stop admitting work, let
-    in-flight chunks land (bounded by ``drain_timeout`` seconds),
-    checkpoint the rest, flush journal/metrics/events, and return
+    in-flight chunks land (bounded by ``drain_timeout`` seconds), leave
+    the rest journal-incomplete, flush journal/metrics/events, and return
     normally (exit 0); a second signal exits immediately.
 
     Telemetry (all optional, see docs/OBSERVABILITY.md):
@@ -652,13 +617,12 @@ def serve(
       completed job, stitched from the job's cross-process spans.
     """
     processed = 0
-    journal: Optional[JobJournal] = None
     ledger: Optional[RunLedger] = None
     if store.directory is not None:
-        journal = JobJournal(journal_path(store.directory))
-        # The run ledger lives beside the journal: the journal makes work
-        # resumable, the ledger makes its cost observable — and feeds the
-        # measured dispatch model for every later job of the same family.
+        # The run ledger lives beside the journal the scheduler opens: the
+        # journal makes work resumable, the ledger makes its cost
+        # observable — and feeds the measured dispatch model for every
+        # later job of the same family.
         ledger = RunLedger(ledger_path(store.directory))
     draining = threading.Event()
 
@@ -680,12 +644,12 @@ def serve(
             store=store,
             chunk_size=chunk_size,
             max_retries=max_retries,
-            journal=journal,
             ledger=ledger,
         ) as scheduler, _Telemetry(
             store, scheduler, metrics_port, events_log, trace_dir,
             heartbeat_interval, log,
         ) as telemetry:
+            journal = scheduler.journal
             telemetry.emit(
                 "serve.start",
                 pid=os.getpid(),
@@ -697,7 +661,7 @@ def serve(
             )
             if resume and journal is not None:
                 processed += _resume_incomplete(
-                    store, scheduler, journal, telemetry, log, draining
+                    store, scheduler, telemetry, log, draining
                 )
                 if max_jobs is not None and processed >= max_jobs:
                     telemetry.emit(
@@ -726,10 +690,7 @@ def serve(
                         f"M={spec.trajectories}, backend={spec.backend_kind}, "
                         f"method={spec.method})"
                     )
-                    if _run_one(
-                        store, scheduler, telemetry, log, draining, key, spec,
-                        lambda spec=spec: scheduler.submit(spec),
-                    ):
+                    if _run_one(store, scheduler, telemetry, log, draining, key, spec):
                         processed += 1
                     if max_jobs is not None and processed >= max_jobs:
                         telemetry.emit(
@@ -756,8 +717,6 @@ def serve(
                 signal.signal(signum, previous)
             except (ValueError, TypeError):
                 pass
-        if journal is not None:
-            journal.close()
         if ledger is not None:
             ledger.close()
     return processed

@@ -5,10 +5,12 @@ Three kinds of entries live under the store directory:
 
 * ``results/<key>.json`` — final :class:`StochasticResult` (plus the spec
   that produced it, for provenance and CLI display);
-* ``partials/<key>.json`` — checkpoint of a job in flight: the trajectory
-  spans already completed and the merged partial result, written by the
-  scheduler after every chunk so an interrupted job resumes instead of
-  restarting at trajectory 0;
+* ``partials/<key>.json`` — checkpoint of a job that ended without its
+  full result (cancelled, failed, cut short by its deadline): the
+  trajectory spans it completed and their merged partial result, written
+  once by the scheduler as the job ends, so a resubmission resumes
+  instead of restarting at trajectory 0 (a job still running keeps its
+  progress in the write-ahead journal, :mod:`repro.service.journal`);
 * ``queue/<key>.json`` — specs spooled by ``repro submit`` awaiting a
   ``repro serve`` batch runner (managed by :mod:`repro.service.serve`).
 
@@ -36,7 +38,6 @@ import errno
 import hashlib
 import json
 import os
-import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -54,11 +55,6 @@ STORE_ENV = "REPRO_STORE_DIR"
 STORE_SCHEMA = "repro.store/v2"
 
 Span = Tuple[int, int]  #: (first_trajectory, num_trajectories)
-
-#: Seconds the store sheds *sheddable* writes (checkpoints) after a write
-#: failure — the ENOSPC degraded mode: checkpoint granularity is lost
-#: before results are (final ``put`` writes are always attempted).
-DEFAULT_DEGRADED_COOLDOWN = 5.0
 
 
 def default_store_directory() -> str:
@@ -83,19 +79,11 @@ def _payload_digest(payload: Dict[str, object]) -> str:
 class ResultStore:
     """LRU-fronted, content-addressed store of simulation results."""
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        capacity: int = 128,
-        degraded_cooldown: float = DEFAULT_DEGRADED_COOLDOWN,
-    ) -> None:
+    def __init__(self, directory: Optional[str] = None, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.directory = directory
         self.capacity = capacity
-        self.degraded_cooldown = degraded_cooldown
-        #: Monotonic instant until which sheddable writes are shed.
-        self._degraded_until = 0.0
         self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -109,8 +97,6 @@ class ResultStore:
         for name in (
             "store.corruption.quarantined",
             "store.write.errors",
-            "store.degraded.entered",
-            "store.degraded.skipped",
             "faults.recovered.store_quarantine",
             "faults.recovered.write_skipped",
         ):
@@ -226,38 +212,17 @@ class ResultStore:
                     handle.seek(position)
                     handle.write(bytes([raw[position] ^ 0xFF]))
 
-    @property
-    def degraded(self) -> bool:
-        """True while the store is shedding checkpoint writes (post-failure)."""
-        return time.monotonic() < self._degraded_until
-
     def _write_cached(
-        self,
-        kind: str,
-        key: str,
-        payload: Dict[str, object],
-        operation: str,
-        sheddable: bool = False,
+        self, kind: str, key: str, payload: Dict[str, object], operation: str
     ) -> None:
-        """Best-effort cache write: failures are counted, never raised.
-
-        A failure opens a degraded-mode cooldown during which *sheddable*
-        writes (checkpoints) are skipped outright — when the disk is full,
-        hammering it with checkpoint traffic only delays the final result
-        write, which is always attempted.
-        """
+        """Best-effort cache write: failures are counted, never raised."""
         if self.directory is None:
-            return
-        if sheddable and self.degraded:
-            self.metrics.counter("store.degraded.skipped").inc()
             return
         try:
             self._write_json(kind, key, payload, operation)
         except OSError as error:
             self.metrics.counter("store.write.errors").inc()
             self.metrics.counter("faults.recovered.write_skipped").inc()
-            self.metrics.counter("store.degraded.entered").inc()
-            self._degraded_until = time.monotonic() + self.degraded_cooldown
             self.last_write_error = f"{operation} {key[:16]}…: {error}"
 
     # -- final results ----------------------------------------------------
@@ -329,10 +294,10 @@ class ResultStore:
         return spans, result
 
     def put_partial(self, key: str, spans: List[Span], result: StochasticResult) -> None:
-        """Checkpoint a job in flight (no-op for memory-only stores).
+        """Checkpoint a job that ended short (no-op for memory-only stores).
 
-        Best-effort like :meth:`put`: a failed checkpoint write costs
-        resume granularity, not the job.
+        Best-effort like :meth:`put`: a failed checkpoint write costs the
+        resume, not the job.
         """
         if self.directory is None:
             return  # nothing would read the payload: do not build it
@@ -342,7 +307,6 @@ class ResultStore:
             {"spans": [[first, count] for first, count in spans],
              "result": result.to_dict()},
             "put_partial",
-            sheddable=True,
         )
 
     def delete_partial(self, key: str) -> None:
@@ -421,13 +385,14 @@ class ResultStore:
         An ambiguous prefix lists the (truncated) matching keys so the
         caller can immediately retype a longer prefix.
         """
-        candidates = {
-            key
-            for key in (
-                self.result_keys() + self.partial_keys() + self.queued_keys()
-            )
-            if key.startswith(prefix)
-        }
+        keys = self.result_keys() + self.partial_keys() + self.queued_keys()
+        if self.directory is not None:
+            # A running job that was not spooled is only in the journal.
+            from .journal import journal_path, replay_journal
+
+            journaled = replay_journal(journal_path(self.directory))
+            keys += [key for key, job in journaled.items() if not job.done]
+        candidates = {key for key in keys if key.startswith(prefix)}
         if not candidates:
             raise KeyError(f"no job matching {prefix!r} in the store")
         if len(candidates) > 1:

@@ -67,3 +67,33 @@ class TestChaosCommand:
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload["kinds"]) == ["queue-drop", "torn-write"]
+
+    def test_enospc_fails_each_final_write_and_heals(self, capsys):
+        """A completing job's one store write is its final result: ENOSPC
+        strikes it in both passes, and both still return every trajectory."""
+        exit_code = main(
+            ["chaos", "--seed", "7", "-M", "24", "--chunk-size", "8",
+             "--faults", "enospc", "--json"]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["injected"] == {"faults.injected.enospc": 2}
+        assert payload["recovered"]["faults.recovered.write_skipped"] == 2
+
+    def test_enospc_waits_for_pass_two_behind_corruption(self, capsys):
+        """Pass 1's final write is corrupted, so pass 2 must quarantine it;
+        ENOSPC, which would fail that write before the corruption lands,
+        strikes pass 2's instead."""
+        exit_code = main(
+            ["chaos", "--seed", "7", "-M", "24", "--chunk-size", "8",
+             "--faults", "corrupt-store,enospc", "--json"]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True
+        assert payload["injected"] == {
+            "faults.injected.bit-flip": 1, "faults.injected.enospc": 1,
+        }
+        assert payload["recovered"]["faults.recovered.store_quarantine"] == 1
+        assert payload["recovered"]["faults.recovered.write_skipped"] == 1

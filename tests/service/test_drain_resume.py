@@ -18,7 +18,8 @@ from repro.service.journal import (
     replay_journal,
 )
 from repro.service.scheduler import Scheduler
-from repro.service.serve import _journaled_checkpoint, enqueue_job, serve
+from repro.obs.export import read_event_log
+from repro.service.serve import enqueue_job, serve
 from repro.service.store import ResultStore
 from repro.stochastic import IdealFidelity
 from repro.stochastic.results import StochasticResult
@@ -136,7 +137,7 @@ class TestDrainResumeBitIdentity:
             chunk_size=4,
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit(spec, _journaled_checkpoint(spec, incomplete))
+            assert scheduler.submit(spec) == incomplete.key
             resumed = scheduler.result(key, timeout=120.0)
             assert resume_journal.incomplete_jobs() == []
         resume_journal.close()
@@ -166,7 +167,7 @@ class TestDrainResumeBitIdentity:
             store=ResultStore(directory=store_dir),
             journal=resume_journal,
         ) as scheduler:
-            scheduler.submit(spec, _journaled_checkpoint(spec, incomplete))
+            scheduler.submit(spec)
             resumed = scheduler.result(key, timeout=30.0)
             # Answered by the cache — and the journal entry is settled.
             assert resume_journal.incomplete_jobs() == []
@@ -187,7 +188,8 @@ class TestDrainResumeBitIdentity:
             direct = scheduler.run(spec, timeout=120.0)
         journal.close()
 
-        # Rebuild purely from journaled chunk results (ignore the store).
+        # Rebuild purely from journaled chunk results (ignore the store):
+        # a fresh store whose journal holds them, without the job-done.
         journaled = replay_journal(journal_path(store_dir))[key]
         completed = {
             index: StochasticResult.from_dict(payload)
@@ -195,10 +197,16 @@ class TestDrainResumeBitIdentity:
         }
         assert len(completed) == len(journaled.plan)
         fresh_dir = str(tmp_path / "b")
+        firsts = {index: (first, count) for index, first, count in journaled.plan}
+        with JobJournal(journal_path(fresh_dir)) as journal:
+            journal.job_submitted(key, spec.to_dict())
+            journal.plan_recorded(key, journaled.plan, [])
+            for index, payload in sorted(journaled.completed.items()):
+                journal.chunk_done(key, index, *firsts[index], index, payload)
         with Scheduler(
             workers=2, store=ResultStore(directory=fresh_dir), chunk_size=4
         ) as scheduler:
-            scheduler.submit(spec, _journaled_checkpoint(spec, journaled))
+            scheduler.submit(spec)
             rebuilt = scheduler.result(key, timeout=30.0)
             assert scheduler.trajectories_executed == 0
         assert rebuilt.completed_trajectories == 16
@@ -264,6 +272,32 @@ class TestJournalLayouts:
         _assert_same_bits(resumed, reference)
         assert replay_journal(journal_path(store_dir))[spec.job_key()].done
 
+    def test_a_plain_serve_runs_only_what_the_journal_did_not_commit(
+        self, tmp_path
+    ):
+        """A crash leaves the job spooled and journal-incomplete, with no
+        store partial: the next plain ``serve`` (no ``--resume``) resumes
+        it from the journal rather than rerunning its committed spans."""
+        spec = self.SPEC
+        with Scheduler(workers=1) as scheduler:
+            reference = scheduler.run(spec, timeout=120.0)
+        store_dir = str(tmp_path)
+        chunks = [(i, 4 * i, 4) for i in range(6)]
+        self.journal(store_dir, chunks, [], None, {1: None, 4: None})
+        store = ResultStore(directory=store_dir)
+        assert enqueue_job(store, spec) == (spec.job_key(), False)
+        assert store.partial_keys() == []
+        events = str(tmp_path / "events.jsonl")
+        assert serve(
+            store, workers=1, once=True, chunk_size=5, events_log=events,
+            install_signal_handlers=False, log=lambda _: None,
+        ) == 1
+        (stop,) = [e for e in read_event_log(events) if e["event"] == "serve.stop"]
+        assert stop["counters"]["scheduler.trajectories_executed"] == 24 - 8
+        assert stop["counters"]["scheduler.jobs_resumed"] == 1
+        _assert_same_bits(ResultStore(directory=store_dir).get(spec.job_key()), reference)
+        assert replay_journal(journal_path(store_dir))[spec.job_key()].done
+
     def test_a_planned_auto_job_resumes_on_sampling(self, tmp_path, monkeypatch):
         """An ``auto`` job the journal shows as planned was sampling: it
         resumes on sampling even with nothing committed, though the cost
@@ -293,7 +327,7 @@ class TestJournalLayouts:
             completed={0: {"bad": True}, 1: _span_payload(spec, 12, 4),
                        7: _span_payload(spec, 0, 4)},
         )
-        spans, partial = _journaled_checkpoint(spec, journaled)
+        spans, partial = journaled.checkpoint(spec)
         assert spans == [(12, 4)]
         assert partial.completed_trajectories == 4
 
@@ -388,8 +422,6 @@ class TestSignalDrain:
         journaled = replay_journal(journal_path(store_dir))[key]
         assert not journaled.done
         assert journaled.completed  # the drained chunks were not lost
-
-        from repro.obs.export import read_event_log
 
         names = [event.get("event") for event in read_event_log(events)]
         assert "serve.start" in names

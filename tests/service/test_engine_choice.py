@@ -36,15 +36,9 @@ from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
 from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path
 from repro.service import JobSpec, ResultStore, Scheduler
-from repro.service.journal import JobJournal, JournalJob, journal_path
+from repro.service.journal import JobJournal, journal_path
 from repro.service.scheduler import _outcome_anomaly
-from repro.service.serve import (
-    _journaled_checkpoint,
-    enqueue_job,
-    list_jobs,
-    query_status,
-    serve,
-)
+from repro.service.serve import enqueue_job, list_jobs, query_status, serve
 from repro.service.worker import ChunkOutcome
 from repro.simulators.ddsim import DDBackend
 from repro.simulators.gateplan import compile_plan
@@ -325,9 +319,7 @@ class TestAutoJobsRunDense:
             workers=2, store=ResultStore(directory=store_dir), chunk_size=CHUNK,
             journal=resume_journal,
         ) as resumed_scheduler:
-            resumed_scheduler.submit(
-                spec, _journaled_checkpoint(spec, incomplete)
-            )
+            assert resumed_scheduler.submit(spec) == incomplete.key
             resumed = resumed_scheduler.result(key, timeout=120)
         resume_journal.close()
         assert resumed.backend_kind == "statevector"
@@ -452,19 +444,20 @@ class TestResumeKeepsTheRestoredEngine:
 
         self.run_both(lambda scheduler, spec: scheduler.submit(spec), store)
 
-    def test_journal_resume(self):
-        def journaled(spec):
-            return JournalJob(
-                spec.job_key(),
-                plan=[(0, 0, 12), (1, 12, 12), (2, 24, 16)],
-                completed={1: self.dd_span(12, 12).to_dict()},
-            )
+    def test_journal_resume(self, tmp_path):
+        def store(spec):
+            store = ResultStore(directory=str(tmp_path / spec.method))
+            with JobJournal(journal_path(store.directory)) as journal:
+                journal.job_submitted(spec.job_key(), spec.to_dict())
+                journal.plan_recorded(
+                    spec.job_key(), [(0, 0, 12), (1, 12, 12), (2, 24, 16)], []
+                )
+                journal.chunk_done(
+                    spec.job_key(), 1, 12, 12, 0, self.dd_span(12, 12).to_dict()
+                )
+            return store
 
-        self.run_both(
-            lambda scheduler, spec: scheduler.submit(
-                spec, _journaled_checkpoint(spec, journaled(spec))
-            )
-        )
+        self.run_both(lambda scheduler, spec: scheduler.submit(spec), store)
 
 
 class TestEngineReporting:

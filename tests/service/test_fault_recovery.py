@@ -187,18 +187,35 @@ class TestSchedulerFaultRecovery:
 
 class TestStoreFaultRecovery:
     def test_enospc_on_checkpoint_degrades_not_fails(self, monkeypatch, tmp_path):
+        """Only a job that ends short writes a checkpoint: here its deadline
+        cuts it short (every chunk first sleeps 0.6 s of its 1 s budget).
+        A full disk costs that checkpoint, not the job: it still returns
+        its partial, and a resubmission reruns and completes."""
         arm(
             monkeypatch, tmp_path,
             FaultSpec(kind="enospc", operation="put_partial"),
+            FaultSpec(kind="slow-chunk", seconds=0.6, times=100),
         )
-        spec = ghz_spec()
-        store = ResultStore(directory=str(tmp_path / "store"))
+        spec = ghz_spec(trajectories=64, timeout=1.0)
+        store_dir = str(tmp_path / "store")
+        store = ResultStore(directory=store_dir)
         with Scheduler(workers=2, chunk_size=8, store=store) as scheduler:
             result = scheduler.run(spec, timeout=60)
             snap = counters(scheduler)
-        assert_reference_equal(result, spec)
+        assert result.timed_out
+        assert result.completed_trajectories < spec.trajectories
+        assert snap["scheduler.checkpoint_writes"] == 1
         assert snap["store.write.errors"] == 1
         assert snap["faults.recovered.write_skipped"] == 1
+        assert store.get_partial(spec.job_key()) is None
+
+        monkeypatch.delenv(PLAN_ENV)
+        reset_injector_cache()
+        with Scheduler(workers=2, chunk_size=8,
+                       store=ResultStore(directory=store_dir)) as scheduler:
+            again = scheduler.run(spec, timeout=60)
+        assert not again.timed_out
+        assert_reference_equal(again, spec)
 
     def test_bit_flip_on_final_write_is_caught_by_the_next_reader(
         self, monkeypatch, tmp_path

@@ -5,14 +5,18 @@ import os
 
 import pytest
 
+from repro.circuits.library import ghz
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
+from repro.noise import NoiseModel
 from repro.obs.metrics import MetricsRegistry
+from repro.service import JobSpec, ResultStore, list_jobs
 from repro.service.journal import (
     JOURNAL_SCHEMA,
     JobJournal,
     journal_path,
     replay_journal,
 )
+from repro.stochastic.results import StochasticResult
 
 KEY = "a" * 64
 OTHER = "b" * 64
@@ -21,6 +25,19 @@ OTHER = "b" * 64
 def _result_payload(first, count):
     """A stand-in chunk-result payload (replay never parses it)."""
     return {"completed_trajectories": count, "first": first}
+
+
+#: A real spec for the progress fold (the stand-in payloads above do not
+#: parse, so the fold skips them).
+SPEC = JobSpec.build(ghz(3), NoiseModel.paper_defaults(), (), trajectories=16)
+
+
+def _ran(trajectories, timed_out=False):
+    """A parseable chunk or base payload that ran ``trajectories``."""
+    result = StochasticResult(SPEC.circuit.name, SPEC.backend_kind, 16)
+    result.completed_trajectories = trajectories
+    result.timed_out = timed_out
+    return result.to_dict()
 
 
 def _populate(journal, key=KEY, chunks=2):
@@ -74,13 +91,31 @@ class TestReplayIdempotency:
             journal.job_submitted(KEY, {"circuit_name": "ghz-3", "trajectories": 16})
             journal.plan_recorded(
                 KEY, [(0, 8, 4), (1, 12, 4)], [(0, 4), (4, 4)],
-                base_result=_result_payload(0, 8),
+                base_result=_ran(8),
             )
         job = replay_journal(wal)[KEY]
         assert not job.done
         assert job.plan == [(0, 8, 4), (1, 12, 4)]
         assert job.completed == {}
-        assert job.completed_trajectories() == 8
+        spans, partial = job.checkpoint(SPEC)
+        assert spans == [(0, 4), (4, 4)]
+        assert partial.completed_trajectories == 8
+
+
+class TestListedProgress:
+    def test_a_timed_out_chunk_lists_only_what_it_ran(self, tmp_path):
+        """``repro jobs`` counts what committed chunks ran, not their
+        planned spans: a chunk the deadline cut to 0 trajectories adds 0."""
+        key = SPEC.job_key()
+        with JobJournal(journal_path(str(tmp_path))) as journal:
+            journal.job_submitted(key, SPEC.to_dict())
+            journal.plan_recorded(key, [(0, 0, 8), (1, 8, 8)], [])
+            journal.chunk_done(key, 0, 0, 8, 0, _ran(0, timed_out=True))
+        (row,) = list_jobs(ResultStore(directory=str(tmp_path)))
+        assert row["source"] == "journal"
+        assert row["completed_chunks"] == 1
+        assert row["completed_trajectories"] == 0
+        assert row["engine"] == SPEC.backend_kind
 
 
 class TestTornTail:

@@ -84,7 +84,14 @@ class TestSchedulerMetrics:
             time.sleep(0.05)
             scheduler._workers[0].process.terminate()
             scheduler.result(key, timeout=120)
-            counters = scheduler.metrics_snapshot()["counters"]
+            # The job (about 70 ms) may end before the dispatcher reaps the
+            # dead worker, and the respawn lands a pass after the reap.
+            deadline = time.monotonic() + 10.0
+            while True:
+                counters = scheduler.metrics_snapshot()["counters"]
+                if counters["scheduler.worker_respawns"] or time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
         assert counters["scheduler.worker_respawns"] >= 1
 
 

@@ -20,9 +20,8 @@ from repro.service import (
     Scheduler,
 )
 from repro.service import scheduler as scheduler_module
-from repro.service.journal import JournalJob
+from repro.service.journal import JobJournal, journal_path
 from repro.service.scheduler import _cpu_per_trajectory, _remaining_spans
-from repro.service.serve import _journaled_checkpoint
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
 from repro.stochastic.runner import run_trajectory_span
 
@@ -469,9 +468,9 @@ def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
     return ledger
 
 
-def plan_of(scheduler, spec, *checkpoint):
+def plan_of(scheduler, spec):
     """``(chunks, basis)`` and chunk sizes of ``spec``'s plan, once it ran."""
-    key = scheduler.submit(spec, *checkpoint)
+    key = scheduler.submit(spec)
     result = scheduler.result(key, timeout=120)
     assert result.completed_trajectories == spec.trajectories
     sizes = [task.num_trajectories for _, task in sorted(scheduler._jobs[key].chunks.items())]
@@ -568,21 +567,21 @@ class TestMeasuredChunking:
             0, 8, spec.seed, sample_shots=spec.sample_shots,
         )
         store = ResultStore(directory=str(tmp_path / "store"))
-        checkpoint = ()
         if source == "store":
             store.put_partial(spec.job_key(), [(0, 8)], done)
         else:
             # Journaled under an older plan of 8-trajectory chunks, of
             # which chunk 0 committed.
-            journaled = JournalJob(
-                spec.job_key(), plan=[(i, 8 * i, 8) for i in range(4)],
-                completed={0: done.to_dict()},
-            )
-            checkpoint = (_journaled_checkpoint(spec, journaled),)
+            with JobJournal(journal_path(store.directory)) as journal:
+                journal.job_submitted(spec.job_key(), spec.to_dict())
+                journal.plan_recorded(
+                    spec.job_key(), [(i, 8 * i, 8) for i in range(4)], []
+                )
+                journal.chunk_done(spec.job_key(), 0, 0, 8, 0, done.to_dict())
         with seeded_ledger(tmp_path / "runs.jsonl", spec, 0.01, 100) as ledger:
             with Scheduler(workers=2, store=store, ledger=ledger) as scheduler:
                 # The fresh plan's size (16) cuts the 24 remaining.
-                assert plan_of(scheduler, spec, *checkpoint) == (
+                assert plan_of(scheduler, spec) == (
                     (2, "measured"), [16, 8]
                 )
                 assert scheduler.trajectories_executed == 24

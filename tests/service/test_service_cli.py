@@ -5,10 +5,14 @@ import threading
 
 import pytest
 
+from repro.circuits.library import ghz
 from repro.cli import main
+from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
-from repro.service import ResultStore, query_status
+from repro.service import JobSpec, ResultStore, query_status
 from repro.service.job import JobState
+from repro.service.journal import JobJournal, journal_path
+from repro.stochastic.results import StochasticResult
 
 GHZ_QASM = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "circuits", "ghz_n8.qasm"
@@ -153,9 +157,88 @@ class TestSubmitServeRoundTrip:
         assert estimate.count == count
         assert estimate.halfwidth > 0
 
+    def test_a_timed_out_job_reads_as_ended(self, tmp_path, capsys):
+        """The deadline cuts the job short with no final result: status and
+        monitor read its checkpoint as COMPLETED with its partial count,
+        never as a job still running."""
+        store_dir = str(tmp_path)
+        assert main(
+            ["submit", "ghz:14", "-M", "200000", "--timeout", "1.0",
+             "--seed", "3", "--fidelity", "--shots", "0", "--store", store_dir]
+        ) == 0
+        key = capsys.readouterr().out.splitlines()[0].strip()
+        assert main(["serve", "--once", "-w", "2", "--store", store_dir]) == 0
+        capsys.readouterr()
+
+        status = query_status(ResultStore(directory=store_dir), key)
+        assert status.state == JobState.COMPLETED
+        assert 0 < status.completed_trajectories < 200000
+        assert main(["status", key[:12], "--store", store_dir]) == 0
+        output = capsys.readouterr().out
+        assert "[completed]" in output
+        assert "[running]" not in output
+        assert main(
+            ["monitor", key[:12], "--interval", "0.1", "--max-seconds", "3",
+             "--store", store_dir]
+        ) == 0
+        assert "timed out" not in capsys.readouterr().out
+
     def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="no job"):
             main(["status", "beef", "--store", str(tmp_path)])
+
+
+class TestStatusFromDisk:
+    """Only a key the journal shows incomplete reads RUNNING.  A store
+    partial is a run that ended short: it reads as the journal recorded
+    that end while it holds the job, else COMPLETED when the deadline cut
+    it short, else FAILED."""
+
+    SPEC = JobSpec.build(ghz(3), NoiseModel.paper_defaults(), (), trajectories=16)
+
+    @pytest.mark.parametrize(
+        "ended, error, timed_out, state",
+        [
+            ("failed", "chunk 1 failed after 3 attempts (boom)", False,
+             JobState.FAILED),
+            ("cancelled", None, False, JobState.CANCELLED),
+            ("completed", None, True, JobState.COMPLETED),
+            (None, None, True, JobState.COMPLETED),
+            (None, None, False, JobState.FAILED),
+        ],
+    )
+    def test_a_partial_reads_as_its_run_ended(
+        self, tmp_path, ended, error, timed_out, state
+    ):
+        spec, key = self.SPEC, self.SPEC.job_key()
+        store = ResultStore(directory=str(tmp_path))
+        partial = StochasticResult(spec.circuit.name, spec.backend_kind, 16)
+        partial.completed_trajectories = 8
+        partial.timed_out = timed_out
+        store.put_partial(key, [(0, 8)], partial)
+        if ended is not None:
+            with JobJournal(journal_path(str(tmp_path))) as journal:
+                journal.job_submitted(key, spec.to_dict())
+                journal.plan_recorded(key, [(0, 0, 8), (1, 8, 8)], [])
+                journal.job_done(key, ended, error)
+        status = query_status(store, key)
+        assert (status.state, status.error) == (state, error)
+        assert status.completed_trajectories == 8
+
+    def test_a_job_only_the_journal_knows_reads_as_running(self, tmp_path, capsys):
+        """A job submitted straight to a scheduler (not spooled) is on disk
+        only as its journal entry while it runs: status finds it there."""
+        spec, key = self.SPEC, self.SPEC.job_key()
+        chunk = StochasticResult(spec.circuit.name, spec.backend_kind, 16)
+        chunk.completed_trajectories = 8
+        with JobJournal(journal_path(str(tmp_path))) as journal:
+            journal.job_submitted(key, spec.to_dict())
+            journal.plan_recorded(key, [(0, 0, 8), (1, 8, 8)], [])
+            journal.chunk_done(key, 0, 0, 8, 0, chunk.to_dict())
+        assert main(["status", key[:12], "--store", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "[running]" in output
+        assert "8/16" in output
 
 
 class TestCacheCommand:

@@ -30,6 +30,10 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
 * Journal records: the same job journals one ``submit``, one ``plan``, a
   ``chunk-done`` per chunk and one ``job-done``: 19 fsync'd appends.  A
   ``lease`` record per dispatched chunk would make 35.
+* Store checkpoints: through a scheduler on an on-disk store, which opens
+  the store's journal itself, the same job writes those 19 records and no
+  store partial.  Checkpointing after every chunk but the last would
+  make 15.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
 46.0), so a change that shares less work fails here long before it shows
@@ -52,7 +56,7 @@ from repro.circuits.library import (
 )
 from repro.exact import simulate_exact
 from repro.noise import NoiseModel
-from repro.service import JobSpec, Scheduler
+from repro.service import JobSpec, ResultStore, Scheduler
 from repro.service.journal import JobJournal, journal_path
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
 from repro.stochastic.results import StochasticResult
@@ -241,6 +245,28 @@ def test_scheduler_journals_each_chunk_once(tmp_path):
     with open(path, encoding="utf-8") as handle:
         kinds = Counter(json.loads(line)["rec"] for line in handle)
     assert appends == 19
+    assert kinds == {
+        "header": 1, "submit": 1, "plan": 1, "chunk-done": 16, "job-done": 1,
+    }
+
+
+def test_a_completing_job_writes_no_store_checkpoint(tmp_path, monkeypatch):
+    checkpoints = []
+    put_partial = ResultStore.put_partial
+
+    def counting_put_partial(self, key, spans, result):
+        checkpoints.append(result.completed_trajectories)
+        put_partial(self, key, spans, result)
+
+    monkeypatch.setattr(ResultStore, "put_partial", counting_put_partial)
+    spec = JobSpec.build(ghz(6), NOISE, (IdealFidelity(),), trajectories=64, seed=7)
+    with Scheduler(workers=2, store=ResultStore(str(tmp_path))) as scheduler:
+        key = scheduler.submit(spec)
+        assert scheduler.result(key, timeout=120).completed_trajectories == 64
+        assert scheduler.plan_for(key) == (16, "default")
+    assert checkpoints == []
+    with open(journal_path(str(tmp_path)), encoding="utf-8") as handle:
+        kinds = Counter(json.loads(line)["rec"] for line in handle)
     assert kinds == {
         "header": 1, "submit": 1, "plan": 1, "chunk-done": 16, "job-done": 1,
     }
