@@ -425,27 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cli_method(args, circuit, model, properties) -> str:
-    """Resolve ``--method`` for one-shot commands (run / stats).
+    """Resolve ``--method`` for one-shot commands (run / stats) by the
+    scheduler's rule, without ledger history, printing an ``auto``
+    decision so the routing is never silent."""
+    from .exact import resolve_method
 
-    Mirrors the scheduler's dispatch: a forced ``exact`` on an unsupported
-    spec is an error; ``auto`` consults the cost model (and prints the
-    decision so the routing is never silent).
-    """
-    if args.method == "stochastic":
-        return "stochastic"
-    from .exact import estimate_costs, exact_unsupported_reason
-
-    reason = exact_unsupported_reason(circuit, properties)
-    if args.method == "exact":
-        if reason is not None:
-            raise SystemExit(f"--method exact unsupported: {reason}")
-        return "exact"
-    if reason is not None:
-        print(f"auto dispatch -> stochastic ({reason})")
-        return "stochastic"
-    decision = estimate_costs(circuit, model, properties, args.trajectories)
-    print(decision.render())
-    return decision.method
+    try:
+        method, decision = resolve_method(
+            args.method, circuit, model, properties, args.trajectories, args.backend
+        )
+    except ValueError as unsupported:
+        raise SystemExit(f"--method exact unsupported: {unsupported}")
+    if decision is not None:
+        reason = decision.unsupported_reason
+        print(f"auto dispatch -> {method} ({reason})" if reason else decision.render())
+    return method
 
 
 def _command_run(args: argparse.Namespace) -> int:
@@ -517,6 +511,8 @@ def _command_status(args: argparse.Namespace) -> int:
 def _command_result(args: argparse.Namespace) -> int:
     import time as _time
 
+    from .service import JobState, query_status
+
     store = _open_store(args)
     deadline = (
         None if args.wait_timeout is None else _time.monotonic() + args.wait_timeout
@@ -533,6 +529,11 @@ def _command_result(args: argparse.Namespace) -> int:
             if result is not None:
                 print(result.summary())
                 return 0
+            status = query_status(store, key)
+            if status.state in (JobState.FAILED, JobState.CANCELLED):
+                print(f"job {key[:16]}… {status.state.value}"
+                      + (f": {status.error}" if status.error else ""))
+                return 1
             if not args.wait:
                 print(f"job {key[:16]}… has no final result yet "
                       f"(use --wait, or check `status`)")
@@ -789,7 +790,7 @@ def _command_cache(args: argparse.Namespace) -> int:
         for name in store.corrupt_entries():
             print(f"    {name}")
     for key in store.result_keys():
-        spec = store.get_spec_dict(key)
+        spec = (store.record(key) or {}).get("spec")
         label = spec["circuit_name"] if spec else "?"
         print(f"  {key[:16]}… {label}")
     return 0

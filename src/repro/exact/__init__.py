@@ -17,6 +17,7 @@ from .cost import (
     SizeEvidence,
     estimate_costs,
     exact_unsupported_reason,
+    resolve_method,
     static_clean_probability,
     stochastic_budget,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "default_node_ceiling",
     "estimate_costs",
     "exact_unsupported_reason",
+    "resolve_method",
     "simulate_exact",
     "static_clean_probability",
     "stochastic_budget",

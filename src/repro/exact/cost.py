@@ -76,6 +76,7 @@ __all__ = [
     "SizeEvidence",
     "estimate_costs",
     "exact_unsupported_reason",
+    "resolve_method",
     "static_clean_probability",
     "stochastic_budget",
 ]
@@ -447,3 +448,35 @@ def estimate_costs(
         stochastic_budget=budget,
         p_clean=p_clean,
     )
+
+
+def resolve_method(
+    method: str,
+    circuit: QuantumCircuit,
+    model: Optional[NoiseModel],
+    properties: Sequence[PropertySpec],
+    trajectories: int,
+    backend_kind: str = "dd",
+    history: Optional[Mapping[str, FamilyAggregate]] = None,
+) -> Tuple[str, Optional[DispatchDecision]]:
+    """How a job requesting ``method`` runs, and the decision behind an
+    ``auto`` choice: the dispatch rule of the scheduler and the one-shot
+    commands.  ``stochastic`` passes through; ``exact`` raises
+    ``ValueError`` (with the reason) on a spec exact cannot express;
+    ``auto`` is :func:`estimate_costs` against ``history``, or sampling
+    with a decision carrying only the reason on such a spec."""
+    if method == "stochastic":
+        return method, None
+    reason = exact_unsupported_reason(circuit, properties)
+    if reason is not None:
+        if method == "exact":
+            raise ValueError(reason)
+        return "stochastic", DispatchDecision(
+            "stochastic", float("inf"), 0.0, 0, unsupported_reason=reason
+        )
+    if method == "exact":
+        return method, None
+    decision = estimate_costs(
+        circuit, model, properties, trajectories, backend_kind, history
+    )
+    return decision.method, decision

@@ -24,6 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.qasm import parse_qasm
 from ..noise.model import ErrorRates, NoiseModel
+from ..obs.metrics import merge_snapshots
 from ..stochastic.properties import (
     BasisProbability,
     ClassicalOutcome,
@@ -34,9 +35,10 @@ from ..stochastic.properties import (
     StateFidelity,
     require_unique_names,
 )
+from ..stochastic.results import StochasticResult
 from ..stochastic.runner import AUTO_ENGINE, BACKEND_KINDS
 
-__all__ = ["JobSpec", "JobState", "JobStatus", "StreamingEstimate", "job_engine"]
+__all__ = ["JobSpec", "JobState", "JobStatus", "StreamingEstimate", "job_engine", "spec_of"]
 
 #: Canonical-format version; bump when the serialised layout changes so
 #: stale cache entries can never be misread as current ones.
@@ -254,6 +256,14 @@ class JobSpec:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
 
 
+def spec_of(data: Optional[Dict[str, object]]) -> Optional[JobSpec]:
+    """The spec a spooled or journaled spec dict holds, or None."""
+    try:
+        return None if data is None else JobSpec.from_dict(data)
+    except (KeyError, ValueError, TypeError):
+        return None
+
+
 def job_engine(spec: Optional[JobSpec], ran_on: Optional[str] = None) -> str:
     """Trajectory engine to report for a job: ``ran_on``, the engine of the
     trajectories it already holds, when known; else the spec's
@@ -290,7 +300,6 @@ class JobStatus:
     estimates: Dict[str, StreamingEstimate] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     retries: int = 0
-    cached: bool = False
     #: The *resolved* execution method ("stochastic" or "exact") — for
     #: ``method="auto"`` specs this records what the cost model chose.
     method: str = "stochastic"
@@ -303,6 +312,32 @@ class JobStatus:
     #: (see :mod:`repro.obs`); empty until the first chunk reports.
     metrics: Dict[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def of(
+        cls, key: str, state: JobState, result: StochasticResult, **fields: object
+    ) -> "JobStatus":
+        """Status of ``key`` in ``state`` reporting ``result``'s progress,
+        estimates, elapsed time and metrics; ``fields`` set the rest."""
+        values: Dict[str, object] = dict(
+            circuit_name=result.circuit_name,
+            requested_trajectories=result.requested_trajectories,
+            completed_trajectories=result.completed_trajectories,
+            estimates={
+                name: StreamingEstimate(
+                    name=name,
+                    mean=estimate.mean,
+                    halfwidth=estimate.hoeffding_halfwidth(),
+                    count=estimate.count,
+                )
+                for name, estimate in result.estimates.items()
+                if estimate.count > 0
+            },
+            elapsed_seconds=result.elapsed_seconds,
+            metrics=merge_snapshots(result.metrics),
+        )
+        values.update(fields)
+        return cls(key=key, state=state, **values)
+
     @property
     def progress(self) -> float:
         """Fraction of the trajectory budget completed, in [0, 1]."""
@@ -313,8 +348,7 @@ class JobStatus:
     def render(self) -> str:
         """Human-readable multi-line report (used by ``repro status``)."""
         lines = [
-            f"job {self.key[:16]}… [{self.state.value}]"
-            + (" (cache hit)" if self.cached else ""),
+            f"job {self.key[:16]}… [{self.state.value}]",
             f"  circuit: {self.circuit_name}",
             f"  method: {self.method}",
         ]

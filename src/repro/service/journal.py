@@ -26,6 +26,9 @@ killing the service — resume granularity is lost before results are
 (see docs/ROBUSTNESS.md "Durability & restart semantics").  Compaction
 keeps only the records of incomplete jobs.
 
+How a job ended lives in its store record (:mod:`repro.service.store`),
+not here: ``job-done`` only closes the entry, and compaction may drop it.
+
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
 ==============  =========================================================
@@ -41,7 +44,7 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
                 ``completed_trajectories`` says how much of it ran);
                 ``token`` is the dispatch's fencing token, -1 once
                 compacted
-``job-done``    ``{"rec","job","status","error"?}``
+``job-done``    ``{"rec","job","status","error"?}`` — closes the entry
 ==============  =========================================================
 
 Fault-injection sites (see :mod:`repro.faults`): ``torn-journal`` and
@@ -103,14 +106,9 @@ class JournalJob:
     #: Committed chunk results of the latest plan, by chunk index
     #: (payload dicts).
     completed: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    #: Terminal status ("completed" / "failed" / "cancelled"), or None
-    #: while the job is still incomplete — the resumable set.
-    status: Optional[str] = None
-    error: Optional[str] = None
-
-    @property
-    def done(self) -> bool:
-        return self.status is not None
+    #: True once a ``job-done`` record closed the entry (how the job ended
+    #: is its store record's to say); the incomplete entries can resume.
+    done: bool = False
 
     def checkpoint(self, spec: JobSpec) -> Tuple[List[Span], StochasticResult]:
         """The job's progress as one checkpoint of ``spec``: the base its
@@ -174,8 +172,7 @@ class _ReplayState:
             if isinstance(spec, dict):
                 job.spec_dict = spec
             # A resubmission of a finished key starts a fresh lifecycle.
-            job.status = None
-            job.error = None
+            job.done = False
         elif kind == "plan":
             job = self._job(key)
             chunks = record.get("chunks")
@@ -199,10 +196,7 @@ class _ReplayState:
             if isinstance(result, dict):
                 job.completed[int(record["chunk"])] = result
         elif kind == "job-done":
-            job = self._job(key)
-            job.status = str(record.get("status", "completed"))
-            error = record.get("error")
-            job.error = None if error is None else str(error)
+            self._job(key).done = True
 
     def incomplete(self) -> List[JournalJob]:
         return [self.jobs[key] for key in self.order if not self.jobs[key].done]

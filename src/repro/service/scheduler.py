@@ -13,12 +13,16 @@ Key behaviours:
   aggregate the moment they arrive; :meth:`Scheduler.status` exposes the
   current mean / Hoeffding half-width / completed-trajectory count while
   the job is still running.
+* **Ended jobs live in the store** — the scheduler holds only unfinished
+  jobs.  A job that ends writes one store record (final result, or a
+  partial saying how it ended), which answers for the key from then on,
+  through the reader that also serves other processes.
 * **Content-addressed caching** — submissions are checked against the
   :class:`ResultStore` first: a byte-identical resubmission completes
   instantly without dispatching a single chunk.  A job the journal shows
   incomplete (crash, drain, shutdown) resumes from its journaled chunks,
-  one whose run ended short (cancel, failure, deadline) from the store
-  checkpoint written as it ended, rather than from trajectory 0.
+  one whose run ended short (cancel, failure, deadline) from the
+  trajectories its end record holds, rather than from trajectory 0.
 * **Fault tolerance** — a worker that dies (or errors) has its chunk
   requeued with bounded retries and the worker respawned after an
   exponential backoff; exceeding the retry budget fails the job without
@@ -37,10 +41,10 @@ Key behaviours:
     fork storm.
 
 * **Commit fencing** — every dispatch stamps the chunk with a fresh
-  per-job fencing token, and only an outcome carrying the chunk's current
-  token commits, so a report from an earlier run of the same key (one
-  cancelled while the chunk was in flight) never commits into its
-  resubmission.
+  fencing token from one scheduler-wide counter, and only an outcome
+  carrying the chunk's current token commits, so a report from an earlier
+  run of the same key (one cancelled while the chunk was in flight) never
+  commits into its resubmission.
 
 * **Outcome validation** — chunk results are sanity-checked (trajectory
   counts and estimate counts must be internally consistent) before they
@@ -79,7 +83,7 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import replace
+from dataclasses import asdict, replace
 from queue import Empty
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
@@ -92,8 +96,8 @@ from ..errors import (
     WorkerPoolBrokenError,
     format_reasons,
 )
-from ..exact import ExactSimulator, estimate_costs, exact_unsupported_reason
-from ..exact.cost import DispatchDecision
+from ..exact import ExactSimulator
+from ..exact.cost import DispatchDecision, resolve_method
 from ..exact.simulator import default_node_ceiling
 from ..faults.inject import get_injector
 from ..obs.context import job_trace_context
@@ -101,7 +105,7 @@ from ..obs.ledger import RunLedger, circuit_fingerprint
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
-from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
+from .job import JobSpec, JobState, JobStatus, job_engine
 from .journal import JobJournal, journal_path
 from .store import ResultStore, Span
 from .worker import ChunkOutcome, ChunkTask, worker_main
@@ -304,10 +308,8 @@ class _Job:
         #: Chunk index -> monotonic instant a queue-delay fault holds it to.
         self.delayed: Dict[int, float] = {}
         self.base_spans: List[Span] = []  #: spans restored from a checkpoint
-        #: Commit fencing (docs/ROBUSTNESS.md, "Commit fencing"): every
-        #: dispatch takes the next token, and a chunk's outcome commits only
-        #: with the token of its latest dispatch.
-        self.next_token = 0
+        #: Commit fencing (docs/ROBUSTNESS.md, "Commit fencing"): chunk index
+        #: -> token of its latest dispatch, the only one whose outcome commits.
         self.fencing_tokens: Dict[int, int] = {}
         self.aggregate = StochasticResult(
             circuit_name=spec.circuit.name,
@@ -322,10 +324,9 @@ class _Job:
         #: None | "retries" | "poison" | "breaker".
         self.error_kind: Optional[str] = None
         self.poison_diagnosis: Optional[Dict[str, object]] = None
-        self.cached = False
         #: Cost-model verdict for ``method="auto"`` submissions (None for
-        #: explicit methods, cache hits, and checkpoint resumes) — kept so
-        #: serve logs and ``repro jobs`` can cite the dispatch evidence.
+        #: explicit methods and checkpoint resumes) — kept so serve logs
+        #: and the store record can cite the dispatch evidence.
         self.decision: Optional[DispatchDecision] = None
         #: Circuit-family fingerprint for run-ledger records.
         self.fingerprint = circuit_fingerprint(
@@ -359,6 +360,17 @@ class _Job:
     def finished(self) -> bool:
         return self.done.is_set()
 
+    def end(self) -> Dict[str, object]:
+        """How the job ended, as its store record keeps it."""
+        return {"state": self.state.value, "error": self.error,
+                "kind": self.error_kind, "diagnosis": self.poison_diagnosis}
+
+    def run_record(self) -> Dict[str, object]:
+        """How the job ran, as its store record keeps it."""
+        plan = None if self.chunking is None else [len(self.chunks), self.chunking]
+        decision = None if self.decision is None else asdict(self.decision)
+        return {"plan": plan, "decision": decision, "retries": self.total_retries}
+
     def chunk_backend(self) -> str:
         """``backend_kind`` the job's chunks ship with: the engine its
         restored trajectories ran on, if any (a checkpoint or journal left
@@ -377,7 +389,9 @@ class Scheduler:
     workers:
         Number of long-lived worker processes.
     store:
-        Result cache / checkpoint store; defaults to a memory-only store.
+        Result cache, checkpoint store, and the record of every ended job;
+        defaults to a memory-only store, whose LRU capacity bounds how many
+        ended keys stay readable.
     chunk_size:
         Trajectories per chunk.  By default a job whose circuit family has
         recent stochastic runs in the ``ledger`` is cut into chunks of
@@ -509,11 +523,13 @@ class Scheduler:
 
         self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._lock = threading.RLock()
-        #: Every job this scheduler has seen, by key (status and results).
-        self._jobs: Dict[str, _Job] = {}
-        #: The unfinished ones, in submission order: what the dispatcher's
-        #: passes walk, FIFO.  A job leaves when it finishes (_settle).
+        #: The unfinished jobs, by key, in submission order: what the
+        #: dispatcher's passes walk, FIFO.  A job leaves when it finishes
+        #: (_settle), and its store record answers for it from then on;
+        #: only the jobs shutdown cancels stay.
         self._active: Dict[str, _Job] = {}
+        #: Fencing token of the next dispatch, of any job.
+        self._next_token = 0
         self._closed = False
         self._workers: List[_WorkerHandle] = [
             _WorkerHandle(i, self._ctx) for i in range(workers)
@@ -538,13 +554,13 @@ class Scheduler:
     def submit(self, spec: JobSpec) -> str:
         """Register a job; returns its content-addressed key immediately.
 
-        Cache hit → the job is born COMPLETED with the stored result.
+        Cache hit → nothing runs: the stored result answers for the key.
         Checkpoint → a fresh chunk plan covers only the missing trajectory
         spans, and the job samples whatever its ``method``.  The checkpoint
         is the journal's fold of an incomplete, planned entry for the key
         (:meth:`~repro.service.journal.JournalJob.checkpoint`; planned
-        means sampling, even with nothing committed), or else the store
-        partial of a run that ended short.
+        means sampling, even with nothing committed), or else the
+        trajectories of the key's end-short record, when it holds any.
         Identical key already live → idempotent, the existing job is kept.
         Exact-dispatched jobs (``method="exact"``, or ``"auto"`` when the
         cost model favours exact) run *synchronously* in this thread —
@@ -556,70 +572,56 @@ class Scheduler:
         with self._lock:
             if self._closed:
                 raise SchedulerError("scheduler is shut down")
-            existing = self._jobs.get(key)
-            if existing is not None and not existing.finished():
+            if key in self._active:
                 return key  # identical job already in flight — join it
-
-            job = _Job(spec, key)
-            if existing is not None:
-                # Resubmitted after a cancel or timeout: continue the
-                # earlier run's token numbering, so its in-flight chunks
-                # can never commit into this one.
-                job.next_token = existing.next_token
             journaled = None if self.journal is None else self.journal.job(key)
             if journaled is not None and journaled.done:
                 journaled = None  # only an incomplete entry holds progress
-            cached = self.store.get(key)
-            if cached is not None:
+            if self.store.get(key) is not None:
                 self.metrics.counter("store.hits").inc()
                 self.tracer.event("job.cache_hit", job=key[:16])
-                job.final = cached
-                job.cached = True
-                job.method = cached.method
-                job.state = JobState.COMPLETED
                 if journaled is not None:
                     # The result landed before a crash took the job-done
                     # record: settle the journal entry.
-                    self._journal_job_done(job, "completed")
-                self._settle(job)
+                    self._journal_job_done(key, "completed")
+                return key
+            self.metrics.counter("store.misses").inc()
+            job = _Job(spec, key)
+            if journaled is not None and journaled.plan:
+                checkpoint = journaled.checkpoint(spec)
             else:
-                self.metrics.counter("store.misses").inc()
-                if journaled is not None and journaled.plan:
-                    checkpoint = journaled.checkpoint(spec)
+                checkpoint = self.store.get_partial(key)
+            if checkpoint is not None:
+                # A checkpoint only ever comes from a stochastic run;
+                # resume it rather than re-deciding the method.
+                spans, partial = checkpoint
+                job.base_spans = list(spans)
+                job.aggregate.merge(partial)
+                # A timed-out partial's flag described the run that
+                # left it; this run times out only on its own deadline.
+                job.aggregate.timed_out = False
+                self.metrics.counter("scheduler.jobs_resumed").inc()
+                self.tracer.event(
+                    "job.resume", job=key[:16],
+                    restored=partial.completed_trajectories,
+                )
+                self._journal_submit(job)
+                self._plan_chunks(job)
+                if not job.chunks:
+                    # The checkpoint already covers every trajectory.
+                    self._finalize(job)
+            else:
+                job.method = self._resolve_method(spec, job)
+                self._journal_submit(job)
+                if job.method == "exact":
+                    # No chunks, no deadline sharing: the exact run
+                    # happens after the lock drops, in this thread.
+                    job.state = JobState.RUNNING
+                    job.deadline = None
+                    run_exact = True
                 else:
-                    checkpoint = self.store.get_partial(key)
-                if checkpoint is not None:
-                    # A checkpoint only ever comes from a stochastic run;
-                    # resume it rather than re-deciding the method.
-                    spans, partial = checkpoint
-                    job.base_spans = list(spans)
-                    job.aggregate.merge(partial)
-                    # A timed-out partial's flag described the run that
-                    # left it; this run times out only on its own deadline.
-                    job.aggregate.timed_out = False
-                    self.metrics.counter("scheduler.jobs_resumed").inc()
-                    self.tracer.event(
-                        "job.resume", job=key[:16],
-                        restored=partial.completed_trajectories,
-                    )
-                    self._journal_submit(job)
+                    self.metrics.counter("dispatch.stochastic").inc()
                     self._plan_chunks(job)
-                    if not job.chunks:
-                        # The checkpoint already covers every trajectory.
-                        self._finalize(job)
-                else:
-                    job.method = self._resolve_method(spec, job)
-                    self._journal_submit(job)
-                    if job.method == "exact":
-                        # No chunks, no deadline sharing: the exact run
-                        # happens after the lock drops, in this thread.
-                        job.state = JobState.RUNNING
-                        job.deadline = None
-                        run_exact = True
-                    else:
-                        self.metrics.counter("dispatch.stochastic").inc()
-                        self._plan_chunks(job)
-            self._jobs[key] = job
             if not job.finished():
                 self._active[key] = job
             if job.pending:
@@ -661,46 +663,22 @@ class Scheduler:
         return clean
 
     def status(self, key: str) -> JobStatus:
-        """Point-in-time progress snapshot (streaming estimates included)."""
+        """Point-in-time progress snapshot (streaming estimates included);
+        once the job has ended, :meth:`ResultStore.job_status`'s."""
         with self._lock:
-            job = self._jobs.get(key)
+            job = self._active.get(key)
             if job is None:
-                raise KeyError(f"unknown job {key!r}")
-            source = job.final if job.final is not None else job.aggregate
-            estimates = {
-                name: StreamingEstimate(
-                    name=name,
-                    mean=estimate.mean,
-                    halfwidth=estimate.hoeffding_halfwidth(),
-                    count=estimate.count,
-                )
-                for name, estimate in source.estimates.items()
-                if estimate.count > 0
-            }
-            elapsed = (
-                source.elapsed_seconds
-                if job.final is not None
-                else time.perf_counter() - job.started_at
-            )
-            return JobStatus(
-                key=key,
-                state=job.state,
-                circuit_name=job.spec.circuit.name,
-                requested_trajectories=job.spec.trajectories,
-                completed_trajectories=source.completed_trajectories,
-                estimates=estimates,
-                elapsed_seconds=elapsed,
-                retries=job.total_retries,
-                cached=job.cached,
-                method=job.method,
-                # An aggregate without trajectories still names the spec's
-                # backend, not an engine that ran.
-                engine=job_engine(
-                    job.spec,
-                    source.backend_kind if source.completed_trajectories else None,
-                ),
-                error=job.error,
-                metrics=merge_snapshots(source.metrics),
+                journaled = None if self.journal is None else self.journal.job(key)
+                return self.store.job_status(key, journaled)
+            aggregate = job.aggregate
+            # An aggregate without trajectories names the spec's backend,
+            # not an engine that ran.
+            ran_on = aggregate.backend_kind if aggregate.completed_trajectories else None
+            return JobStatus.of(
+                key, job.state, aggregate,
+                elapsed_seconds=time.perf_counter() - job.started_at,
+                retries=job.total_retries, method=job.method,
+                engine=job_engine(job.spec, ran_on), error=job.error,
             )
 
     def result(self, key: str, timeout: Optional[float] = None) -> StochasticResult:
@@ -711,23 +689,24 @@ class Scheduler:
         structured ``diagnosis``), :class:`WorkerPoolBrokenError` when the
         respawn circuit breaker opened, :class:`JobFailedError` for an
         exhausted retry budget, :class:`JobCancelledError` on cancellation.
+        An ended key answers from its store record alike.
         """
         with self._lock:
-            job = self._jobs.get(key)
-        if job is None:
-            raise KeyError(f"unknown job {key!r}")
-        if not job.done.wait(timeout):
+            job, record = self._lookup(key)
+        if job is not None and not job.done.wait(timeout):
             raise TimeoutError(f"job {key[:16]}… still running after {timeout} s")
-        if job.state == JobState.FAILED:
-            message = job.error or "job failed"
-            if job.error_kind == "poison":
-                raise PoisonChunkError(message, diagnosis=job.poison_diagnosis)
-            if job.error_kind == "breaker":
+        end = record["end"] if job is None else job.end()
+        if end["state"] == JobState.FAILED:
+            message = end.get("error") or "job failed"
+            if end.get("kind") == "poison":
+                raise PoisonChunkError(message, diagnosis=end.get("diagnosis"))
+            if end.get("kind") == "breaker":
                 raise WorkerPoolBrokenError(message)
             raise JobFailedError(message)
-        if job.state == JobState.CANCELLED:
+        if end["state"] == JobState.CANCELLED:
             raise JobCancelledError(f"job {key[:16]}… was cancelled")
-        assert job.final is not None
+        if job is None:
+            return StochasticResult.from_dict(record["result"])
         return job.final.copy()
 
     def run(self, spec: JobSpec, timeout: Optional[float] = None) -> StochasticResult:
@@ -760,31 +739,31 @@ class Scheduler:
             return self.tracer.export()
 
     def cancel(self, key: str) -> bool:
-        """Cancel a job; its checkpoint (if any) survives for later resume."""
+        """Cancel a job; its checkpoint (if any) survives for later resume.
+        False when the job had already ended."""
         with self._lock:
-            job = self._jobs.get(key)
-            if job is None:
-                raise KeyError(f"unknown job {key!r}")
-            if job.finished():
+            job, _ = self._lookup(key)
+            if job is None or job.finished():
                 return False
             job.pending.clear()
             job.delayed.clear()
             job.state = JobState.CANCELLED
-            self._end_short(job, "cancelled")
+            self._end_short(job)
             return True
 
     def shutdown(self) -> None:
         """Stop the dispatcher, terminate the worker pool and release its
         processes, queues, wake pipe and own journal (idempotent).
-        Unfinished jobs end CANCELLED here and stay journal-incomplete, so
-        a later scheduler on the store resumes them."""
+        Unfinished jobs end CANCELLED here, readable in this process but
+        with no store record: they stay journal-incomplete, so a later
+        scheduler on the store resumes them."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for job in list(self._active.values()):
+            for job in self._active.values():
                 job.state = JobState.CANCELLED
-                self._settle(job)
+                job.done.set()
             self._wake()
         atexit.unregister(self.shutdown)
         if self._dispatcher.is_alive():
@@ -822,37 +801,30 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _resolve_method(self, spec: JobSpec, job: Optional[_Job] = None) -> str:
-        """Decide how a fresh (uncached, unresumed) job actually runs.
-
-        ``"stochastic"`` passes through; ``"exact"`` is honoured or
-        rejected (a spec the exact backend cannot express fails the
-        submission with :class:`SchedulerError` rather than silently
-        sampling); ``"auto"`` asks the cost model — scored against
-        run-ledger family history when a ledger is attached — falling back
-        to stochastic for unsupported specs.
-        """
-        if spec.method == "stochastic":
-            return "stochastic"
-        reason = exact_unsupported_reason(spec.circuit, spec.properties)
-        if spec.method == "exact":
-            if reason is not None:
-                raise SchedulerError(
-                    f"job requests method='exact' but exact simulation is "
-                    f"unsupported: {reason}"
-                )
-            return "exact"
-        if reason is not None:
-            self.tracer.event("dispatch.auto", choice="stochastic", reason=reason)
-            return "stochastic"
-        history = self.ledger.aggregates() if self.ledger is not None else None
-        decision = estimate_costs(
-            spec.circuit,
-            spec.noise_model,
-            spec.properties,
-            spec.trajectories,
-            backend_kind=spec.backend_kind,
-            history=history,
-        )
+        """Decide how a fresh (uncached, unresumed) job runs by
+        :func:`~repro.exact.cost.resolve_method` on the ledger's history; a
+        forced ``exact`` the exact backend cannot express fails the
+        submission with :class:`SchedulerError` rather than sampling."""
+        history = None
+        if self.ledger is not None and spec.method == "auto":
+            history = self.ledger.aggregates()
+        try:
+            method, decision = resolve_method(
+                spec.method, spec.circuit, spec.noise_model, spec.properties,
+                spec.trajectories, spec.backend_kind, history,
+            )
+        except ValueError as unsupported:
+            raise SchedulerError(
+                f"job requests method='exact' but exact simulation is "
+                f"unsupported: {unsupported}"
+            ) from None
+        if decision is None:
+            return method
+        if decision.unsupported_reason is not None:
+            self.tracer.event(
+                "dispatch.auto", choice=method, reason=decision.unsupported_reason
+            )
+            return method
         if job is not None:
             job.decision = decision
         self.metrics.counter(f"dispatch.{decision.evidence}").inc()
@@ -864,22 +836,35 @@ class Scheduler:
             evidence=decision.evidence,
             fingerprint=decision.fingerprint,
         )
-        return decision.method
+        return method
+
+    def _lookup(self, key: str) -> Tuple[Optional[_Job], Optional[Dict[str, object]]]:
+        """``(job, None)`` while ``key`` is active, else ``(None, record)``;
+        ``KeyError`` without either.  Called with the lock held."""
+        job = self._active.get(key)
+        if job is not None:
+            return job, None
+        record = self.store.record(key)
+        if record is None:
+            raise KeyError(f"unknown job {key!r}")
+        return None, record
+
+    def _run_of(self, key: str) -> Dict[str, object]:
+        """How ``key`` ran (:meth:`_Job.run_record`), live or recorded."""
+        with self._lock:
+            job, record = self._lookup(key)
+            return job.run_record() if job is not None else record.get("run") or {}
 
     def decision_for(self, key: str) -> Optional[DispatchDecision]:
-        """The auto-dispatch verdict recorded for ``key``, if any."""
-        with self._lock:
-            job = self._jobs.get(key)
-            return None if job is None else job.decision
+        """The auto-dispatch verdict of ``key``'s run, if any."""
+        decision = self._run_of(key).get("decision")
+        return None if decision is None else DispatchDecision(**decision)
 
     def plan_for(self, key: str) -> Optional[Tuple[int, str]]:
         """``(chunks, basis)`` of the chunk plan ``key`` ran under, or
-        ``None`` when it planned none (exact runs, cache hits)."""
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is None or job.chunking is None:
-                return None
-            return len(job.chunks), job.chunking
+        ``None`` when it planned none (exact runs)."""
+        plan = self._run_of(key).get("plan")
+        return None if plan is None else (int(plan[0]), str(plan[1]))
 
     def _run_exact(self, job: _Job) -> None:
         """Run one exact-dispatched job to completion in the calling thread.
@@ -928,7 +913,7 @@ class Scheduler:
                 job.error = (
                     f"exact simulation failed: {type(error).__name__}: {error}"
                 )
-                self._end_short(job, "failed", job.error)
+                self._end_short(job)
             return
         with self._lock:
             if job.finished():
@@ -941,9 +926,11 @@ class Scheduler:
                 "job.finalize", job=job.key[:16], method="exact",
                 peak_nodes=result.peak_nodes,
             )
-            self.store.put(job.key, result, spec_dict=spec.to_dict())
+            self.store.put(
+                job.key, result, spec_dict=spec.to_dict(), run=job.run_record()
+            )
             self._ledger_record_run(job, result)
-            self._journal_job_done(job, "completed")
+            self._journal_job_done(job.key, "completed")
             self._settle(job)
 
     # ------------------------------------------------------------------
@@ -1044,10 +1031,10 @@ class Scheduler:
             )
 
     def _journal_job_done(
-        self, job: _Job, status: str, error: Optional[str] = None
+        self, key: str, status: str, error: Optional[str] = None
     ) -> None:
         if self.journal is not None:
-            self.journal.job_done(job.key, status, error)
+            self.journal.job_done(key, status, error)
 
     # ------------------------------------------------------------------
     # Run-ledger hooks (no-ops without a ledger; never fail the job)
@@ -1104,8 +1091,10 @@ class Scheduler:
         # queue turns readable, another thread writes to the wake pipe, or
         # _POLL_INTERVAL passes (the housekeeping cadence).
         wake = self._wake_reader
-        while not self._closed:
+        while True:
             with self._lock:
+                if self._closed:
+                    return  # shutdown has ended every job: no pass touches them
                 self._reap_dead_workers()
                 self._release_delayed_chunks()
                 self._check_deadlines()
@@ -1173,7 +1162,8 @@ class Scheduler:
                 count += 1
 
     def _settle(self, job: _Job) -> None:
-        """Drop ``job`` from the dispatcher's walks and mark it finished."""
+        """Forget ``job`` (its store record answers from here) and mark it
+        finished."""
         if self._active.get(job.key) is job:
             del self._active[job.key]
         job.done.set()
@@ -1230,8 +1220,8 @@ class Scheduler:
                 job.in_flight.add(index)
                 # A fresh fencing token per dispatch, stamped on the task and
                 # echoed in the outcome: only this dispatch's report commits.
-                token = job.next_token
-                job.next_token += 1
+                token = self._next_token
+                self._next_token += 1
                 job.fencing_tokens[index] = token
                 # Stamp the span context at dispatch time (not planning
                 # time) so each retry gets a distinct, deterministic span —
@@ -1338,7 +1328,7 @@ class Scheduler:
             job.error_kind = "breaker"
             job.pending.clear()
             job.delayed.clear()
-            self._end_short(job, "failed", job.error)
+            self._end_short(job)
 
     # ------------------------------------------------------------------
     # Outcome handling
@@ -1362,7 +1352,7 @@ class Scheduler:
                 self._finalize(job)
 
     def _requeue(self, task: ChunkTask, reason: str, worker_death: bool = False) -> None:
-        job = self._jobs.get(task.job_key)
+        job = self._active.get(task.job_key)
         if job is None or job.finished():
             return
         job.in_flight.discard(task.chunk_index)
@@ -1389,7 +1379,7 @@ class Scheduler:
                 f"chunk {task.chunk_index} failed after {attempts} attempts ({reason})"
             )
             job.pending.clear()
-            self._end_short(job, "failed", job.error)
+            self._end_short(job)
         else:
             self.metrics.counter("faults.recovered.requeue").inc()
             job.pending.appendleft(task.chunk_index)
@@ -1423,14 +1413,14 @@ class Scheduler:
             "chunk.quarantine", job=job.key[:16],
             chunk=task.chunk_index, deaths=deaths,
         )
-        self._end_short(job, "failed", job.error)
+        self._end_short(job)
 
     def _handle_outcome(self, outcome: ChunkOutcome) -> None:
         for handle in self._workers:
             if handle.worker_id == outcome.worker_id:
                 handle.busy = None
                 break
-        job = self._jobs.get(outcome.job_key)
+        job = self._active.get(outcome.job_key)
         if job is None or job.finished():
             return  # late result for a cancelled/timed-out/failed job
         if outcome.chunk_index in job.completed:
@@ -1515,16 +1505,20 @@ class Scheduler:
     # Aggregation / persistence
     # ------------------------------------------------------------------
 
-    def _end_short(self, job: _Job, status: str, error: Optional[str] = None) -> None:
-        """Settle a job that ends without its full result, journaling how.
-        The trajectories it ran are checkpointed first: the only store
-        partial, since a running job's progress is its journal."""
-        if job.base_spans or job.completed:
-            job.aggregate.elapsed_seconds = time.perf_counter() - job.started_at
-            spans = sorted(job.base_spans + list(job.completed.values()))
-            self.store.put_partial(job.key, spans, job.aggregate)
-            self.metrics.counter("scheduler.checkpoint_writes").inc()
-        self._journal_job_done(job, status, error)
+    def _end_short(self, job: _Job) -> None:
+        """Settle a job that ends without its full result, recording how in
+        its store partial (a deadline-cut job's holds its final result)."""
+        result = job.final
+        if result is None:
+            result = job.aggregate
+            result.elapsed_seconds = time.perf_counter() - job.started_at
+            result.method = job.method
+        spans = sorted(job.base_spans + list(job.completed.values()))
+        self.store.put_partial(
+            job.key, spans, result, end=job.end(), run=job.run_record()
+        )
+        self.metrics.counter("scheduler.checkpoint_writes").inc()
+        self._journal_job_done(job.key, job.state.value, job.error)
         self._settle(job)
 
     def _finalize(self, job: _Job) -> None:
@@ -1559,14 +1553,16 @@ class Scheduler:
         if not complete or final.timed_out:
             # Timed-out / partial outcomes are checkpointed, never cached
             # as final: a resubmission with more budget resumes from here.
-            self._end_short(job, "completed")
+            self._end_short(job)
             return
-        self.store.put(job.key, final, spec_dict=job.spec.to_dict())
+        self.store.put(
+            job.key, final, spec_dict=job.spec.to_dict(), run=job.run_record()
+        )
         # Only complete runs enter the ledger: a timed-out partial's
         # throughput and peak nodes would skew the family history.
         self._ledger_record_run(job, final)
         # job-done lands AFTER the store write: a crash in between replays
         # the job as incomplete and the resume finds the cached result —
         # the reverse order could journal "done" with no result on disk.
-        self._journal_job_done(job, "completed")
+        self._journal_job_done(job.key, "completed")
         self._settle(job)

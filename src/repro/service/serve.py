@@ -3,9 +3,10 @@
 ``repro submit`` serialises a :class:`JobSpec` into ``<store>/queue/<key>.json``;
 :func:`serve` (the engine behind ``repro serve``) picks queued specs up in
 submission order, runs them on a persistent :class:`Scheduler`, and leaves
-final results in the same store and, while a job is still running, its
-committed chunks in the store's write-ahead journal, where ``repro status``
-and ``repro result`` (separate processes) find them.  This decouples
+each ended job's record in the same store and, while a job is still
+running, its committed chunks in the store's write-ahead journal, where
+``repro status`` and ``repro result`` (separate processes) find them.
+This decouples
 producers from the worker pool: many ``submit`` invocations feed one
 long-lived ``serve`` process.
 """
@@ -18,13 +19,12 @@ import threading
 import time
 from typing import Callable, List, Optional, Tuple
 
-from ..exact.cost import estimate_costs
+from ..exact.cost import resolve_method
 from ..obs.context import write_chrome_trace
 from ..obs.export import EventLogWriter, MetricsExporter, to_openmetrics
 from ..obs.ledger import RunLedger, ledger_path, replay_ledger
 from ..obs.metrics import MetricsRegistry, derive_rates, merge_snapshots
-from ..stochastic.results import StochasticResult
-from .job import JobSpec, JobState, JobStatus, StreamingEstimate, job_engine
+from .job import JobSpec, JobStatus, job_engine, spec_of
 from .journal import journal_path, replay_journal
 from .scheduler import Scheduler, SchedulerError
 from .store import ResultStore
@@ -69,28 +69,24 @@ def list_queue(store: ResultStore) -> List[str]:
 def _dispatch_preview(spec: Optional[JobSpec], history) -> Tuple[str, Optional[str]]:
     """(method, one-line dispatch evidence) a spec would resolve to.
 
-    ``method="auto"`` specs are scored through the cost model against the
-    store's run-ledger history — the same comparison the scheduler will
-    make — and annotated ``auto:<choice>`` with the decision's rendered
-    evidence line.  Explicit methods pass through without evidence.
-    Best-effort: any scoring failure degrades to the raw method.
+    ``method="auto"`` specs are resolved by the scheduler's rule against
+    the store's run-ledger history and annotated ``auto:<choice>`` with
+    the decision's rendered evidence line.  Explicit methods pass through
+    without evidence.  Best-effort: any scoring failure degrades to the
+    raw method.
     """
     if spec is None:
         return "?", None
     if spec.method != "auto":
         return spec.method, None
     try:
-        decision = estimate_costs(
-            spec.circuit,
-            spec.noise_model,
-            spec.properties,
-            spec.trajectories,
-            backend_kind=spec.backend_kind,
-            history=history,
+        method, decision = resolve_method(
+            spec.method, spec.circuit, spec.noise_model, spec.properties,
+            spec.trajectories, spec.backend_kind, history,
         )
     except Exception:
         return spec.method, None
-    return f"auto:{decision.method}", decision.render()
+    return f"auto:{method}", decision.render()
 
 
 def list_jobs(store: ResultStore) -> List[dict]:
@@ -127,7 +123,7 @@ def list_jobs(store: ResultStore) -> List[dict]:
             if job.spec_dict is not None:
                 row["circuit"] = str(job.spec_dict.get("circuit_name", "?"))
                 row["trajectories"] = int(job.spec_dict.get("trajectories", 0))
-                journaled_spec = _spec_of(job.spec_dict)
+                journaled_spec = spec_of(job.spec_dict)
                 method, evidence = _dispatch_preview(journaled_spec, history)
                 row["method"] = method
                 if evidence is not None:
@@ -183,89 +179,21 @@ def list_jobs(store: ResultStore) -> List[dict]:
     return rows
 
 
-def _spec_of(data: Optional[dict]) -> Optional[JobSpec]:
-    """The spec a spooled or journaled spec dict holds, or None."""
-    if data is None:
-        return None
-    try:
-        return JobSpec.from_dict(data)
-    except (KeyError, ValueError, TypeError):
-        return None
-
-
 def _dequeue(store: ResultStore, key: str) -> Optional[JobSpec]:
     # Checksum-verified; corruption quarantined.
-    return _spec_of(store.get_queued(key))
+    return spec_of(store.get_queued(key))
 
 
 def query_status(store: ResultStore, key: str) -> JobStatus:
-    """Reconstruct a job's status from the store directory (cross-process).
-
-    This is what lets ``repro status`` observe a job that a separate
-    ``repro serve`` process is running.  Only a key the journal shows
-    incomplete is RUNNING, with the progress its committed chunks fold to
-    (:meth:`~repro.service.journal.JournalJob.checkpoint`).  A store
-    partial is a run that ended short: it reads as the journal recorded
-    its end while it holds the job, else COMPLETED when its deadline cut
-    it short (as :meth:`Scheduler.status` reports in process), else FAILED.
+    """A job's status from the store directory (cross-process): what lets
+    ``repro status`` observe a job a separate ``repro serve`` runs or ran.
+    It is :meth:`ResultStore.job_status`, the reader
+    :meth:`Scheduler.status` uses for an ended key, over a journal replay.
     """
-
-    def status_of(state: JobState, result: StochasticResult, **fields) -> JobStatus:
-        fields.setdefault("engine", job_engine(None, result.backend_kind))
-        return JobStatus(
-            key=key,
-            state=state,
-            circuit_name=result.circuit_name,
-            requested_trajectories=result.requested_trajectories,
-            completed_trajectories=result.completed_trajectories,
-            estimates={
-                name: StreamingEstimate(
-                    name=name,
-                    mean=estimate.mean,
-                    halfwidth=estimate.hoeffding_halfwidth(),
-                    count=estimate.count,
-                )
-                for name, estimate in result.estimates.items()
-                if estimate.count > 0
-            },
-            elapsed_seconds=result.elapsed_seconds,
-            metrics=dict(result.metrics),
-            **fields,
-        )
-
-    final = store.get(key)
-    if final is not None:
-        return status_of(JobState.COMPLETED, final, method=final.method)
     journaled = None
     if store.directory is not None:
         journaled = replay_journal(journal_path(store.directory)).get(key)
-    spec = None if journaled is None else _spec_of(journaled.spec_dict)
-    if spec is not None and not journaled.done:
-        _, partial = journaled.checkpoint(spec)
-        try:  # the journal keeps no clock: time the spooled submission
-            queued = os.path.join(store.directory, "queue", f"{key}.json")
-            partial.elapsed_seconds = time.time() - os.path.getmtime(queued)
-        except OSError:
-            pass
-        ran_on = partial.backend_kind if partial.completed_trajectories else None
-        return status_of(JobState.RUNNING, partial, engine=job_engine(spec, ran_on))
-    checkpoint = store.get_partial(key)
-    if checkpoint is not None:
-        _, partial = checkpoint
-        ended = (journaled and journaled.status) or (
-            "completed" if partial.timed_out else "failed"
-        )
-        return status_of(JobState(ended), partial, error=journaled and journaled.error)
-    if key in store.queued_keys():
-        spec = _dequeue(store, key)
-        return JobStatus(
-            key=key,
-            state=JobState.QUEUED,
-            circuit_name=spec.circuit.name if spec else "?",
-            requested_trajectories=spec.trajectories if spec else 0,
-            engine=job_engine(spec),
-        )
-    raise KeyError(f"unknown job {key!r}")
+    return store.job_status(key, journaled)
 
 
 class _Telemetry:
@@ -292,12 +220,9 @@ class _Telemetry:
         self._trace_dir = trace_dir
         self._log = log
         self.registry = MetricsRegistry()
-        self._lock = threading.Lock()
-        self._current_key: Optional[str] = None
-        #: Last observed status — retained after a job completes so a
-        #: scrape arriving just after the final chunk still sees the
-        #: job's estimates and Hoeffding half-widths.
-        self._last_status: Optional[JobStatus] = None
+        #: The current job, kept once it ends (the store answers for it),
+        #: so a scrape after the final chunk still sees its estimates.
+        self._key: Optional[str] = None
         self._stop = threading.Event()
         self._heartbeat: Optional[threading.Thread] = None
         self.exporter: Optional[MetricsExporter] = None
@@ -320,8 +245,7 @@ class _Telemetry:
     # -- job lifecycle hooks (called from the serve loop) ---------------
 
     def job_started(self, key: str, spec: JobSpec) -> None:
-        with self._lock:
-            self._current_key = key
+        self._key = key
         self.emit(
             "job.start",
             job=key,
@@ -334,11 +258,6 @@ class _Telemetry:
         self, key: str, result=None, error: Optional[str] = None, decision=None,
         plan: Optional[Tuple[int, str]] = None,
     ) -> None:
-        status = self._refresh_status()
-        with self._lock:
-            self._current_key = None
-            if status is not None:
-                self._last_status = status
         if error is not None:
             self.emit("job.failed", job=key, error=error)
         else:
@@ -377,18 +296,10 @@ class _Telemetry:
     # -- collection -----------------------------------------------------
 
     def _refresh_status(self) -> Optional[JobStatus]:
-        with self._lock:
-            key = self._current_key
-            cached = self._last_status
-        if key is None:
-            return cached
         try:
-            status = self._scheduler.status(key)
+            return None if self._key is None else self._scheduler.status(self._key)
         except KeyError:
-            return cached
-        with self._lock:
-            self._last_status = status
-        return status
+            return None
 
     def snapshot(self) -> dict:
         """Merged scheduler + store + export metrics with live gauges."""
@@ -503,26 +414,20 @@ def _run_one(
     telemetry.job_started(key, spec)
     try:
         scheduler.submit(spec)
+        while True:
+            # Short poll instead of a blocking wait so SIGTERM/SIGINT (whose
+            # handlers only set the drain event) interrupt promptly.
+            try:
+                result = scheduler.result(key, timeout=0.2)
+                break
+            except TimeoutError:
+                if draining.is_set():
+                    return False
     except SchedulerError as error:
         log(f"[serve] job {key[:16]}… FAILED: {error}")
         telemetry.job_finished(key, error=str(error))
         store.delete_queued(key)
         return True
-    while True:
-        # Short poll instead of a blocking wait so SIGTERM/SIGINT (whose
-        # handlers only set the drain event) interrupt promptly.
-        try:
-            result = scheduler.result(key, timeout=0.2)
-        except TimeoutError:
-            if draining.is_set():
-                return False
-            continue
-        except SchedulerError as error:
-            log(f"[serve] job {key[:16]}… FAILED: {error}")
-            telemetry.job_finished(key, error=str(error))
-            store.delete_queued(key)
-            return True
-        break
     if result.method == "exact":
         log(
             f"[serve] job {key[:16]}… done: exact density-matrix pass "
@@ -558,7 +463,7 @@ def _resume_incomplete(
     for journaled in scheduler.journal.incomplete_jobs():
         if draining.is_set():
             break
-        spec = _spec_of(journaled.spec_dict)
+        spec = spec_of(journaled.spec_dict)
         if spec is None:  # torn before the submit record, or unusable
             log(f"[serve] journal entry {journaled.key[:16]}… has no usable "
                 f"spec; skipping")
@@ -588,7 +493,8 @@ def serve(
 
     Returns the number of jobs executed.  Jobs that fail (retry budget
     exhausted) are logged and dequeued so one poisoned spec cannot wedge
-    the queue; their partial checkpoints remain for post-mortem or resume.
+    the queue; their end records remain, for ``repro status`` to read how
+    they ended and for a resubmission to resume from what they ran.
 
     Durability (docs/ROBUSTNESS.md, "Durability & restart semantics"):
     the scheduler opens the store's write-ahead job journal — every

@@ -1,18 +1,25 @@
 """Content-addressed result store: in-memory LRU over on-disk JSON.
 
 Results are keyed by the job's SHA-256 content hash (:meth:`JobSpec.job_key`).
-Three kinds of entries live under the store directory:
+An ended job lives here only, as one record that
+:meth:`ResultStore.job_status` reads.  Three kinds of entries live under
+the store directory:
 
 * ``results/<key>.json`` — final :class:`StochasticResult` (plus the spec
   that produced it, for provenance and CLI display);
-* ``partials/<key>.json`` — checkpoint of a job that ended without its
-  full result (cancelled, failed, cut short by its deadline): the
-  trajectory spans it completed and their merged partial result, written
-  once by the scheduler as the job ends, so a resubmission resumes
-  instead of restarting at trajectory 0 (a job still running keeps its
-  progress in the write-ahead journal, :mod:`repro.service.journal`);
+* ``partials/<key>.json`` — end record of a job that ended without its
+  full result (cancelled, failed, cut short by its deadline), written
+  once by the scheduler as the job ends, even with no trajectory run: how
+  it ended (``end``), the trajectory spans it completed and their merged
+  partial result, which a resubmission resumes from instead of restarting
+  at trajectory 0 (a job still running keeps its progress in the
+  write-ahead journal, :mod:`repro.service.journal`);
 * ``queue/<key>.json`` — specs spooled by ``repro submit`` awaiting a
   ``repro serve`` batch runner (managed by :mod:`repro.service.serve`).
+
+Both records also keep how the job ran (``run``).  A partial of an older
+build has no ``end``: it ended completed if its deadline cut it short,
+else failed.
 
 Integrity
 ---------
@@ -26,7 +33,9 @@ is never a silent ``None``: the quarantined file survives for post-mortem
 and the counters surface through ``repro stats`` / ``repro cache show``.
 Pre-checksum (v1) entries — a bare payload object — are still readable.
 
-A store constructed with ``directory=None`` is memory-only — used by the
+Both records enter the in-memory LRU before the disk, so a write the disk
+refuses still answers reads in process.  A store constructed with
+``directory=None`` is memory-only (its LRU alone) — used by the
 :class:`~repro.stochastic.runner.StochasticSimulator` client, which must
 not write to disk behind the caller's back.  All reads return independent
 copies so callers can never mutate cached state in place.
@@ -38,6 +47,7 @@ import errno
 import hashlib
 import json
 import os
+import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +55,7 @@ from ..errors import StoreCorruptionError
 from ..faults.inject import get_injector
 from ..obs.metrics import MetricsRegistry
 from ..stochastic.results import StochasticResult
+from .job import JobState, JobStatus, job_engine, spec_of
 
 __all__ = ["ResultStore", "default_store_directory", "StoreCorruptionError"]
 
@@ -84,7 +95,8 @@ class ResultStore:
             raise ValueError("capacity must be >= 1")
         self.directory = directory
         self.capacity = capacity
-        self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        #: key -> (kind, payload) of recent records.
+        self._memory: "OrderedDict[str, Tuple[str, Dict[str, object]]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: Human-readable detail of the most recent corruption / write
@@ -225,17 +237,84 @@ class ResultStore:
             self.metrics.counter("faults.recovered.write_skipped").inc()
             self.last_write_error = f"{operation} {key[:16]}…: {error}"
 
+    # -- records: memory first, then disk ---------------------------------
+
+    def _lookup(self, kind: str, key: str) -> Optional[Dict[str, object]]:
+        """The ``kind`` payload for ``key``, remembered once read from disk."""
+        held = self._memory.get(key)
+        if held is not None and held[0] == kind:
+            self._memory.move_to_end(key)
+            return held[1]
+        entry = self._read_entry(kind, key)
+        if entry is not None:
+            self._remember(key, kind, entry)
+        return entry
+
+    def _remember(self, key: str, kind: str, entry: Dict[str, object]) -> None:
+        self._memory[key] = (kind, entry)
+        self._memory.move_to_end(key)
+        while len(self._memory) > self.capacity:
+            self._memory.popitem(last=False)
+
+    def record(self, key: str) -> Optional[Dict[str, object]]:
+        """The record of ended job ``key`` (a final result's payload, else a
+        partial's, with ``spans``) with ``end`` set, or None.  Counts no
+        cache hit or miss."""
+        entry = self._lookup("results", key)
+        if entry is not None:
+            return dict(entry, end={"state": "completed"})
+        entry = self._lookup("partials", key)
+        if entry is None or not isinstance(entry.get("result"), dict):
+            return None
+        end = entry.get("end")
+        if end is None:  # a partial of an older build: a deadline, or a failure
+            end = {"state": "completed" if entry["result"].get("timed_out") else "failed"}
+        return dict(entry, end=end)
+
+    def job_status(self, key: str, journaled=None) -> JobStatus:
+        """Status of ``key``, given the caller's journal entry for it: the
+        final result; else an incomplete journal entry, RUNNING with its
+        committed chunks' progress; else the end record; else the spool,
+        QUEUED.  Raises ``KeyError`` when none knows the key."""
+        record = self.record(key)
+        spec = None if journaled is None else spec_of(journaled.spec_dict)
+        final = record is not None and "spans" not in record
+        if spec is not None and not journaled.done and not final:
+            _, partial = journaled.checkpoint(spec)
+            try:  # the journal keeps no clock: time the spooled submission
+                partial.elapsed_seconds = time.time() - os.path.getmtime(
+                    self._path("queue", key)
+                )
+            except (OSError, TypeError):  # not spooled, or no directory
+                pass
+            ran_on = partial.backend_kind if partial.completed_trajectories else None
+            return JobStatus.of(
+                key, JobState.RUNNING, partial, engine=job_engine(spec, ran_on)
+            )
+        if record is not None:
+            result = StochasticResult.from_dict(record["result"])
+            end = record["end"]
+            return JobStatus.of(
+                key, JobState(end["state"]), result, method=result.method,
+                retries=(record.get("run") or {}).get("retries", 0),
+                engine=job_engine(None, result.backend_kind), error=end.get("error"),
+            )
+        if key in self.queued_keys():
+            spec = spec_of(self.get_queued(key))
+            return JobStatus(
+                key=key,
+                state=JobState.QUEUED,
+                circuit_name=spec.circuit.name if spec else "?",
+                requested_trajectories=spec.trajectories if spec else 0,
+                engine=job_engine(spec),
+            )
+        raise KeyError(f"unknown job {key!r}")
+
     # -- final results ----------------------------------------------------
 
     def get(self, key: str) -> Optional[StochasticResult]:
         """Stored final result for ``key`` (an independent copy), or None."""
-        entry = self._memory.get(key)
-        if entry is None:
-            entry = self._read_entry("results", key)
-            if entry is not None:
-                self._remember(key, entry)
-        else:
-            self._memory.move_to_end(key)
+        entry = self._lookup("results", key)
         if entry is None:
             self.misses += 1
             return None
@@ -247,8 +326,10 @@ class ResultStore:
         key: str,
         result: StochasticResult,
         spec_dict: Optional[Dict[str, object]] = None,
+        run: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Store a final result and drop any checkpoint it supersedes.
+        """Store a final result (with its spec and ``run``) and drop any
+        partial it supersedes.
 
         The disk write is best-effort: a full disk degrades the store to
         memory-only for this entry (counted in ``store.write.errors``)
@@ -257,28 +338,19 @@ class ResultStore:
         entry: Dict[str, object] = {"result": result.to_dict()}
         if spec_dict is not None:
             entry["spec"] = spec_dict
-        self._remember(key, entry)
+        if run is not None:
+            entry["run"] = run
+        self._remember(key, "results", entry)
         self._write_cached("results", key, entry, "put")
         self.delete_partial(key)
 
-    def get_spec_dict(self, key: str) -> Optional[Dict[str, object]]:
-        """The job spec stored alongside a final result, if any."""
-        entry = self._memory.get(key) or self._read_entry("results", key)
-        if entry is None:
-            return None
-        return entry.get("spec")
-
-    def _remember(self, key: str, entry: Dict[str, object]) -> None:
-        self._memory[key] = entry
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
-
-    # -- partial checkpoints ----------------------------------------------
+    # -- end-short partials -----------------------------------------------
 
     def get_partial(self, key: str) -> Optional[Tuple[List[Span], StochasticResult]]:
-        """Checkpoint for ``key``: completed spans + merged partial result."""
-        entry = self._read_entry("partials", key)
+        """Checkpoint for ``key``: completed spans + merged partial result.
+        None unless the spans cover a trajectory: the end record of a job
+        that never ran one is not a checkpoint."""
+        entry = self._lookup("partials", key)
         if entry is None:
             return None
         try:
@@ -287,29 +359,30 @@ class ResultStore:
         except (KeyError, TypeError, ValueError) as error:
             # Structurally broken despite a valid checksum (schema skew):
             # quarantine like any other corruption rather than crash resume.
+            self._memory.pop(key, None)
             path = self._path("partials", key)
             if path is not None:
                 self._quarantine(path, "partials", StoreCorruptionError(str(error)))
             return None
+        if not any(count for _, count in spans):
+            return None
         return spans, result
 
-    def put_partial(self, key: str, spans: List[Span], result: StochasticResult) -> None:
-        """Checkpoint a job that ended short (no-op for memory-only stores).
-
-        Best-effort like :meth:`put`: a failed checkpoint write costs the
-        resume, not the job.
-        """
-        if self.directory is None:
-            return  # nothing would read the payload: do not build it
-        self._write_cached(
-            "partials",
-            key,
-            {"spans": [[first, count] for first, count in spans],
-             "result": result.to_dict()},
-            "put_partial",
-        )
+    def put_partial(self, key: str, spans: List[Span], result: StochasticResult,
+                    end: Optional[Dict[str, object]] = None,
+                    run: Optional[Dict[str, object]] = None) -> None:
+        """Record a job that ended short, with or without trajectories.
+        Best-effort like :meth:`put`: a failed disk write costs other
+        processes the resume and the end state, not the job."""
+        entry = {"spans": [[first, count] for first, count in spans],
+                 "result": result.to_dict(), "end": end, "run": run}
+        self._remember(key, "partials", entry)
+        self._write_cached("partials", key, entry, "put_partial")
 
     def delete_partial(self, key: str) -> None:
+        held = self._memory.get(key)
+        if held is not None and held[0] == "partials":
+            del self._memory[key]
         path = self._path("partials", key)
         if path is not None and os.path.exists(path):
             try:
@@ -342,20 +415,19 @@ class ResultStore:
     # -- enumeration / maintenance ----------------------------------------
 
     def _list_keys(self, kind: str) -> List[str]:
-        if self.directory is None:
-            return sorted(self._memory) if kind == "results" else []
-        folder = os.path.join(self.directory, kind)
-        if not os.path.isdir(folder):
-            return []
-        return sorted(
-            name[: -len(".json")]
-            for name in os.listdir(folder)
-            if name.endswith(".json")
-        )
+        keys = {key for key, (held, _) in self._memory.items() if held == kind}
+        if self.directory is not None:
+            folder = os.path.join(self.directory, kind)
+            if os.path.isdir(folder):
+                keys.update(
+                    name[: -len(".json")]
+                    for name in os.listdir(folder)
+                    if name.endswith(".json")
+                )
+        return sorted(keys)
 
     def result_keys(self) -> List[str]:
-        keys = set(self._memory) | set(self._list_keys("results"))
-        return sorted(keys)
+        return self._list_keys("results")
 
     def partial_keys(self) -> List[str]:
         return self._list_keys("partials")

@@ -9,7 +9,8 @@ context (the cached noiseless-reference snapshot) warm — the overhead the
 old per-call ``ProcessPoolExecutor`` paid on every invocation.
 
 Workers are crash-isolated: the scheduler detects a dead worker, respawns
-it with a fresh queue, and requeues the chunk it was holding.
+it with a fresh queue, and requeues the chunk it was holding; a worker
+waiting for a chunk exits once its scheduler's process has died.
 
 Fault injection
 ---------------
@@ -26,6 +27,8 @@ must catch it).
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from collections import OrderedDict
@@ -150,10 +153,16 @@ def _corrupt_outcome_fault(
 
 
 def worker_main(worker_id: int, task_queue, result_queue) -> None:
-    """Worker process entry point: loop on tasks until the None sentinel."""
+    """Worker process entry point: loop on tasks until the None sentinel, or
+    until the parent's sentinel (:func:`multiprocessing.parent_process`)
+    reports that the process that started this worker has died."""
     injector = get_injector()
     warm: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
+    parent_sentinel = multiprocessing.parent_process().sentinel
     while True:
+        ready = multiprocessing.connection.wait([task_queue._reader, parent_sentinel])
+        if parent_sentinel in ready:
+            break
         task = task_queue.get()
         if task is None:
             break

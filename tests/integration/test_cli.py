@@ -64,6 +64,29 @@ class TestRunCommand:
         assert "P(c=0)" in output
 
 
+class TestRunMethod:
+    """``repro run --method`` resolves by the scheduler's dispatch rule."""
+
+    def test_auto_prints_its_decision_and_runs_the_chosen_method(self, capsys):
+        assert main(["run", "ghz:3", "-M", "10", "--method", "auto",
+                     "--fidelity"]) == 0
+        output = capsys.readouterr().out
+        decision, _ = output.split("\n", 1)
+        assert decision.startswith("dispatch: stochastic (exact cost ")
+        assert "trajectories: 10/10" in output
+
+    def test_auto_on_a_spec_exact_cannot_express_samples(self, capsys):
+        assert main(["run", "ghz:3", "-M", "10", "--method", "auto",
+                     "--outcome", "0"]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("auto dispatch -> stochastic (property ")
+        assert "trajectories: 10/10" in output
+
+    def test_forced_exact_on_a_spec_exact_cannot_express_exits(self):
+        with pytest.raises(SystemExit, match="--method exact unsupported: property"):
+            main(["run", "ghz:3", "-M", "10", "--method", "exact", "--outcome", "0"])
+
+
 class TestOtherCommands:
     def test_circuits_listing(self, capsys):
         assert main(["circuits"]) == 0

@@ -1,9 +1,15 @@
 """Cancellation and shutdown edge cases: races and store hygiene."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
+
+import repro
 
 from repro.circuits.library import ghz
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
@@ -148,3 +154,54 @@ class TestShutdownHygiene:
         scheduler = Scheduler(workers=1)
         scheduler.shutdown()
         scheduler.shutdown()
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie left for its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_scheduler_process_dies(tmp_path):
+    """A scheduler's process that dies hard takes its workers with it.  A
+    whole process-group kill (``repro chaos --kill-serve``) cannot show
+    this: here only the scheduler's own process dies."""
+    script = textwrap.dedent(
+        """
+        import os
+        from repro.service import Scheduler
+
+        if __name__ == "__main__":
+            scheduler = Scheduler(workers=2)
+            print(*(handle.process.pid for handle in scheduler._workers), flush=True)
+            os._exit(1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    out = tmp_path / "pids.txt"
+    with open(out, "w", encoding="ascii") as handle:
+        # A file, not a pipe: a worker that outlived the parent would hold
+        # a pipe open and wedge the read.
+        code = subprocess.run(
+            [sys.executable, "-c", script], stdout=handle, env=env, timeout=60
+        ).returncode
+    assert code == 1
+    pids = [int(pid) for pid in out.read_text(encoding="ascii").split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -189,8 +189,9 @@ class TestStoreFaultRecovery:
     def test_enospc_on_checkpoint_degrades_not_fails(self, monkeypatch, tmp_path):
         """Only a job that ends short writes a checkpoint: here its deadline
         cuts it short (every chunk first sleeps 0.6 s of its 1 s budget).
-        A full disk costs that checkpoint, not the job: it still returns
-        its partial, and a resubmission reruns and completes."""
+        A full disk costs that checkpoint on disk, not the job: it still
+        returns its partial, the store still answers for it in process,
+        and a resubmission through a fresh store reruns and completes."""
         arm(
             monkeypatch, tmp_path,
             FaultSpec(kind="enospc", operation="put_partial"),
@@ -207,7 +208,8 @@ class TestStoreFaultRecovery:
         assert snap["scheduler.checkpoint_writes"] == 1
         assert snap["store.write.errors"] == 1
         assert snap["faults.recovered.write_skipped"] == 1
-        assert store.get_partial(spec.job_key()) is None
+        assert store.record(spec.job_key())["end"]["state"] == "completed"
+        assert ResultStore(directory=store_dir).get_partial(spec.job_key()) is None
 
         monkeypatch.delenv(PLAN_ENV)
         reset_injector_cache()

@@ -63,7 +63,7 @@ class TestFencing:
             scheduler._draining = True
             key = scheduler.submit(spec)
             with scheduler._lock:
-                job = scheduler._jobs[key]
+                job = scheduler._active[key]
                 job.fencing_tokens[0] = 5  # chunk 0's latest dispatch
             result = _real_chunk_result(spec, 0, 4)
 
@@ -94,8 +94,9 @@ class TestFencing:
 
     def test_report_from_a_cancelled_run_of_the_same_key_is_fenced(self):
         """A resubmission has not dispatched the cancelled run's in-flight
-        chunk, and stamps tokens past the cancelled run's, so that chunk's
-        late report cannot commit into it under either condition."""
+        chunk, and its dispatches take later tokens of the scheduler-wide
+        counter, so that chunk's late report cannot commit into it under
+        either condition."""
         spec = _spec(trajectories=8)
         with Scheduler(
             workers=1, store=ResultStore(directory=None), chunk_size=4
@@ -103,9 +104,9 @@ class TestFencing:
             scheduler._draining = True
             key = scheduler.submit(spec)
             with scheduler._lock:
-                cancelled = scheduler._jobs[key]
-                cancelled.fencing_tokens[0] = cancelled.next_token  # in flight
-                cancelled.next_token += 1
+                cancelled = scheduler._active[key]
+                cancelled.fencing_tokens[0] = scheduler._next_token  # in flight
+                scheduler._next_token += 1
             assert scheduler.cancel(key)
             scheduler.submit(spec)
             stale = ChunkOutcome(
@@ -115,11 +116,11 @@ class TestFencing:
                 fencing_token=0,
             )
             with scheduler._lock:
-                job = scheduler._jobs[key]
+                job = scheduler._active[key]
                 scheduler._handle_outcome(stale)  # chunk not dispatched yet
                 assert 0 not in job.completed
-                job.fencing_tokens[0] = job.next_token  # dispatched by this run
-                job.next_token += 1
+                job.fencing_tokens[0] = scheduler._next_token  # dispatched by this run
+                scheduler._next_token += 1
                 scheduler._handle_outcome(stale)
                 assert 0 not in job.completed
             assert _counters(scheduler)["lease.fenced"] == 2
@@ -140,10 +141,10 @@ class TestFencing:
                 fencing_token=None,
             )
             with scheduler._lock:
-                job = scheduler._jobs[key]
+                job = scheduler._active[key]
                 scheduler._handle_outcome(outcome)  # chunk not dispatched yet
-                job.fencing_tokens[0] = job.next_token
-                job.next_token += 1
+                job.fencing_tokens[0] = scheduler._next_token
+                scheduler._next_token += 1
                 scheduler._handle_outcome(outcome)
                 assert not job.completed
             assert _counters(scheduler)["lease.fenced"] == 2

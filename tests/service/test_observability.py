@@ -122,10 +122,11 @@ class TestSharedDeadline:
     def test_chunk_deadline_is_absolute_not_relative(self):
         spec = ghz_spec(trajectories=10, timeout=300.0)
         with Scheduler(workers=1, chunk_size=5) as scheduler:
+            scheduler._draining = True  # park the job: a finished one is forgotten
             key = scheduler.submit(spec)
-            job = scheduler._jobs[key]
-            deadlines = {task.deadline for task in job.chunks.values()}
-            scheduler.result(key, timeout=120)
+            with scheduler._lock:
+                job = scheduler._active[key]
+                deadlines = {task.deadline for task in job.chunks.values()}
         # Every chunk shares the single job deadline instant.
         assert len(deadlines) == 1
         (deadline,) = deadlines

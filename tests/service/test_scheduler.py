@@ -158,7 +158,8 @@ class TestCaching:
             again = scheduler.run(spec)
             # Zero new trajectories: the store answered the resubmission.
             assert scheduler.trajectories_executed == executed
-            assert scheduler.status(spec.job_key()).cached
+            assert store.hits == 1
+            assert scheduler.status(spec.job_key()).completed_trajectories == executed
             name = spec.properties[0].name
             assert again.mean(name) == first.mean(name)
 
@@ -200,8 +201,10 @@ class TestCaching:
             assert 0 < second.trajectories_executed < spec.trajectories
         assert result.completed_trajectories == spec.trajectories
         assert result.mean(name) == pytest.approx(ref.mean(name), abs=1e-12)
-        # Final result replaces the checkpoint.
-        assert store.get_partial(spec.job_key()) is None
+        # Final result replaces the checkpoint on disk, and answers for the
+        # key ahead of the partial the first store still holds in memory.
+        assert ResultStore(directory=str(tmp_path)).get_partial(spec.job_key()) is None
+        assert "spans" not in store.record(spec.job_key())
 
 
 class TestFaultTolerance:
@@ -343,7 +346,6 @@ class TestActiveJobs:
             scheduler.submit(spec)  # joins the live job
             with scheduler._lock:
                 assert list(scheduler._active) == [key]
-                assert scheduler._active[key] is scheduler._jobs[key]
 
 
 class TestShutdown:
@@ -469,11 +471,20 @@ def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
 
 
 def plan_of(scheduler, spec):
-    """``(chunks, basis)`` and chunk sizes of ``spec``'s plan, once it ran."""
+    """``(chunks, basis)`` and chunk sizes of ``spec``'s plan, once it ran
+    (the sizes seen as it planned: a finished job is forgotten)."""
+    sizes = []
+    plan_chunks = scheduler._plan_chunks
+
+    def recording_plan(job):
+        plan_chunks(job)
+        sizes[:] = [task.num_trajectories for _, task in sorted(job.chunks.items())]
+
+    scheduler._plan_chunks = recording_plan
     key = scheduler.submit(spec)
     result = scheduler.result(key, timeout=120)
+    del scheduler._plan_chunks
     assert result.completed_trajectories == spec.trajectories
-    sizes = [task.num_trajectories for _, task in sorted(scheduler._jobs[key].chunks.items())]
     return scheduler.plan_for(key), sizes
 
 

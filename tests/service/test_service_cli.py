@@ -2,11 +2,13 @@
 
 import os
 import threading
+import time
 
 import pytest
 
 from repro.circuits.library import ghz
 from repro.cli import main
+from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
 from repro.service import JobSpec, ResultStore, query_status
@@ -183,6 +185,45 @@ class TestSubmitServeRoundTrip:
         ) == 0
         assert "timed out" not in capsys.readouterr().out
 
+    def test_a_job_that_failed_before_any_commit_reads_as_failed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every attempt of the job's one chunk reports a corrupt outcome, so
+        the job fails with nothing committed.  Its end record holds the
+        error: status prints it, and monitor and result --wait stop on it
+        at once instead of polling out their time limits."""
+        store_dir = str(tmp_path / "store")
+        assert main(["submit", "ghz:5", "-M", "16", "--store", store_dir]) == 0
+        key = capsys.readouterr().out.splitlines()[0].strip()
+        (tmp_path / "fault-state").mkdir()
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="corrupt-outcome", times=100),),
+            state_dir=str(tmp_path / "fault-state"),
+        )
+        monkeypatch.setenv(PLAN_ENV, plan.to_json())
+        reset_injector_cache()
+        try:
+            assert main(["serve", "--once", "--chunk-size", "16",
+                         "--store", store_dir]) == 0
+        finally:
+            monkeypatch.delenv(PLAN_ENV)
+            reset_injector_cache()
+        capsys.readouterr()
+
+        assert main(["status", key[:12], "--store", store_dir]) == 0
+        output = capsys.readouterr().out
+        assert "[failed]" in output
+        assert "error: chunk 0 failed after 3 attempts (corrupt outcome" in output
+        started = time.monotonic()
+        assert main(["monitor", key[:12], "--interval", "0.1",
+                     "--max-seconds", "10", "--store", store_dir]) == 1
+        assert main(["result", key[:12], "--wait", "--wait-timeout", "10",
+                     "--store", store_dir]) == 1
+        output = capsys.readouterr().out
+        assert "timed out" not in output
+        assert f"job {key[:16]}… failed: chunk 0 failed after 3 attempts" in output
+        assert time.monotonic() - started < 5.0
+
     def test_unknown_key_fails_cleanly(self, tmp_path, capsys):
         with pytest.raises(SystemExit, match="no job"):
             main(["status", "beef", "--store", str(tmp_path)])
@@ -190,25 +231,18 @@ class TestSubmitServeRoundTrip:
 
 class TestStatusFromDisk:
     """Only a key the journal shows incomplete reads RUNNING.  A store
-    partial is a run that ended short: it reads as the journal recorded
-    that end while it holds the job, else COMPLETED when the deadline cut
-    it short, else FAILED."""
+    partial is a run that ended short: it reads as its record says it
+    ended (tests/service/test_end_states.py), and a partial of an older
+    build, which records no end, as COMPLETED when the deadline cut it
+    short, else FAILED."""
 
     SPEC = JobSpec.build(ghz(3), NoiseModel.paper_defaults(), (), trajectories=16)
 
     @pytest.mark.parametrize(
-        "ended, error, timed_out, state",
-        [
-            ("failed", "chunk 1 failed after 3 attempts (boom)", False,
-             JobState.FAILED),
-            ("cancelled", None, False, JobState.CANCELLED),
-            ("completed", None, True, JobState.COMPLETED),
-            (None, None, True, JobState.COMPLETED),
-            (None, None, False, JobState.FAILED),
-        ],
+        "timed_out, state", [(True, JobState.COMPLETED), (False, JobState.FAILED)]
     )
-    def test_a_partial_reads_as_its_run_ended(
-        self, tmp_path, ended, error, timed_out, state
+    def test_a_partial_without_an_end_reads_as_its_deadline_says(
+        self, tmp_path, timed_out, state
     ):
         spec, key = self.SPEC, self.SPEC.job_key()
         store = ResultStore(directory=str(tmp_path))
@@ -216,13 +250,8 @@ class TestStatusFromDisk:
         partial.completed_trajectories = 8
         partial.timed_out = timed_out
         store.put_partial(key, [(0, 8)], partial)
-        if ended is not None:
-            with JobJournal(journal_path(str(tmp_path))) as journal:
-                journal.job_submitted(key, spec.to_dict())
-                journal.plan_recorded(key, [(0, 0, 8), (1, 8, 8)], [])
-                journal.job_done(key, ended, error)
         status = query_status(store, key)
-        assert (status.state, status.error) == (state, error)
+        assert (status.state, status.error) == (state, None)
         assert status.completed_trajectories == 8
 
     def test_a_job_only_the_journal_knows_reads_as_running(self, tmp_path, capsys):

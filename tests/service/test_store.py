@@ -54,13 +54,20 @@ class TestMemoryStore:
         assert store.get("k1") is not None
         assert store.get("k3") is not None
 
-    def test_partials_are_noop_without_disk(self, monkeypatch):
-        store = ResultStore(directory=None)
-        result = make_result(5)
-        # Nothing reads a memory-only checkpoint, so no payload is built.
-        monkeypatch.setattr(result, "to_dict", lambda: pytest.fail("payload built"))
-        store.put_partial("k1", [(0, 5)], result)
+    def test_partials_live_in_the_lru_without_disk(self):
+        """An end-short partial is a finished job's record, so a
+        memory-only store keeps it, in the one LRU it keeps results in."""
+        store = ResultStore(directory=None, capacity=2)
+        store.put_partial("k1", [(0, 5)], make_result(5), end={"state": "cancelled"})
+        spans, partial = store.get_partial("k1")
+        assert (spans, partial.completed_trajectories) == ([(0, 5)], 5)
+        assert store.record("k1")["end"] == {"state": "cancelled"}
+        assert (store.partial_keys(), store.result_keys()) == (["k1"], [])
+        assert store.get("k1") is None  # a partial is no cached result
+        store.put("k2", make_result())
+        store.put("k3", make_result())  # evicts k1
         assert store.get_partial("k1") is None
+        assert store.record("k1") is None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -76,7 +83,7 @@ class TestDiskStore:
     def test_spec_dict_stored_alongside_result(self, tmp_path):
         store = ResultStore(directory=str(tmp_path))
         store.put("k1", make_result(), spec_dict={"circuit_name": "ghz_3"})
-        assert store.get_spec_dict("k1")["circuit_name"] == "ghz_3"
+        assert store.record("k1")["spec"]["circuit_name"] == "ghz_3"
 
     def test_partial_checkpoint_lifecycle(self, tmp_path):
         store = ResultStore(directory=str(tmp_path))
@@ -87,6 +94,40 @@ class TestDiskStore:
         # Storing the final result supersedes (and removes) the checkpoint.
         store.put("k1", make_result(20))
         assert store.get_partial("k1") is None
+
+    def test_a_record_reads_how_the_job_ran_without_a_cache_lookup(self, tmp_path):
+        store = ResultStore(directory=str(tmp_path))
+        run = {"plan": [16, "default"], "decision": None, "retries": 2}
+        store.put("k1", make_result(), run=run)
+        record = ResultStore(directory=str(tmp_path)).record("k1")
+        assert (record["end"], record["run"]) == ({"state": "completed"}, run)
+        assert "spans" not in record  # a final result
+        assert record["result"]["completed_trajectories"] == 10
+        assert (store.hits, store.misses) == (0, 0)
+        assert store.record("nope") is None
+        assert (store.hits, store.misses) == (0, 0)
+
+    def test_an_end_record_without_trajectories_is_no_checkpoint(self, tmp_path):
+        store = ResultStore(directory=str(tmp_path))
+        end = {"state": "failed", "error": "boom", "kind": None, "diagnosis": None}
+        store.put_partial("k1", [], make_result(0), end=end)
+        for reader in (store, ResultStore(directory=str(tmp_path))):
+            assert reader.get_partial("k1") is None
+            assert reader.record("k1")["end"] == end
+            assert reader.partial_keys() == ["k1"]
+
+    @pytest.mark.parametrize("timed_out, state", [(True, "completed"), (False, "failed")])
+    def test_a_partial_without_an_end_reads_as_its_deadline_says(
+        self, tmp_path, timed_out, state
+    ):
+        """Partials of older builds carry no ``end`` (nor ``run``)."""
+        partial = make_result(5)
+        partial.timed_out = timed_out
+        payload = {"spans": [[0, 5]], "result": partial.to_dict()}
+        ResultStore(directory=str(tmp_path))._write_json("partials", "k1", payload, "put")
+        record = ResultStore(directory=str(tmp_path)).record("k1")
+        assert (record["spans"], record["end"]) == ([[0, 5]], {"state": state})
+        assert "run" not in record
 
     def test_eviction_falls_back_to_disk(self, tmp_path):
         store = ResultStore(directory=str(tmp_path), capacity=1)

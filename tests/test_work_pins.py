@@ -34,13 +34,18 @@ seed 7, one sampled shot per trajectory, and the serial in-process runner.
   the store's journal itself, the same job writes those 19 records and no
   store partial.  Checkpointing after every chunk but the last would
   make 15.
+* Finished jobs: once the same job's result is back, nothing in the
+  scheduler holds its job object (a weak reference is dead after a
+  collection); its store record answers for the key.
 
 The lookup floors sit just under today's ratios (7.04, 3.47, 246 and
 46.0), so a change that shares less work fails here long before it shows
 up in wall time.
 """
 
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -56,7 +61,7 @@ from repro.circuits.library import (
 )
 from repro.exact import simulate_exact
 from repro.noise import NoiseModel
-from repro.service import JobSpec, ResultStore, Scheduler
+from repro.service import JobSpec, JobState, ResultStore, Scheduler
 from repro.service.journal import JobJournal, journal_path
 from repro.stochastic import BasisProbability, IdealFidelity, simulate_stochastic
 from repro.stochastic.results import StochasticResult
@@ -270,3 +275,19 @@ def test_a_completing_job_writes_no_store_checkpoint(tmp_path, monkeypatch):
     assert kinds == {
         "header": 1, "submit": 1, "plan": 1, "chunk-done": 16, "job-done": 1,
     }
+
+
+def test_a_finished_job_is_forgotten(tmp_path):
+    spec = JobSpec.build(ghz(6), NOISE, (IdealFidelity(),), trajectories=64, seed=7)
+    with Scheduler(workers=2, store=ResultStore(str(tmp_path))) as scheduler:
+        scheduler._draining = True  # park the job to take a reference to it
+        key = scheduler.submit(spec)
+        with scheduler._lock:
+            job = weakref.ref(scheduler._active[key])
+            scheduler._draining = False
+            scheduler._wake()
+        assert scheduler.result(key, timeout=120).completed_trajectories == 64
+        gc.collect()
+        assert job() is None
+        status = scheduler.status(key)
+    assert (status.state, status.completed_trajectories) == (JobState.COMPLETED, 64)
