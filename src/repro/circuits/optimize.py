@@ -10,9 +10,8 @@ and fewer noise-insertion slots, so the pass exists in two flavours:
 
 * :func:`fuse_single_qubit_runs` — semantics-preserving for *noiseless*
   simulation; under a noise model it also changes the physics (one fused
-  gate attracts one error slot instead of ``k``), which is exactly what the
-  ablation benchmark ``bench_ablation_fusion.py`` quantifies, and is a
-  faithful model of hardware that compiles runs into single pulses.
+  gate attracts one error slot instead of ``k``), a faithful model of
+  hardware that compiles runs into single pulses.
 
 Fusion never crosses measurements, resets, barriers, controlled gates, or
 classically conditioned gates.

@@ -23,8 +23,9 @@ Subcommands:
 * ``profile`` — run with the deterministic DD hot-loop profiler enabled
   and report per-gate / per-DD-op self time plus node-growth attribution;
   ``--flame`` writes folded stacks for flamegraph tooling;
-* ``table`` — regenerate one of the paper's tables (Ia/Ib/Ic) at a chosen
-  scale, optionally with a ``--metrics`` JSON sidecar;
+* ``table`` / ``report`` — regenerate one of the paper's tables (Ia/Ib/Ic),
+  optionally with a ``--metrics`` JSON sidecar, or all three as Markdown;
+  both run the one qubit sweep :mod:`repro.harness` defines per table;
 * ``circuits`` — list the built-in benchmark circuit generators;
 * ``dot`` — export a circuit's final-state decision diagram as Graphviz dot.
 """
@@ -36,10 +37,10 @@ import os
 import sys
 from typing import List, Optional
 
+from . import harness
 from .circuits import parse_qasm_file
 from .circuits.library import QASMBENCH_CIRCUITS, ghz, qft
 from .dd import to_dot
-from .harness import run_table1a, run_table1b, run_table1c
 from .noise import ErrorRates, NoiseModel
 from .simulators import DDBackend, execute_circuit
 from .stochastic import BasisProbability, IdealFidelity, simulate_stochastic
@@ -111,6 +112,17 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
         "--store", default=None, metavar="DIR",
         help="result-store directory (default: $REPRO_STORE_DIR or "
         "~/.cache/repro-sim)",
+    )
+
+
+def _add_table_scale_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "-M", "--trajectories", type=int, default=None,
+        help="trajectories per cell (default: the table's own)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help="seconds per cell (default: the table's own)",
     )
 
 
@@ -382,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = subparsers.add_parser("table", help="regenerate a paper table")
     table.add_argument("which", choices=("1a", "1b", "1c"))
-    table.add_argument("-M", "--trajectories", type=int, default=None)
-    table.add_argument("--timeout", type=float, default=None)
+    _add_table_scale_arguments(table)
     table.add_argument("-w", "--workers", type=int, default=1)
     table.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -393,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="regenerate all paper tables as a Markdown report"
     )
-    report.add_argument("-M", "--trajectories", type=int, default=10)
-    report.add_argument("--timeout", type=float, default=30.0)
+    _add_table_scale_arguments(report)
     report.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
     subparsers.add_parser("circuits", help="list built-in benchmark circuits")
@@ -511,6 +521,7 @@ def _command_status(args: argparse.Namespace) -> int:
 def _command_result(args: argparse.Namespace) -> int:
     import time as _time
 
+    from .errors import JobCancelledError, JobFailedError
     from .service import JobState, query_status
 
     store = _open_store(args)
@@ -524,20 +535,26 @@ def _command_result(args: argparse.Namespace) -> int:
             if not args.wait:
                 raise SystemExit(str(error))
             key = None
-        if key is not None:
-            result = store.get(key)
-            if result is not None:
-                print(result.summary())
-                return 0
-            status = query_status(store, key)
-            if status.state in (JobState.FAILED, JobState.CANCELLED):
-                print(f"job {key[:16]}… {status.state.value}"
-                      + (f": {status.error}" if status.error else ""))
+        result = None
+        # A job the journal shows running again outranks its earlier end.
+        if key is not None and query_status(store, key).state not in (
+            JobState.QUEUED, JobState.RUNNING
+        ):
+            try:
+                result = store.ended_result(key)
+            except JobCancelledError:
+                print(f"job {key[:16]}… cancelled")
                 return 1
-            if not args.wait:
-                print(f"job {key[:16]}… has no final result yet "
-                      f"(use --wait, or check `status`)")
+            except JobFailedError as error:
+                print(f"job {key[:16]}… failed: {error}")
                 return 1
+        if result is not None:
+            print(result.summary())
+            return 0
+        if key is not None and not args.wait:
+            print(f"job {key[:16]}… has no final result yet "
+                  f"(use --wait, or check `status`)")
+            return 1
         if deadline is not None and _time.monotonic() >= deadline:
             print("timed out waiting for the result")
             return 1
@@ -1090,27 +1107,22 @@ def _command_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _run_table(which: str, args: argparse.Namespace, workers: int = 1):
+    """Table ``which`` over the one sweep :mod:`repro.harness` defines for
+    it; ``-M`` and ``--timeout`` replace the table's own M and time limit."""
+    run = {
+        "1a": harness.run_table1a,
+        "1b": harness.run_table1b,
+        "1c": harness.run_table1c,
+    }[which]
+    scale = {"trajectories": args.trajectories, "timeout": args.timeout}
+    return run(workers=workers, **{k: v for k, v in scale.items() if v is not None})
+
+
 def _command_table(args: argparse.Namespace) -> int:
     import json as _json
 
-    if args.which == "1a":
-        report = run_table1a(
-            trajectories=args.trajectories or 50,
-            timeout=args.timeout or 30.0,
-            workers=args.workers,
-        )
-    elif args.which == "1b":
-        report = run_table1b(
-            trajectories=args.trajectories or 50,
-            timeout=args.timeout or 30.0,
-            workers=args.workers,
-        )
-    else:
-        report = run_table1c(
-            trajectories=args.trajectories or 20,
-            timeout=args.timeout or 60.0,
-            workers=args.workers,
-        )
+    report = _run_table(args.which, args, workers=args.workers)
     print(report.render())
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -1182,22 +1194,8 @@ def _command_fuse(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    from .harness import report_markdown, run_table1b, run_table1c
-
-    reports = [
-        run_table1a(
-            qubit_range=(4, 8, 12, 16, 20, 32),
-            trajectories=args.trajectories,
-            timeout=args.timeout,
-        ),
-        run_table1b(
-            qubit_range=(4, 8, 12, 16, 20),
-            trajectories=args.trajectories,
-            timeout=args.timeout,
-        ),
-        run_table1c(trajectories=args.trajectories, timeout=args.timeout),
-    ]
-    text = report_markdown(
+    reports = [_run_table(which, args) for which in ("1a", "1b", "1c")]
+    text = harness.report_markdown(
         reports,
         title="Stochastic DD simulation — table regeneration",
         notes=(

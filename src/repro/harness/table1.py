@@ -6,7 +6,9 @@ simulator and the dense state-vector baseline, at a configurable scale:
 * ``trajectories`` replaces the paper's M = 30 000 (runtime is linear in M,
   so simulator *ratios* are scale-invariant — see DESIGN.md),
 * ``timeout`` replaces the paper's one-hour limit,
-* the qubit sweeps default to laptop-scale ranges.
+* the default qubit sweep (circuit selection, for Table Ic) is the one
+  sweep per table: ``repro table`` and ``repro report`` run it, and
+  EXPERIMENTS.md records it.
 
 The returned :class:`TableReport` carries structured rows plus a renderer
 producing the paper's layout (``n | baseline [s] | proposed [s]``).
@@ -194,7 +196,7 @@ def run_table1a(
 
 
 def run_table1b(
-    qubit_range: Sequence[int] = (4, 6, 8, 10, 12, 14, 16),
+    qubit_range: Sequence[int] = (4, 6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64),
     trajectories: int = 50,
     timeout: Optional[float] = 30.0,
     backends: Sequence[str] = ("statevector", "dd"),

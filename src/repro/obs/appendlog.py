@@ -7,8 +7,7 @@ supplies a schema name, an empty-state factory whose ``apply(record)``
 folds one record, and a ``live_records(state)`` compaction; the log keeps
 an in-memory mirror of the folded state and enforces one contract:
 
-* every append is written, flushed and ``fsync``'d before it returns
-  (``fsync_interval`` can pace the fsync for high-rate streams);
+* every append is written, flushed and ``fsync``'d before it returns;
 * replay (:func:`read_records`) distrusts a **torn tail** — the final
   line is skipped whenever the file does not end in a newline, even if
   it happens to parse — and skips undecodable interior lines; both are
@@ -19,7 +18,7 @@ an in-memory mirror of the folded state and enforces one contract:
   after a failure, and truncates back to that offset before the next
   append, so the next record starts on a line of its own;
 * writes degrade, they do not kill the service: an ``OSError`` (ENOSPC)
-  sheds appends for ``degraded_cooldown`` seconds
+  sheds appends for :data:`DEGRADED_COOLDOWN` seconds
   (``<name>.write.errors`` / ``<name>.degraded.skipped``), while the
   mirror advances *before* the disk write, so the running process stays
   correct and only crash durability for a shed record is lost;
@@ -50,6 +49,9 @@ from .metrics import MetricsRegistry
 __all__ = ["AppendLog", "complete_length", "fold", "read_log", "read_records"]
 
 Record = Dict[str, object]
+
+#: Seconds a log sheds appends after a failed write (ENOSPC etc.).
+DEGRADED_COOLDOWN = 5.0
 
 
 def read_log(path: str) -> bytes:
@@ -133,17 +135,13 @@ class AppendLog:
         schema: str,
         new_state: Callable[[], object],
         live_records: Callable[[object], List[Record]],
-        fsync_interval: float,
         max_bytes: int,
-        degraded_cooldown: float,
         metrics: MetricsRegistry,
     ) -> None:
         self.path = path
         self.name = name
         self.schema = schema
-        self.fsync_interval = fsync_interval
         self.max_bytes = max_bytes
-        self.degraded_cooldown = degraded_cooldown
         self.metrics = metrics
         for suffix in (
             "records.written",
@@ -159,7 +157,6 @@ class AppendLog:
         self._new_state = new_state
         self._live_records = live_records
         self._handle: Optional[IO[bytes]] = None
-        self._last_fsync = 0.0
         self._degraded_until = 0.0
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         raw = read_log(path)
@@ -200,11 +197,7 @@ class AppendLog:
                 handle = self._open()
                 handle.write(line)
                 handle.flush()
-                if self.fsync_interval <= 0.0 or (
-                    now - self._last_fsync >= self.fsync_interval
-                ):
-                    os.fsync(handle.fileno())
-                    self._last_fsync = now
+                os.fsync(handle.fileno())
             except OSError:
                 self._fail(now)
                 return
@@ -261,7 +254,7 @@ class AppendLog:
 
     def _fail(self, now: float) -> None:
         self.metrics.counter(f"{self.name}.write.errors").inc()
-        self._degraded_until = now + self.degraded_cooldown
+        self._degraded_until = now + DEGRADED_COOLDOWN
         self._drop_handle()
 
     def _rotate(self) -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
@@ -219,29 +218,19 @@ class MetricsExporter:
 class EventLogWriter:
     """Append-only JSONL telemetry event stream (one JSON object per line).
 
-    Thread-safe, flushed *and fsync'd* per event (default) so the log
-    survives a hard process death with at worst one torn trailing line —
-    which :func:`read_event_log` skips on the way back in, and which the
-    next writer cuts off at open, so its first event starts a line of its
-    own instead of being glued onto the fragment.  For very
-    high event rates, ``fsync_interval`` batches the fsync (the flush
-    still happens per event, so ``tail -f`` pipelines stay live; only
-    crash durability is amortised).  Events are plain dictionaries; the
-    writer stamps nothing, so callers control the schema (serve adds
-    ``event`` and ``ts`` keys).
+    Thread-safe, flushed *and fsync'd* per event so the log survives a
+    hard process death with at worst one torn trailing line — which
+    :func:`read_event_log` skips on the way back in, and which the next
+    writer cuts off at open, so its first event starts a line of its own
+    instead of being glued onto the fragment.  Events are plain
+    dictionaries; the writer stamps nothing, so callers control the schema
+    (serve adds ``event`` and ``ts`` keys).
     """
 
-    def __init__(
-        self,
-        path: str,
-        registry: Optional[MetricsRegistry] = None,
-        fsync_interval: float = 0.0,
-    ) -> None:
+    def __init__(self, path: str, registry: Optional[MetricsRegistry] = None) -> None:
         self.path = path
-        self.fsync_interval = fsync_interval
         self._registry = registry
         self._lock = threading.Lock()
-        self._last_fsync = 0.0
         self._handle: Optional[IO[str]] = open(path, "a", encoding="utf-8")
         self._handle.truncate(complete_length(read_log(path)))
 
@@ -252,15 +241,10 @@ class EventLogWriter:
                 return
             self._handle.write(line + "\n")
             self._handle.flush()
-            now = time.monotonic()
-            if self.fsync_interval <= 0.0 or (
-                now - self._last_fsync >= self.fsync_interval
-            ):
-                try:
-                    os.fsync(self._handle.fileno())
-                    self._last_fsync = now
-                except OSError:
-                    pass  # durability is best-effort; the stream stays live
+            try:
+                os.fsync(self._handle.fileno())
+            except OSError:
+                pass  # durability is best-effort; the stream stays live
         if self._registry is not None:
             self._registry.counter("export.events.written").inc()
 

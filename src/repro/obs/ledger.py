@@ -75,11 +75,8 @@ __all__ = [
 #: Ledger record schema; bump when the record layout changes.
 LEDGER_SCHEMA = "repro.ledger/v1"
 
-#: Default rotation threshold: compact once the file outgrows this.
-DEFAULT_MAX_BYTES = 4 * 1024 * 1024
-
-#: Seconds the ledger sheds writes after a failed append (ENOSPC etc.).
-DEFAULT_DEGRADED_COOLDOWN = 5.0
+#: Rotation threshold: compact once the file outgrows this.
+MAX_BYTES = 4 * 1024 * 1024
 
 #: Raw run/fallback records kept per family through a rotation (older ones
 #: survive only inside the family's aggregate record).
@@ -549,9 +546,6 @@ class RunLedger:
     def __init__(
         self,
         path: str,
-        fsync_interval: float = 0.0,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        degraded_cooldown: float = DEFAULT_DEGRADED_COOLDOWN,
         metrics: Optional[MetricsRegistry] = None,
         recent_records: int = DEFAULT_RECENT_RECORDS,
     ) -> None:
@@ -563,9 +557,7 @@ class RunLedger:
             LEDGER_SCHEMA,
             lambda: LedgerState(recent_limit=recent_records),
             _live_records,
-            fsync_interval,
-            max_bytes,
-            degraded_cooldown,
+            MAX_BYTES,
             self.metrics,
         )
 

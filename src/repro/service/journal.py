@@ -73,11 +73,8 @@ __all__ = [
 #: Journal record schema; bump when the record layout changes.
 JOURNAL_SCHEMA = "repro.journal/v1"
 
-#: Default compaction threshold: rotate once the file outgrows this.
-DEFAULT_MAX_BYTES = 8 * 1024 * 1024
-
-#: Seconds the journal sheds writes after a failed append (ENOSPC etc.).
-DEFAULT_DEGRADED_COOLDOWN = 5.0
+#: Compaction threshold: rotate once the file outgrows this.
+MAX_BYTES = 8 * 1024 * 1024
 
 Span = Tuple[int, int]
 ChunkPlanEntry = Tuple[int, int, int]  #: (chunk_index, first, count)
@@ -262,14 +259,7 @@ class JobJournal:
     durability contract — are :class:`~repro.obs.appendlog.AppendLog`'s.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync_interval: float = 0.0,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        degraded_cooldown: float = DEFAULT_DEGRADED_COOLDOWN,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, path: str, metrics: Optional[MetricsRegistry] = None) -> None:
         self.path = path
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._log = AppendLog(
@@ -278,9 +268,7 @@ class JobJournal:
             JOURNAL_SCHEMA,
             _ReplayState,
             _live_records,
-            fsync_interval,
-            max_bytes,
-            degraded_cooldown,
+            MAX_BYTES,
             self.metrics,
         )
 

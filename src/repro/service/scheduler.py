@@ -107,7 +107,7 @@ from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
 from .job import JobSpec, JobState, JobStatus, job_engine
 from .journal import JobJournal, journal_path
-from .store import ResultStore, Span
+from .store import ResultStore, Span, check_end
 from .worker import ChunkOutcome, ChunkTask, worker_main
 
 __all__ = [
@@ -684,29 +684,21 @@ class Scheduler:
     def result(self, key: str, timeout: Optional[float] = None) -> StochasticResult:
         """Block until the job finishes; returns an independent result copy.
 
-        Failures raise out of the shared taxonomy (:mod:`repro.errors`):
-        :class:`PoisonChunkError` for a quarantined chunk (with a
-        structured ``diagnosis``), :class:`WorkerPoolBrokenError` when the
-        respawn circuit breaker opened, :class:`JobFailedError` for an
-        exhausted retry budget, :class:`JobCancelledError` on cancellation.
-        An ended key answers from its store record alike.
+        Failures raise out of the shared taxonomy (:mod:`repro.errors`), as
+        :func:`~repro.service.store.check_end` maps how the job ended.  An
+        ended key answers from its store record
+        (:meth:`ResultStore.ended_result`).
         """
         with self._lock:
-            job, record = self._lookup(key)
-        if job is not None and not job.done.wait(timeout):
+            job = self._active.get(key)
+            if job is None:
+                result = self.store.ended_result(key)
+                if result is None:
+                    raise KeyError(f"unknown job {key!r}")
+                return result
+        if not job.done.wait(timeout):
             raise TimeoutError(f"job {key[:16]}… still running after {timeout} s")
-        end = record["end"] if job is None else job.end()
-        if end["state"] == JobState.FAILED:
-            message = end.get("error") or "job failed"
-            if end.get("kind") == "poison":
-                raise PoisonChunkError(message, diagnosis=end.get("diagnosis"))
-            if end.get("kind") == "breaker":
-                raise WorkerPoolBrokenError(message)
-            raise JobFailedError(message)
-        if end["state"] == JobState.CANCELLED:
-            raise JobCancelledError(f"job {key[:16]}… was cancelled")
-        if job is None:
-            return StochasticResult.from_dict(record["result"])
+        check_end(key, job.end())
         return job.final.copy()
 
     def run(self, spec: JobSpec, timeout: Optional[float] = None) -> StochasticResult:

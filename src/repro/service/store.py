@@ -51,13 +51,24 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import StoreCorruptionError
+from ..errors import (
+    JobCancelledError,
+    JobFailedError,
+    PoisonChunkError,
+    StoreCorruptionError,
+    WorkerPoolBrokenError,
+)
 from ..faults.inject import get_injector
 from ..obs.metrics import MetricsRegistry
 from ..stochastic.results import StochasticResult
 from .job import JobState, JobStatus, job_engine, spec_of
 
-__all__ = ["ResultStore", "default_store_directory", "StoreCorruptionError"]
+__all__ = [
+    "ResultStore",
+    "StoreCorruptionError",
+    "check_end",
+    "default_store_directory",
+]
 
 #: Environment variable overriding the default on-disk store location.
 STORE_ENV = "REPRO_STORE_DIR"
@@ -66,6 +77,24 @@ STORE_ENV = "REPRO_STORE_DIR"
 STORE_SCHEMA = "repro.store/v2"
 
 Span = Tuple[int, int]  #: (first_trajectory, num_trajectories)
+
+
+def check_end(key: str, end: Dict[str, object]) -> None:
+    """Raise the typed error of a job that ended failed or cancelled, as its
+    ``end`` (a store record's, or a live job's) has it:
+    :class:`PoisonChunkError` for a quarantined chunk, with its
+    ``diagnosis``; :class:`WorkerPoolBrokenError` when the respawn circuit
+    breaker opened; :class:`JobFailedError` for any other failure;
+    :class:`JobCancelledError` on cancellation."""
+    if end["state"] == JobState.FAILED:
+        message = end.get("error") or "job failed"
+        if end.get("kind") == "poison":
+            raise PoisonChunkError(message, diagnosis=end.get("diagnosis"))
+        if end.get("kind") == "breaker":
+            raise WorkerPoolBrokenError(message)
+        raise JobFailedError(message)
+    if end["state"] == JobState.CANCELLED:
+        raise JobCancelledError(f"job {key[:16]}… was cancelled")
 
 
 def default_store_directory() -> str:
@@ -309,6 +338,17 @@ class ResultStore:
                 engine=job_engine(spec),
             )
         raise KeyError(f"unknown job {key!r}")
+
+    def ended_result(self, key: str) -> Optional[StochasticResult]:
+        """The result of ended job ``key`` (an independent copy): its final
+        result, or the partial of a job its deadline cut short; None when
+        no record holds the key.  A job that failed or was cancelled raises
+        its typed error (:func:`check_end`).  Counts no cache hit or miss."""
+        record = self.record(key)
+        if record is None:
+            return None
+        check_end(key, record["end"])
+        return StochasticResult.from_dict(record["result"])
 
     # -- final results ----------------------------------------------------
 

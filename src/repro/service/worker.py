@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -156,6 +157,10 @@ def worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Worker process entry point: loop on tasks until the None sentinel, or
     until the parent's sentinel (:func:`multiprocessing.parent_process`)
     reports that the process that started this worker has died."""
+    # A forked worker inherits its parent's handlers; serve's SIGTERM drain
+    # handler would make ``Process.terminate()`` a no-op.  SIGINT keeps the
+    # parent's disposition, so a terminal Ctrl-C lets serve drain chunks.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     injector = get_injector()
     warm: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
     parent_sentinel = multiprocessing.parent_process().sentinel

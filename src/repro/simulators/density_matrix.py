@@ -4,9 +4,8 @@ The paper contrasts stochastic simulation with the exact mixed-state
 formalism ("quantum channels and mixed states", Section III): tracking the
 full ``2**n x 2**n`` density matrix makes an exponentially hard problem even
 harder, but for small registers it yields the *exact* output distribution.
-This module implements that formalism so the test suite and the
-``bench_stochastic_vs_exact`` ablation can validate the Monte-Carlo
-estimates against ground truth (Theorem 1's guarantee).
+This module implements that formalism so the test suite can validate the
+Monte-Carlo estimates against ground truth (Theorem 1's guarantee).
 
 The density matrix is held as a ``(2,) * 2n`` tensor — row (ket) axes
 ``0..n-1``, column (bra) axes ``n..2n-1`` — and every operator application

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import QuantumCircuit, gates
-from repro.circuits.library import random_circuit
+from repro.circuits.library import basis_trotter, random_circuit
 from repro.circuits.optimize import fuse_single_qubit_runs, matrix_to_u3_params
+from repro.noise import NoiseModel
 from repro.simulators import DDBackend, execute_circuit
+from repro.stochastic import BasisProbability, simulate_stochastic
 
 from ..conftest import random_unitary
 
@@ -135,3 +137,28 @@ class TestFusion:
         fused = fuse_single_qubit_runs(circuit)
         assert fused.num_gates() == 1
         assert states_equal_up_to_phase(simulate(circuit), simulate(fused))
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.noiseless(), NoiseModel.paper_defaults()],
+        ids=["noiseless", "noisy"],
+    )
+    def test_fused_basis_trotter_runs_stochastically(self, noise):
+        """Both arms of the fusion ablation run through the stochastic
+        simulator.  Noiseless, the fused circuit estimates what the original
+        does; under noise it has fewer error slots, so its estimate differs."""
+        original = basis_trotter(4, layers=40)
+        fused = fuse_single_qubit_runs(original)
+        assert fused.num_gates() < original.num_gates()
+        results = [
+            simulate_stochastic(
+                circuit, noise, [BasisProbability("0101")], trajectories=5,
+                seed=0, sample_shots=0,
+            )
+            for circuit in (original, fused)
+        ]
+        assert [r.completed_trajectories for r in results] == [5, 5]
+        if noise.is_noiseless:
+            assert results[0].mean("P(|0101>)") == pytest.approx(0.479, abs=1e-3)
+            assert results[1].mean("P(|0101>)") == pytest.approx(
+                results[0].mean("P(|0101>)"), abs=1e-9
+            )

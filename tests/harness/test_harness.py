@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits.library import ghz
+from repro.circuits.library import QASMBENCH_CIRCUITS, ghz
 from repro.harness import (
     TimedRun,
     format_cell,
@@ -12,6 +12,10 @@ from repro.harness import (
     timed_stochastic_run,
 )
 from repro.noise import NoiseModel
+from repro.simulators.ddsim import DDBackend
+from repro.simulators.gateplan import compile_plan
+from repro.stochastic.prefix import compile_prefix_plan
+from repro.stochastic.runner import dense_threshold
 
 
 class TestFormatting:
@@ -71,6 +75,13 @@ class TestTableReports:
         assert "2" in ratios
         assert ratios["2"] is None or ratios["2"] > 0
 
+    def test_table1a_dd_stays_linear_to_64_qubits(self):
+        """Under the paper's noise, GHZ decision diagrams stay linear in n."""
+        report = run_table1a(qubit_range=(64,), trajectories=2, backends=("dd",))
+        run = report.rows[0][1]["dd"]
+        assert run.result.completed_trajectories == 2
+        assert run.result.peak_nodes <= 4 * 64 + 8
+
     def test_monotone_sweep_skips_after_timeout(self):
         report = run_table1a(
             qubit_range=(10, 12), trajectories=10**6, timeout=0.1,
@@ -96,3 +107,49 @@ class TestTableReports:
             qubit_range=(12,), trajectories=10**6, timeout=0.1, backends=("dd",)
         )
         assert ">0.1" in report.render()
+
+
+class TestTable1cRows:
+    """Every Table Ic row runs on both engines at the paper's width."""
+
+    #: Rows whose states stay structured, where the paper has the DD ahead.
+    STRUCTURED = ("bv", "multiplier", "bigadder", "sat", "seca", "basis_trotter", "cc")
+    #: Rows whose states densify, where the paper has the DD behind.
+    DENSE = ("ising", "vqe_uccsd_6", "vqe_uccsd_8")
+
+    def test_structured_rows_complete_on_both_engines(self):
+        report = run_table1c(names=self.STRUCTURED, trajectories=1, timeout=None)
+        assert len(report.rows) == len(self.STRUCTURED)
+        for label, runs in report.rows:
+            assert runs["statevector"].completed and runs["dd"].completed, label
+
+    def test_dense_rows_complete_on_the_statevector_engine(self):
+        report = run_table1c(
+            names=self.DENSE, trajectories=1, timeout=None, backends=("statevector",)
+        )
+        for label, runs in report.rows:
+            assert runs["statevector"].completed, label
+
+    def test_a_dense_row_completes_on_the_dd_engine(self):
+        # One DD trajectory of ising or vqe_uccsd_8 takes 13 s and 69 s on
+        # a 2-vCPU VM; vqe_uccsd_6 takes 2.5 s.
+        report = run_table1c(
+            names=("vqe_uccsd_6",), trajectories=1, timeout=None, backends=("dd",)
+        )
+        assert report.rows[0][1]["dd"].completed
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_dense_rows_blow_the_dd_up(self, name):
+        """Why the DD loses these rows: before the circuit ends, its ideal
+        state's DD holds 2^(n-1) nodes, half a dense DD."""
+        circuit = QASMBENCH_CIRCUITS[name][1]()
+        qubits = circuit.num_qubits
+        backend = DDBackend(qubits)
+        plan = compile_prefix_plan(
+            backend,
+            compile_plan(circuit, package=backend.package),
+            NoiseModel.paper_defaults(),
+            dense_threshold(qubits),
+        )
+        assert plan.stopped_after is not None
+        assert plan.peak_nodes >= 2 ** (qubits - 1)

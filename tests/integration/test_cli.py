@@ -104,8 +104,7 @@ class TestOtherCommands:
         main(["dot", "ghz:2", "-o", str(target)])
         assert target.read_text(encoding="utf-8").startswith("digraph")
 
-    def test_table_command_small(self, capsys):
-        # Uses explicit tiny budget to stay fast.
+    def test_table_command_small(self, capsys, tiny_table_sweeps):
         assert main(["table", "1a", "-M", "2", "--timeout", "5"]) == 0
         output = capsys.readouterr().out
         assert "Table Ia" in output

@@ -57,7 +57,7 @@ class TestStatsCommand:
 
 
 class TestTableMetricsSidecar:
-    def test_sidecar_schema(self, tmp_path, capsys):
+    def test_sidecar_schema(self, tmp_path, capsys, tiny_table_sweeps):
         sidecar = tmp_path / "table.metrics.json"
         assert main(
             ["table", "1b", "-M", "2", "--timeout", "10",

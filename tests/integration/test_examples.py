@@ -1,9 +1,12 @@
 """Integration: the fast example scripts run end-to-end.
 
 Each example is executed in-process (runpy) with scaled-down arguments
-where the script accepts them.  The slow studies (reproduce_tables,
-device_noise_study, concurrency, noisy_algorithms, stochastic_vs_exact)
-are exercised by the harness/bench suites instead.
+where the script accepts them.  The slow studies (device_noise_study,
+concurrency, noisy_algorithms, stochastic_vs_exact) are not run here: the
+mechanisms they show are tested in their own packages (worker-count
+invariance in tests/stochastic/test_merge_reproducibility.py, the exact
+oracle in tests/integration/test_convergence.py, the device models in
+tests/noise).
 """
 
 import os

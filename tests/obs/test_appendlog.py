@@ -386,10 +386,10 @@ def test_a_failed_append_loses_its_own_record_only(log, fault, data):
             path = os.path.join(directory, f"f{index}.jsonl")
             metrics = MetricsRegistry()
             strike = _StrikeAt(f"{fault}-{log.name}", index)
-            with mock.patch("repro.faults.inject.get_injector", return_value=strike):
-                views = _write(
-                    log, path, records, degraded_cooldown=0.0, metrics=metrics
-                )
+            with mock.patch(
+                "repro.faults.inject.get_injector", return_value=strike
+            ), mock.patch("repro.obs.appendlog.DEGRADED_COOLDOWN", 0.0):
+                views = _write(log, path, records, metrics=metrics)
             # The mirror advanced past the failure; the file lost only it.
             assert views[-1] == every
             assert log.replay(path) == without[-1]

@@ -161,16 +161,6 @@ class TestEventLog:
             writer.write({"c": 3})
         assert read_event_log(path) == [{"a": 1}, {"c": 3}]
 
-    def test_fsync_interval_batches_durability_not_visibility(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        with EventLogWriter(path, fsync_interval=60.0) as writer:
-            writer.write({"event": "one"})
-            writer.write({"event": "two"})
-            # Flushed per event even when the fsync is amortised.
-            with open(path, encoding="utf-8") as handle:
-                assert len(handle.readlines()) == 2
-            writer.flush()
-
 
 class TestReadEventLog:
     def test_missing_file_reads_empty(self, tmp_path):

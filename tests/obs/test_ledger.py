@@ -9,6 +9,7 @@ import pytest
 from repro.circuits.library import ghz
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
+from repro.obs import ledger as ledger_module
 from repro.obs.ledger import (
     FamilyAggregate,
     LEDGER_SCHEMA,
@@ -185,8 +186,9 @@ class TestRotation:
                 # ...stamped folded so replay keeps them out of the sums.
                 assert all(r.get("folded") for r in reopened.recent(FP))
 
-    def test_size_rotation_compacts_but_preserves_telemetry(self, wal):
-        with RunLedger(wal, max_bytes=2_000) as ledger:
+    def test_size_rotation_compacts_but_preserves_telemetry(self, wal, monkeypatch):
+        monkeypatch.setattr(ledger_module, "MAX_BYTES", 2_000)
+        with RunLedger(wal) as ledger:
             for i in range(100):
                 _record_run(ledger, rate=float(i + 1))
             assert ledger.aggregates()[FP].runs == 100

@@ -3,6 +3,7 @@
 import gc
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -355,6 +356,30 @@ class TestShutdown:
         scheduler.shutdown()
         with pytest.raises(Exception):
             scheduler.submit(ghz_spec())
+
+
+    def test_terminate_ends_a_worker_forked_under_a_sigterm_handler(self):
+        """serve() installs a Python SIGTERM handler before its scheduler
+        forks; the worker must not inherit it, or terminate() from the
+        reaper and from shutdown would leave the worker running."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            scheduler = Scheduler(workers=1)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        process = scheduler._workers[0].process
+        try:
+            # A job run proves the worker is past its start-up.
+            assert scheduler.run(ghz_spec(n=3, trajectories=2)).completed_trajectories == 2
+            process.terminate()
+            process.join(timeout=5.0)
+            assert not process.is_alive()
+            assert process.exitcode == -signal.SIGTERM
+        finally:
+            if process.is_alive():
+                process.kill()
+            process.join()
+            scheduler.shutdown()
 
 
 class TestEventDrivenDispatch:

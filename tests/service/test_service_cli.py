@@ -162,7 +162,8 @@ class TestSubmitServeRoundTrip:
     def test_a_timed_out_job_reads_as_ended(self, tmp_path, capsys):
         """The deadline cuts the job short with no final result: status and
         monitor read its checkpoint as COMPLETED with its partial count,
-        never as a job still running."""
+        never as a job still running, and result prints that partial at
+        once, with or without --wait."""
         store_dir = str(tmp_path)
         assert main(
             ["submit", "ghz:14", "-M", "200000", "--timeout", "1.0",
@@ -184,6 +185,14 @@ class TestSubmitServeRoundTrip:
              "--store", store_dir]
         ) == 0
         assert "timed out" not in capsys.readouterr().out
+        done = f"trajectories: {status.completed_trajectories}/200000 [TIMED OUT]"
+        assert main(["result", key[:12], "--store", store_dir]) == 0
+        assert done in capsys.readouterr().out
+        started = time.monotonic()
+        assert main(["result", key[:12], "--wait", "--wait-timeout", "3",
+                     "--store", store_dir]) == 0
+        assert time.monotonic() - started < 1.0
+        assert done in capsys.readouterr().out
 
     def test_a_job_that_failed_before_any_commit_reads_as_failed(
         self, tmp_path, capsys, monkeypatch

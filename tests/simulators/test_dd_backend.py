@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import gates
-from repro.circuits.library import random_circuit
+from repro.circuits.library import qft, random_circuit
 from repro.dd import DDPackage
 from repro.noise.channels import amplitude_damping_kraus
 from repro.simulators import DDBackend, StatevectorBackend, execute_circuit
@@ -74,6 +74,27 @@ class TestEquivalenceWithStatevector:
             c2 = sv.apply_kraus_branch(kraus, 0, random.Random(seed))
             assert c1 == c2
             assert np.allclose(dd.statevector(), sv.statevector(), atol=1e-9)
+
+
+class TestComputeTable:
+    """Memoisation buys speed only: a run with the compute table off
+    (``compute_table_size=0``) builds the same state, and the cached run
+    answers from its tables."""
+
+    @staticmethod
+    def run_qft(compute_table_size):
+        package = DDPackage(8, compute_table_size=compute_table_size)
+        backend = DDBackend(8, package=package)
+        execute_circuit(backend, qft(8), random.Random(0))
+        return backend
+
+    def test_disabled_table_builds_the_same_state(self):
+        cached, uncached = self.run_qft(1 << 18), self.run_qft(0)
+        assert np.allclose(cached.statevector(), uncached.statevector(), atol=1e-12)
+        assert uncached.package.stats()["mat_vec"]["hits"] == 0
+
+    def test_cached_run_hits_its_tables(self):
+        assert self.run_qft(1 << 18).package.stats()["mat_vec"]["hits"] > 0
 
 
 class TestMeasurement:

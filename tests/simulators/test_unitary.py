@@ -1,6 +1,7 @@
 """Tests for whole-circuit unitary DDs and DD-based equivalence checking."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from repro.circuits import QuantumCircuit
 from repro.circuits.library import ghz, qft, random_circuit
 from repro.circuits.optimize import fuse_single_qubit_runs
 from repro.simulators import (
+    DDBackend,
     circuit_unitary_dd,
     circuit_unitary_matrix,
     circuits_equivalent,
+    execute_circuit,
 )
 
 
@@ -48,6 +51,23 @@ class TestUnitaryConstruction:
     def test_unitary_dd_of_qft_is_unitary(self):
         matrix = circuit_unitary_matrix(qft(4))
         assert np.allclose(matrix @ matrix.conj().T, np.eye(16), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "circuit", [ghz(10), qft(10, do_swaps=False)], ids=["ghz10", "qft10"]
+    )
+    def test_matrix_matrix_state_equals_matrix_vector_state(self, circuit):
+        """The two DD simulation regimes of Zulehner/Wille (DATE 2019):
+        compose the circuit unitary, then apply it once, or apply each
+        gate to the state.  Both give the same state."""
+        n = circuit.num_qubits
+        backend = DDBackend(n)
+        execute_circuit(backend, circuit, random.Random(0))
+        package, unitary = circuit_unitary_dd(circuit)
+        state = package.multiply(unitary, package.zero_state(n))
+        assert package.get_amplitude(state, [0] * n) != 0
+        assert np.allclose(
+            package.to_state_vector(state, n), backend.statevector(), atol=1e-9
+        )
 
     def test_measurement_rejected(self):
         circuit = QuantumCircuit(1, 1)

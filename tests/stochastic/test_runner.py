@@ -181,6 +181,18 @@ class TestPropertyHandling:
         with pytest.raises(ValueError, match=r"duplicate property name 'F\(target\)'"):
             simulate_stochastic(ghz(3), NOISE, [ghz_target, zero_target], trajectories=50)
 
+    def test_many_properties_share_one_set_of_trajectories(self):
+        """Section III: one collection of trajectories estimates many
+        quadratic properties at once.  Every estimate averages the same M
+        trajectories, and adding properties changes no estimate."""
+        everything = [BasisProbability(format(i, "04b")) for i in range(16)]
+        many = simulate_stochastic(ghz(4), NOISE, everything, trajectories=30, seed=2)
+        one = simulate_stochastic(ghz(4), NOISE, everything[:1], trajectories=30, seed=2)
+        assert len(many.estimates) == 16
+        assert {estimate.count for estimate in many.estimates.values()} == {30}
+        assert sum(many.mean(p.name) for p in everything) == pytest.approx(1.0)
+        assert many.mean("P(|0000>)") == one.mean("P(|0000>)")
+
     def test_ideal_fidelity_on_measured_circuit_rejected(self):
         circuit = QuantumCircuit(2, 2)
         circuit.h(0).measure(0, 0)
