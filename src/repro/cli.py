@@ -626,7 +626,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
 def _command_history(args: argparse.Namespace) -> int:
     """``repro history`` — the run ledger's per-family view.
 
-    Reads ``<store>/ledger/runs.jsonl`` (``repro.ledger/v1``) read-only and
+    Reads ``<store>/ledger/runs.jsonl`` (``repro.ledger/v2``) read-only and
     reports, per circuit family: run counts by method, observed peak DD
     node sizes (the measured dispatch cost model's inputs), throughput,
     and node-ceiling fallbacks.  ``--trend`` compares each family's latest
@@ -636,7 +636,7 @@ def _command_history(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from .obs.ledger import ledger_path, replay_ledger
+    from .obs.ledger import RATE, family_totals, ledger_path, median_rate, replay_ledger
 
     store = _open_store(args)
     if store.directory is None:
@@ -644,8 +644,7 @@ def _command_history(args: argparse.Namespace) -> int:
         return 2
     state = replay_ledger(ledger_path(store.directory))
     families = []
-    for fingerprint in state.order:
-        aggregate = state.aggregates[fingerprint]
+    for fingerprint, history in state.aggregates().items():
         if args.fingerprint and not fingerprint.startswith(args.fingerprint):
             continue
         recent = state.recent.get(fingerprint, [])
@@ -656,7 +655,12 @@ def _command_history(args: argparse.Namespace) -> int:
                 rate = record.get("trajectories_per_second")
                 if isinstance(rate, (int, float)) and rate > 0:
                     latest_rate = float(rate)
-                    baseline = aggregate.mean_rate(str(record.get("engine", "")))
+                    # The mean rate of the family's runs on the same engine.
+                    rates = history["histograms"].get(
+                        RATE + str(record.get("engine", ""))
+                    )
+                    if rates and rates["count"]:
+                        baseline = float(rates["sum"]) / rates["count"]
                 break
         regression = None
         if args.trend and latest_rate is not None and baseline:
@@ -667,24 +671,13 @@ def _command_history(args: argparse.Namespace) -> int:
                 "drop": drop,
                 "regressed": drop > 0.20,
             }
-        entry = {
-            "fingerprint": fingerprint,
-            "qubits": aggregate.qubits,
-            "depth": aggregate.depth,
-            "runs": aggregate.runs,
-            "exact_runs": aggregate.exact_runs,
-            "stochastic_runs": aggregate.stochastic_runs,
-            "fallbacks": aggregate.fallbacks,
-            "exact_peak_nodes": aggregate.exact_peak_nodes,
-            "state_peak_nodes": aggregate.state_peak_nodes,
-            "fallback_peak_nodes": aggregate.fallback_peak_nodes,
-            "dense_peak_nodes": aggregate.dense_peak_nodes,
-            "median_rate": aggregate.median_rate(),
-            "mean_p_clean": aggregate.mean_p_clean(),
-            "cpu_seconds": aggregate.cpu_seconds,
-            "trajectories": aggregate.trajectories,
-            "effective_trajectories": aggregate.effective_trajectories,
-        }
+        entry = family_totals(history)
+        p_clean_sum, p_clean_count = entry.pop("p_clean_sum"), entry.pop("p_clean_count")
+        entry.update(
+            fingerprint=fingerprint,
+            median_rate=median_rate(history),
+            mean_p_clean=p_clean_sum / p_clean_count if p_clean_count else None,
+        )
         if regression is not None:
             entry["trend"] = regression
         if args.fingerprint:

@@ -28,9 +28,9 @@ Representation sizes come in two flavours:
 * **measured** — :class:`MeasuredCostModel` replaces the dense sizes with
   peak node counts previously *observed* for the same circuit family in
   the run ledger (:mod:`repro.obs.ledger`).  History is keyed by the
-  structural family fingerprint, demands at least ``K`` observations, adds
-  a safety headroom, floors at the trivial diagram size, and never exceeds
-  the worst case.  Node-ceiling fallbacks are folded in as *censored*
+  structural family fingerprint, needs one observed peak, adds a safety
+  headroom, floors at the trivial diagram size, and never exceeds the
+  worst case.  Node-ceiling fallbacks are folded in as *censored*
   observations — an exact run that tripped its ceiling proves rho grew at
   least that large, so mispredictions push the measured size back up and
   dispatch learns.  With no history (an empty ledger, ``history=None``)
@@ -61,7 +61,7 @@ from ..circuits.operations import (
 )
 from ..noise.model import NoiseModel
 from ..noise.stochastic import build_noise_site
-from ..obs.ledger import FamilyAggregate, circuit_fingerprint
+from ..obs.ledger import Snapshot, circuit_fingerprint, family_totals
 from ..stochastic.properties import ClassicalOutcome, PropertySpec
 from ..stochastic.strata import (
     site_survival_probability,
@@ -80,10 +80,6 @@ __all__ = [
     "static_clean_probability",
     "stochastic_budget",
 ]
-
-#: Minimum ledger observations of a family before history overrides the
-#: worst case (the "K" confidence floor from the measured-cost contract).
-DEFAULT_MIN_OBSERVATIONS = 1
 
 #: Safety multiplier on observed peak node counts — diagrams wobble run to
 #: run (noise draws differ), so score with slack before trusting history.
@@ -105,68 +101,59 @@ class SizeEvidence:
     censored: bool = False
 
 
+def _size_evidence(
+    peak: int, worst: float, num_qubits: int, observations: int, censored: bool = False
+) -> SizeEvidence:
+    """The observed ``peak`` padded, floored and capped; worst case if none."""
+    if peak <= 0:
+        return SizeEvidence(nodes=worst, source="worst_case")
+    floored = max(MEASURED_HEADROOM * float(peak), float(num_qubits + 1))
+    return SizeEvidence(
+        nodes=min(worst, floored),
+        source="measured",
+        observations=observations,
+        censored=censored,
+    )
+
+
 class MeasuredCostModel:
     """Representation-size oracle backed by run-ledger family history.
 
-    ``history`` maps circuit-family fingerprints to
-    :class:`~repro.obs.ledger.FamilyAggregate` (as returned by
-    :meth:`~repro.obs.ledger.RunLedger.aggregates`).  Each query answers
-    with observed peak node counts when the family has at least
-    ``min_observations`` relevant runs, padded by ``headroom``, floored at
-    the trivial diagram size, and capped at the dense worst case; thin or
-    missing history falls back to the worst case.
+    ``history`` maps circuit-family fingerprints to family history
+    snapshots (as returned by :meth:`~repro.obs.ledger.RunLedger.aggregates`).
+    Each query answers with the observed peak node count when the family
+    has one on that side, padded by :data:`MEASURED_HEADROOM`, floored at
+    the trivial diagram size, and capped at the dense worst case; a family
+    with no observed peak falls back to the worst case.
     """
 
-    def __init__(
-        self,
-        history: Mapping[str, FamilyAggregate],
-        min_observations: int = DEFAULT_MIN_OBSERVATIONS,
-        headroom: float = MEASURED_HEADROOM,
-    ) -> None:
+    def __init__(self, history: Mapping[str, Snapshot]) -> None:
         self.history = history
-        self.min_observations = max(1, min_observations)
-        self.headroom = headroom
-
-    def _bounded(self, peak: int, num_qubits: int, worst: float) -> float:
-        floored = max(self.headroom * float(peak), float(num_qubits + 1))
-        return min(worst, floored)
 
     def exact_size(self, fingerprint: str, num_qubits: int) -> SizeEvidence:
         """Peak rho-DD size: exact runs plus ceiling-censored fallbacks."""
-        worst = float(4**num_qubits)
-        aggregate = self.history.get(fingerprint)
-        if aggregate is None:
-            return SizeEvidence(nodes=worst, source="worst_case")
-        observations = aggregate.exact_runs + aggregate.fallbacks
-        peak = max(aggregate.exact_peak_nodes, aggregate.fallback_peak_nodes)
-        if observations < self.min_observations or peak <= 0:
-            return SizeEvidence(nodes=worst, source="worst_case")
-        return SizeEvidence(
-            nodes=self._bounded(peak, num_qubits, worst),
-            source="measured",
-            observations=observations,
-            censored=aggregate.fallbacks > 0,
+        family = family_totals(self.history.get(fingerprint, {}))
+        return _size_evidence(
+            max(family["exact_peak_nodes"], family["fallback_peak_nodes"]),
+            float(4**num_qubits),
+            num_qubits,
+            family["exact_runs"] + family["fallbacks"],
+            censored=family["fallbacks"] > 0,
         )
 
     def stochastic_size(self, fingerprint: str, num_qubits: int) -> SizeEvidence:
         """Peak state-DD size over the family's stochastic runs.
 
         Dense runs contribute the censored peak at which their engine
-        choice stopped: at least 2^(n-1), so with the default headroom the
-        padded size reaches the 2^n cap, as a whole-run peak would.
+        choice stopped: at least 2^(n-1), so the headroom pads it to the
+        2^n cap, as a whole-run peak would.
         """
-        worst = float(2**num_qubits)
-        aggregate = self.history.get(fingerprint)
-        if aggregate is None:
-            return SizeEvidence(nodes=worst, source="worst_case")
-        observations = aggregate.stochastic_runs
-        peak = max(aggregate.state_peak_nodes, aggregate.dense_peak_nodes)
-        if observations < self.min_observations or peak <= 0:
-            return SizeEvidence(nodes=worst, source="worst_case")
-        return SizeEvidence(
-            nodes=self._bounded(peak, num_qubits, worst),
-            source="measured",
-            observations=observations,
+        family = family_totals(self.history.get(fingerprint, {}))
+        return _size_evidence(
+            max(family["state_peak_nodes"], family["dense_peak_nodes"]),
+            float(2**num_qubits),
+            num_qubits,
+            family["stochastic_runs"],
         )
 
 
@@ -389,14 +376,14 @@ def estimate_costs(
     properties: Sequence[PropertySpec],
     trajectories: int,
     backend_kind: str = "dd",
-    history: Optional[Mapping[str, FamilyAggregate]] = None,
+    history: Optional[Mapping[str, Snapshot]] = None,
 ) -> DispatchDecision:
     """Score both methods and pick the cheaper one.
 
     ``trajectories`` is the job's epsilon/delta contract proxy — callers
     size it through :func:`~repro.stochastic.properties.hoeffding_samples`,
     so it carries the accuracy demand into the comparison.  ``history``
-    (run-ledger family aggregates) upgrades the representation sizes from
+    (run-ledger family snapshots) upgrades the representation sizes from
     worst-case to measured when the family has recorded observations; the
     decision then cites its evidence in :meth:`DispatchDecision.render`.
     """
@@ -457,7 +444,7 @@ def resolve_method(
     properties: Sequence[PropertySpec],
     trajectories: int,
     backend_kind: str = "dd",
-    history: Optional[Mapping[str, FamilyAggregate]] = None,
+    history: Optional[Mapping[str, Snapshot]] = None,
 ) -> Tuple[str, Optional[DispatchDecision]]:
     """How a job requesting ``method`` runs, and the decision behind an
     ``auto`` choice: the dispatch rule of the scheduler and the one-shot

@@ -28,9 +28,10 @@ from ..noise.model import NoiseModel
 from ..noise.stochastic import exact_channel_factory
 from ..obs import MetricsRegistry, delta_snapshots, merge_snapshots
 from ..simulators.gateplan import GATE, MEASURE, RESET, compile_plan
-from ..stochastic.properties import ClassicalOutcome, PropertySpec, StateFidelity
+from ..stochastic.properties import PropertySpec
 from ..stochastic.results import PropertyEstimate, StochasticResult
-from .backend import DensityDDBackend
+from ..stochastic.runner import _EvaluationContext
+from .backend import _MEASURE_PROJECTORS, _RESET_KRAUS, DensityDDBackend
 from .cost import exact_unsupported_reason
 
 __all__ = ["ExactSimulator", "simulate_exact", "default_node_ceiling"]
@@ -49,69 +50,6 @@ def default_node_ceiling() -> Optional[int]:
     if ceiling < 1:
         raise ValueError(f"{NODE_CEILING_ENV} must be a positive integer, got {raw!r}")
     return ceiling
-
-
-class _ExactContext:
-    """Reference-state handles for property evaluation (exact flavour).
-
-    Duck-types the stochastic runner's ``_EvaluationContext`` surface that
-    property specs actually touch: :meth:`ideal_handle` and
-    :meth:`target_handle`, both returning pinned vector-DD edges in the
-    *same* package as rho (so ``backend.fidelity`` can mix them).
-    """
-
-    def __init__(self, circuit: QuantumCircuit) -> None:
-        self.circuit = circuit
-        self._ideal = None
-        self._targets: dict = {}
-
-    def ideal_handle(self, backend: DensityDDBackend):
-        if self._ideal is None:
-            import random
-
-            from ..circuits.operations import MeasureOperation
-            from ..simulators.base import execute_circuit
-            from ..simulators.ddsim import DDBackend
-
-            if any(isinstance(op, MeasureOperation) for op in self.circuit):
-                raise ValueError(
-                    "IdealFidelity is undefined for circuits with measurements"
-                )
-            reference = DDBackend(self.circuit.num_qubits, package=backend.package)
-            execute_circuit(reference, self.circuit, random.Random(0))
-            self._ideal = reference.snapshot()
-            reference.release()
-        return self._ideal
-
-    def target_handle(self, spec: StateFidelity, backend: DensityDDBackend):
-        handle = self._targets.get(spec.name)
-        if handle is None:
-            vector = np.asarray(spec.target, dtype=complex)
-            handle = backend.package.inc_ref(backend.package.from_state_vector(vector))
-            self._targets[spec.name] = handle
-        return handle
-
-    def release(self, backend: DensityDDBackend) -> None:
-        package = backend.package
-        if self._ideal is not None:
-            package.dec_ref(self._ideal)
-            self._ideal = None
-        for handle in self._targets.values():
-            package.dec_ref(handle)
-        self._targets.clear()
-
-
-#: Projector pair of the non-selective (dephasing) measurement channel.
-_MEASURE_PROJECTORS = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 0], [0, 1]], dtype=complex),
-)
-
-#: Kraus operators of the trace-out-and-reprepare reset channel.
-_RESET_KRAUS = (
-    np.array([[1, 0], [0, 0]], dtype=complex),
-    np.array([[0, 1], [0, 0]], dtype=complex),
-)
 
 
 def _superop_matrix(kraus_operators) -> np.ndarray:
@@ -188,16 +126,15 @@ class ExactSimulator:
         try:
             plan = compile_plan(circuit, package=package, adjoints=True)
             self._evolve(backend, plan, factory, noise_model)
-            context = _ExactContext(circuit)
+            # Reference states go into rho's package, so fidelities can
+            # mix them with rho; the package goes with the backend.
+            context = _EvaluationContext(circuit, "dd")
             estimates = {}
-            try:
-                for spec in properties:
-                    value = spec.evaluate(backend, None, context)
-                    estimate = PropertyEstimate(spec.name, exact=True)
-                    estimate.add(float(value))
-                    estimates[spec.name] = estimate
-            finally:
-                context.release(backend)
+            for spec in properties:
+                value = spec.evaluate(backend, None, context)
+                estimate = PropertyEstimate(spec.name, exact=True)
+                estimate.add(float(value))
+                estimates[spec.name] = estimate
             elapsed = time.perf_counter() - started
             result = StochasticResult(
                 circuit_name=circuit.name,

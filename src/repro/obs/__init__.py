@@ -27,8 +27,8 @@ On top of the recording primitives sit three exit ramps:
   profiler behind ``repro profile --flame``.
 
 Persisting across processes and restarts sits :mod:`repro.obs.ledger` —
-the crash-safe per-circuit-family run ledger (``repro.ledger/v1``) whose
-aggregates feed the measured dispatch cost model in
+the crash-safe per-circuit-family run ledger (``repro.ledger/v2``) whose
+per-family metrics snapshots feed the measured dispatch cost model in
 :mod:`repro.exact.cost` and the ``repro history`` CLI surface.  It and
 the job journal are both :class:`repro.obs.appendlog.AppendLog` files.
 
@@ -52,7 +52,6 @@ from .export import (
     to_openmetrics,
 )
 from .ledger import (
-    FamilyAggregate,
     LEDGER_SCHEMA,
     LedgerState,
     RATE_BUCKETS,
@@ -81,13 +80,12 @@ from .profile import (
     merge_profiles,
     profiling_enabled,
 )
-from .tracing import NULL_TRACER, TraceEvent, Tracer
+from .tracing import TraceEvent, Tracer
 
 __all__ = [
     "CONTENT_TYPE",
     "Counter",
     "EventLogWriter",
-    "FamilyAggregate",
     "Gauge",
     "Histogram",
     "HotLoopProfiler",
@@ -96,7 +94,6 @@ __all__ = [
     "MetricsExporter",
     "MetricsRegistry",
     "NODE_BUCKETS",
-    "NULL_TRACER",
     "PROFILE_ENV",
     "RATE_BUCKETS",
     "RunLedger",

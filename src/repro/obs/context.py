@@ -2,10 +2,10 @@
 
 A job's execution spans three kinds of processes — the submitting client,
 the scheduler's dispatch thread, and the forked workers — and each records
-its own :class:`~repro.obs.tracing.TraceEvent` entries.  This module makes
-those events *stitchable*: a :class:`TraceContext` (``trace_id`` /
-``span_id`` / ``parent_id``) travels with each chunk task and comes back
-inside the chunk's :class:`~repro.stochastic.results.StochasticResult`, so
+its own trace events.  This module makes those events *stitchable*: a
+:class:`TraceContext` (``trace_id`` / ``span_id`` / ``parent_id``)
+travels with each chunk task and comes back inside the chunk's
+:class:`~repro.stochastic.results.StochasticResult`, so
 the scheduler (or anyone holding the merged result) can rebuild one
 per-job span tree and export it as Chrome ``trace_event`` JSON
 (``chrome://tracing`` / Perfetto).
@@ -96,9 +96,10 @@ def job_trace_context(job_key: str) -> TraceContext:
 def stitch_trace(events: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """Assemble correlated trace events into per-trace span trees.
 
-    ``events`` are exported :class:`~repro.obs.tracing.TraceEvent`
-    dictionaries; entries without a ``span_id`` are ignored (they are
-    uncorrelated scheduler housekeeping, not part of any tree).  Returns::
+    ``events`` are trace-event dictionaries (the
+    :meth:`~repro.obs.tracing.Tracer.export` shape); entries without a
+    ``span_id`` are ignored (they are uncorrelated scheduler housekeeping,
+    not part of any tree).  Returns::
 
         {"roots": [<span>, ...],       # nodes with no parent, by start time
          "orphans": [<span>, ...],     # parent_id set but parent not found

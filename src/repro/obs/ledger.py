@@ -1,4 +1,4 @@
-"""Persistent per-circuit-family run ledger (``repro.ledger/v1``).
+"""Persistent per-circuit-family run ledger (``repro.ledger/v2``).
 
 The journal (:mod:`repro.service.journal`) records what the service *was
 doing*; the ledger records what running it *cost*.  It is an append-only
@@ -23,12 +23,26 @@ stays small and exact keeps winning far past the dense boundary".
 
 Durability is the :class:`~repro.obs.appendlog.AppendLog` contract the job
 journal follows too (fsync'd appends, torn-tail distrust on replay, ENOSPC
-degraded mode, atomic rotation; counters under ``ledger.*``).  Rotation
-*compacts history instead of discarding it*: raw ``run`` records are folded
-into one mergeable per-fingerprint ``aggregate`` record (counts plus
-fixed-bucket histograms, associative exactly like
-:func:`repro.obs.metrics.merge_snapshots`), keeping a bounded window of
-recent raw records per family for trend display.
+degraded mode, atomic rotation; counters under ``ledger.*``).
+
+A family's history is one :mod:`repro.obs.metrics` snapshot.  Each ``run``
+or ``fallback`` record folds in as a small snapshot of its own, merged by
+:func:`~repro.obs.metrics.merge_snapshots` — associative, so any partition
+of the record stream merges to the same history:
+
+* counters (summed): ``runs``, ``exact_runs``, ``stochastic_runs``,
+  ``fallbacks``, ``trajectories``, ``cpu_seconds``,
+  ``effective_trajectories``, ``p_clean_sum``, ``p_clean_count``;
+* gauges (maxima): ``qubits``, ``depth``, ``exact_peak_nodes``,
+  ``state_peak_nodes``, ``dense_peak_nodes``, ``fallback_peak_nodes``;
+* histograms: ``rate.<engine>``, a stochastic run's trajectories per
+  second by trajectory engine (``rate.`` for records without one).
+
+A new per-family statistic is one registry call in
+:func:`_record_snapshot`.  Rotation *compacts history instead of
+discarding it*: each family's snapshot becomes its ``aggregate`` record,
+and a bounded window of recent raw records per family is carried over for
+trend display.
 
 Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
 
@@ -44,7 +58,10 @@ Record taxonomy (one JSON object per line, ``"rec"`` discriminates):
                peak at which its engine choice stopped
 ``fallback``   node-ceiling misprediction: ``{"rec","job","fp","nodes",
                "ceiling"}`` — fed back so dispatch learns
-``aggregate``  rotation product: ``{"rec","fp","agg":{...}}``
+``aggregate``  rotation product: ``{"rec","fp","agg":{"counters",
+               "gauges","histograms"}}`` — the family's history snapshot.
+               An ``agg`` in the v1 layout (one field per statistic, with
+               ``rate_hist``/``engine_rate_hists``) is converted on replay
 =============  ==========================================================
 
 Fault-injection sites (see :mod:`repro.faults`): ``torn-ledger`` and
@@ -56,31 +73,35 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .appendlog import AppendLog, fold, read_log, read_records
-from .metrics import MetricsRegistry, NODE_BUCKETS, _remap_counts
+from .metrics import MetricsRegistry, merge_snapshots
 
 __all__ = [
-    "FamilyAggregate",
     "LEDGER_SCHEMA",
     "LedgerState",
     "RATE_BUCKETS",
     "RunLedger",
     "circuit_fingerprint",
+    "family_totals",
     "ledger_path",
+    "median_rate",
     "replay_ledger",
 ]
 
 #: Ledger record schema; bump when the record layout changes.
-LEDGER_SCHEMA = "repro.ledger/v1"
+LEDGER_SCHEMA = "repro.ledger/v2"
+
+#: A :meth:`MetricsRegistry.snapshot`-shaped dict.
+Snapshot = Dict[str, Dict[str, object]]
 
 #: Rotation threshold: compact once the file outgrows this.
 MAX_BYTES = 4 * 1024 * 1024
 
 #: Raw run/fallback records kept per family through a rotation (older ones
 #: survive only inside the family's aggregate record).
-DEFAULT_RECENT_RECORDS = 8
+RECENT_RECORDS = 8
 
 #: Throughput bucket upper bounds in trajectories/second (powers of two
 #: spanning sub-1/s exact passes to ~10^7/s effective stratified rates; an
@@ -147,292 +168,123 @@ def circuit_fingerprint(circuit, model=None, backend_kind: str = "dd") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Mergeable per-family aggregates
+# Family history: one metrics snapshot per family
 # ---------------------------------------------------------------------------
 
+#: Family-history counters (summed on merge), with the type each reads as.
+COUNTERS: Dict[str, type] = {
+    "runs": int,
+    "exact_runs": int,
+    "stochastic_runs": int,
+    "fallbacks": int,
+    "trajectories": int,
+    "cpu_seconds": float,
+    "effective_trajectories": float,
+    "p_clean_sum": float,
+    "p_clean_count": int,
+}
 
-def _empty_hist(bounds: Sequence[float]) -> Dict[str, object]:
-    return {
-        "bounds": [float(b) for b in bounds],
-        "counts": [0] * (len(bounds) + 1),
-        "sum": 0.0,
-        "count": 0,
-    }
+#: Family-history gauges (maxima on merge).  The peaks are in DD nodes:
+#: rho over exact runs, the state over stochastic DD runs, the state at
+#: which dense runs' engine choice stopped, and rho when a ceiling tripped.
+#: The last two are censored lower bounds on how large the DD grows.
+GAUGES: Tuple[str, ...] = (
+    "qubits",
+    "depth",
+    "exact_peak_nodes",
+    "state_peak_nodes",
+    "dense_peak_nodes",
+    "fallback_peak_nodes",
+)
 
-
-def _hist_copy(hist: Mapping[str, object]) -> Dict[str, object]:
-    return {
-        "bounds": list(hist["bounds"]),
-        "counts": list(hist["counts"]),
-        "sum": hist["sum"],
-        "count": hist["count"],
-    }
-
-
-def _hist_from(raw: object, default_bounds: Sequence[float]) -> Dict[str, object]:
-    """A histogram read back from a serialised aggregate (empty if absent)."""
-    if isinstance(raw, Mapping) and raw.get("bounds"):
-        return {
-            "bounds": [float(b) for b in raw["bounds"]],
-            "counts": [int(c) for c in raw["counts"]],
-            "sum": float(raw.get("sum", 0.0)),
-            "count": int(raw.get("count", 0)),
-        }
-    return _empty_hist(default_bounds)
-
-
-def _hist_observe(hist: Dict[str, object], value: float) -> None:
-    import bisect
-
-    bounds = hist["bounds"]
-    hist["counts"][bisect.bisect_left(bounds, value)] += 1
-    hist["sum"] = float(hist["sum"]) + value
-    hist["count"] = int(hist["count"]) + 1
+#: Name prefix of the per-engine throughput histograms (``rate.dd``,
+#: ``rate.statevector``; ``rate.`` for records that predate engines).
+RATE = "rate."
 
 
-def _hist_merge(into: Dict[str, object], other: Dict[str, object]) -> None:
-    """Element-wise histogram sum, padding onto the bounds union when the
-    layouts differ (associative — mirrors :func:`metrics.merge_snapshots`)."""
-    other_bounds = [float(b) for b in other["bounds"]]
-    if into["bounds"] != other_bounds:
-        union = sorted(set(into["bounds"]) | set(other_bounds))
-        into["counts"] = [
-            a + b
-            for a, b in zip(
-                _remap_counts(into["bounds"], into["counts"], union),
-                _remap_counts(other_bounds, other["counts"], union),
-            )
-        ]
-        into["bounds"] = union
+def _record_snapshot(record: Mapping[str, object]) -> Snapshot:
+    """One ``run`` or ``fallback`` record as a family-history snapshot."""
+    registry = MetricsRegistry()
+    counter, gauge = registry.counter, registry.gauge
+    if record["rec"] == "fallback":
+        counter("fallbacks").inc()
+        nodes = int(record.get("nodes", 0) or 0)
+        if nodes > 0:
+            gauge("fallback_peak_nodes").set(nodes)
+        return registry.snapshot()
+    counter("runs").inc()
+    gauge("qubits").set(int(record.get("qubits", 0)))
+    gauge("depth").set(int(record.get("depth", 0)))
+    engine = str(record.get("engine", ""))
+    if record.get("method", "stochastic") == "exact":
+        counter("exact_runs").inc()
+        peak = "exact_peak_nodes"
     else:
-        into["counts"] = [a + b for a, b in zip(into["counts"], other["counts"])]
-    into["sum"] = float(into["sum"]) + float(other["sum"])
-    into["count"] = int(into["count"]) + int(other["count"])
+        counter("stochastic_runs").inc()
+        peak = "dense_peak_nodes" if engine == "statevector" else "state_peak_nodes"
+        rate = record.get("trajectories_per_second")
+        if isinstance(rate, (int, float)) and rate > 0.0:
+            registry.histogram(RATE + engine, RATE_BUCKETS).observe(float(rate))
+    nodes = int(record.get("peak_nodes", 0))
+    if nodes > 0:
+        gauge(peak).set(nodes)
+    counter("cpu_seconds").inc(float(record.get("cpu_seconds", 0.0) or 0.0))
+    counter("trajectories").inc(int(record.get("trajectories", 0) or 0))
+    counter("effective_trajectories").inc(
+        float(record.get("effective_trajectories", 0.0) or 0.0)
+    )
+    p_clean = record.get("p_clean")
+    if isinstance(p_clean, (int, float)):
+        counter("p_clean_sum").inc(float(p_clean))
+        counter("p_clean_count").inc()
+    return registry.snapshot()
 
 
-def _hist_quantile(hist: Dict[str, object], q: float) -> float:
-    """Bucket-resolution quantile (upper bound of the bucket holding ``q``)."""
-    total = int(hist["count"])
-    if total <= 0:
+def _from_v1_layout(agg: Mapping[str, object]) -> Snapshot:
+    """The family snapshot of an ``aggregate`` payload in the v1 layout: one
+    field per statistic, and per-engine ``engine_rate_hists`` (absent from
+    aggregates folded before engines were recorded, whose ``rate_hist``
+    then reads as the engine-less records' histogram)."""
+    rates = agg.get("engine_rate_hists")
+    if not isinstance(rates, Mapping):
+        rates = {"": agg.get("rate_hist")}
+    return merge_snapshots({
+        "counters": {name: kind(agg.get(name, 0)) for name, kind in COUNTERS.items()},
+        "gauges": {name: int(agg.get(name, 0)) for name in GAUGES},
+        "histograms": {
+            RATE + str(engine): hist
+            for engine, hist in rates.items()
+            if isinstance(hist, Mapping) and hist.get("bounds")
+        },
+    })
+
+
+def family_totals(history: Snapshot) -> Dict[str, object]:
+    """A family snapshot's counters and gauges by name, each as its type
+    (0 where the family never recorded it, all 0 for ``{}``)."""
+    counters, gauges = history.get("counters", {}), history.get("gauges", {})
+    totals = {name: kind(counters.get(name, 0)) for name, kind in COUNTERS.items()}
+    totals.update((name, int(gauges.get(name, 0))) for name in GAUGES)
+    return totals
+
+
+def median_rate(history: Snapshot) -> float:
+    """Bucket-resolution median throughput over every engine's runs (the
+    upper bound of the bucket holding the median; 0.0 before any run)."""
+    merged = merge_snapshots(*(
+        {"histograms": {"rate": hist}}
+        for name, hist in history["histograms"].items()
+        if name.startswith(RATE)
+    ))["histograms"].get("rate")
+    if merged is None or merged["count"] <= 0:
         return 0.0
-    target = max(1, int(-(-q * total // 1)))
-    bounds = list(hist["bounds"]) + [float("inf")]
+    target = max(1, int(-(-0.5 * merged["count"] // 1)))
     seen = 0
-    for bound, count in zip(bounds, hist["counts"]):
+    for bound, count in zip(merged["bounds"] + [float("inf")], merged["counts"]):
         seen += count
         if seen >= target:
             return bound
-    return bounds[-1]
-
-
-class FamilyAggregate:
-    """Mergeable telemetry summary of every recorded run of one family.
-
-    All state is sums, maxima, and fixed-bucket histograms, so
-    :meth:`merge` is associative and commutative — aggregates from any
-    partition of the record stream (including rotation-written
-    ``aggregate`` records re-merged with later raw runs) fold to the same
-    result in any order.
-    """
-
-    __slots__ = (
-        "fingerprint", "qubits", "depth", "runs",
-        "exact_runs", "stochastic_runs", "fallbacks",
-        "exact_peak_nodes", "state_peak_nodes", "fallback_peak_nodes",
-        "dense_peak_nodes", "exact_nodes_hist", "state_nodes_hist", "rate_hist",
-        "engine_rate_hists", "cpu_seconds", "elapsed_seconds",
-        "trajectories", "effective_trajectories",
-        "p_clean_sum", "p_clean_count",
-    )
-
-    def __init__(self, fingerprint: str) -> None:
-        self.fingerprint = fingerprint
-        self.qubits = 0
-        self.depth = 0
-        self.runs = 0
-        self.exact_runs = 0
-        self.stochastic_runs = 0
-        self.fallbacks = 0
-        #: Peak rho-DD nodes over exact runs / state-DD nodes over
-        #: stochastic DD runs / rho nodes at the moment a ceiling tripped /
-        #: state-DD nodes at which dense runs' engine choice stopped.  The
-        #: last two are censored lower bounds on how large the DD grows.
-        self.exact_peak_nodes = 0
-        self.state_peak_nodes = 0
-        self.fallback_peak_nodes = 0
-        self.dense_peak_nodes = 0
-        self.exact_nodes_hist = _empty_hist(NODE_BUCKETS)
-        self.state_nodes_hist = _empty_hist(NODE_BUCKETS)
-        #: Effective trajectories/second per stochastic run (quantile-able).
-        self.rate_hist = _empty_hist(RATE_BUCKETS)
-        #: The same rates split by trajectory engine (``""`` for records
-        #: that predate engine recording), so a trend compares like with like.
-        self.engine_rate_hists: Dict[str, Dict[str, object]] = {}
-        self.cpu_seconds = 0.0
-        self.elapsed_seconds = 0.0
-        self.trajectories = 0
-        self.effective_trajectories = 0.0
-        self.p_clean_sum = 0.0
-        self.p_clean_count = 0
-
-    # -- folding raw records ------------------------------------------------
-
-    def observe_run(self, record: Mapping[str, object]) -> None:
-        self.runs += 1
-        self.qubits = max(self.qubits, int(record.get("qubits", 0)))
-        self.depth = max(self.depth, int(record.get("depth", 0)))
-        peak = int(record.get("peak_nodes", 0))
-        method = str(record.get("method", "stochastic"))
-        if method == "exact":
-            self.exact_runs += 1
-            if peak > 0:
-                self.exact_peak_nodes = max(self.exact_peak_nodes, peak)
-                _hist_observe(self.exact_nodes_hist, float(peak))
-        else:
-            self.stochastic_runs += 1
-            engine = str(record.get("engine", ""))
-            if peak > 0 and engine == "statevector":
-                self.dense_peak_nodes = max(self.dense_peak_nodes, peak)
-            elif peak > 0:
-                self.state_peak_nodes = max(self.state_peak_nodes, peak)
-                _hist_observe(self.state_nodes_hist, float(peak))
-            rate = record.get("trajectories_per_second")
-            if isinstance(rate, (int, float)) and rate > 0.0:
-                _hist_observe(self.rate_hist, float(rate))
-                if engine not in self.engine_rate_hists:
-                    self.engine_rate_hists[engine] = _empty_hist(RATE_BUCKETS)
-                _hist_observe(self.engine_rate_hists[engine], float(rate))
-        self.cpu_seconds += float(record.get("cpu_seconds", 0.0) or 0.0)
-        self.elapsed_seconds += float(record.get("elapsed_seconds", 0.0) or 0.0)
-        self.trajectories += int(record.get("trajectories", 0) or 0)
-        self.effective_trajectories += float(
-            record.get("effective_trajectories", 0.0) or 0.0
-        )
-        p_clean = record.get("p_clean")
-        if isinstance(p_clean, (int, float)):
-            self.p_clean_sum += float(p_clean)
-            self.p_clean_count += 1
-
-    def observe_fallback(self, record: Mapping[str, object]) -> None:
-        self.fallbacks += 1
-        nodes = int(record.get("nodes", 0) or 0)
-        if nodes > 0:
-            self.fallback_peak_nodes = max(self.fallback_peak_nodes, nodes)
-
-    # -- associative merge --------------------------------------------------
-
-    def merge(self, other: "FamilyAggregate") -> None:
-        self.qubits = max(self.qubits, other.qubits)
-        self.depth = max(self.depth, other.depth)
-        self.runs += other.runs
-        self.exact_runs += other.exact_runs
-        self.stochastic_runs += other.stochastic_runs
-        self.fallbacks += other.fallbacks
-        self.exact_peak_nodes = max(self.exact_peak_nodes, other.exact_peak_nodes)
-        self.state_peak_nodes = max(self.state_peak_nodes, other.state_peak_nodes)
-        self.fallback_peak_nodes = max(
-            self.fallback_peak_nodes, other.fallback_peak_nodes
-        )
-        self.dense_peak_nodes = max(self.dense_peak_nodes, other.dense_peak_nodes)
-        _hist_merge(self.exact_nodes_hist, other.exact_nodes_hist)
-        _hist_merge(self.state_nodes_hist, other.state_nodes_hist)
-        _hist_merge(self.rate_hist, other.rate_hist)
-        for engine, hist in other.engine_rate_hists.items():
-            if engine in self.engine_rate_hists:
-                _hist_merge(self.engine_rate_hists[engine], hist)
-            else:
-                self.engine_rate_hists[engine] = _hist_copy(hist)
-        self.cpu_seconds += other.cpu_seconds
-        self.elapsed_seconds += other.elapsed_seconds
-        self.trajectories += other.trajectories
-        self.effective_trajectories += other.effective_trajectories
-        self.p_clean_sum += other.p_clean_sum
-        self.p_clean_count += other.p_clean_count
-
-    # -- derived views ------------------------------------------------------
-
-    def mean_p_clean(self) -> Optional[float]:
-        if self.p_clean_count == 0:
-            return None
-        return self.p_clean_sum / self.p_clean_count
-
-    def median_rate(self) -> float:
-        """Bucket-resolution median effective throughput."""
-        return _hist_quantile(self.rate_hist, 0.5)
-
-    def mean_rate(self, engine: str) -> Optional[float]:
-        """Mean effective throughput of the family's runs on ``engine``
-        (the ``--trend`` baseline), or None before any such run."""
-        hist = self.engine_rate_hists.get(engine)
-        if hist is None or hist["count"] == 0:
-            return None
-        return float(hist["sum"]) / hist["count"]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "fingerprint": self.fingerprint,
-            "qubits": self.qubits,
-            "depth": self.depth,
-            "runs": self.runs,
-            "exact_runs": self.exact_runs,
-            "stochastic_runs": self.stochastic_runs,
-            "fallbacks": self.fallbacks,
-            "exact_peak_nodes": self.exact_peak_nodes,
-            "state_peak_nodes": self.state_peak_nodes,
-            "fallback_peak_nodes": self.fallback_peak_nodes,
-            "dense_peak_nodes": self.dense_peak_nodes,
-            "exact_nodes_hist": _hist_copy(self.exact_nodes_hist),
-            "state_nodes_hist": _hist_copy(self.state_nodes_hist),
-            "rate_hist": _hist_copy(self.rate_hist),
-            "engine_rate_hists": {
-                engine: _hist_copy(hist)
-                for engine, hist in sorted(self.engine_rate_hists.items())
-            },
-            "cpu_seconds": self.cpu_seconds,
-            "elapsed_seconds": self.elapsed_seconds,
-            "trajectories": self.trajectories,
-            "effective_trajectories": self.effective_trajectories,
-            "p_clean_sum": self.p_clean_sum,
-            "p_clean_count": self.p_clean_count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FamilyAggregate":
-        aggregate = cls(str(data.get("fingerprint", "")))
-        aggregate.qubits = int(data.get("qubits", 0))
-        aggregate.depth = int(data.get("depth", 0))
-        aggregate.runs = int(data.get("runs", 0))
-        aggregate.exact_runs = int(data.get("exact_runs", 0))
-        aggregate.stochastic_runs = int(data.get("stochastic_runs", 0))
-        aggregate.fallbacks = int(data.get("fallbacks", 0))
-        aggregate.exact_peak_nodes = int(data.get("exact_peak_nodes", 0))
-        aggregate.state_peak_nodes = int(data.get("state_peak_nodes", 0))
-        aggregate.fallback_peak_nodes = int(data.get("fallback_peak_nodes", 0))
-        aggregate.dense_peak_nodes = int(data.get("dense_peak_nodes", 0))
-        for attr, default_bounds in (
-            ("exact_nodes_hist", NODE_BUCKETS),
-            ("state_nodes_hist", NODE_BUCKETS),
-            ("rate_hist", RATE_BUCKETS),
-        ):
-            setattr(aggregate, attr, _hist_from(data.get(attr), default_bounds))
-        engine_hists = data.get("engine_rate_hists")
-        if isinstance(engine_hists, Mapping):
-            aggregate.engine_rate_hists = {
-                str(engine): _hist_from(raw, RATE_BUCKETS)
-                for engine, raw in engine_hists.items()
-            }
-        elif aggregate.rate_hist["count"]:
-            # An aggregate folded before engines were recorded.
-            aggregate.engine_rate_hists = {"": _hist_copy(aggregate.rate_hist)}
-        aggregate.cpu_seconds = float(data.get("cpu_seconds", 0.0))
-        aggregate.elapsed_seconds = float(data.get("elapsed_seconds", 0.0))
-        aggregate.trajectories = int(data.get("trajectories", 0))
-        aggregate.effective_trajectories = float(
-            data.get("effective_trajectories", 0.0)
-        )
-        aggregate.p_clean_sum = float(data.get("p_clean_sum", 0.0))
-        aggregate.p_clean_count = int(data.get("p_clean_count", 0))
-        return aggregate
+    return float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -441,70 +293,61 @@ class FamilyAggregate:
 
 
 class LedgerState:
-    """Replayed ledger state: per-family aggregates + recent raw records.
+    """Replayed ledger state: per-family history + recent raw records.
 
     ``run``/``fallback`` records written by a live process fold into their
-    family's aggregate *unless* flagged ``"folded": true`` — the marker
+    family's history *unless* flagged ``"folded": true`` — the marker
     rotation stamps on the raw records it carries over, whose telemetry
     already lives inside the family's ``aggregate`` record (re-folding them
     would double count).
     """
 
-    def __init__(self, recent_limit: int = DEFAULT_RECENT_RECORDS) -> None:
-        self.recent_limit = recent_limit
-        self.aggregates: Dict[str, FamilyAggregate] = {}
+    def __init__(self) -> None:
+        #: Each family's history as snapshots in record order, merged into
+        #: one only when read, so replay folds a record without copying its
+        #: family's snapshot.
+        self._parts: Dict[str, List[Snapshot]] = {}
         self.recent: Dict[str, List[Dict[str, object]]] = {}
-        self.order: List[str] = []
-
-    def _family(self, fingerprint: str) -> FamilyAggregate:
-        aggregate = self.aggregates.get(fingerprint)
-        if aggregate is None:
-            aggregate = FamilyAggregate(fingerprint)
-            self.aggregates[fingerprint] = aggregate
-            self.order.append(fingerprint)
-        return aggregate
 
     def apply(self, record: Dict[str, object]) -> None:
         kind = record.get("rec")
-        if kind == "header":
-            return
         fingerprint = record.get("fp")
         if not isinstance(fingerprint, str) or not fingerprint:
             return
         if kind == "aggregate":
             payload = record.get("agg")
             if isinstance(payload, Mapping):
-                incoming = FamilyAggregate.from_dict(payload)
-                incoming.fingerprint = fingerprint
-                self._family(fingerprint).merge(incoming)
+                self._parts.setdefault(fingerprint, []).append(
+                    payload if "counters" in payload else _from_v1_layout(payload)
+                )
             return
         if kind not in ("run", "fallback"):
             return
-        family = self._family(fingerprint)
+        parts = self._parts.setdefault(fingerprint, [])
         if not record.get("folded"):
-            if kind == "run":
-                family.observe_run(record)
-            else:
-                family.observe_fallback(record)
+            parts.append(_record_snapshot(record))
         window = self.recent.setdefault(fingerprint, [])
         window.append(dict(record))
-        if len(window) > self.recent_limit:
-            del window[: len(window) - self.recent_limit]
+        if len(window) > RECENT_RECORDS:
+            del window[0]
+
+    def aggregates(self) -> Dict[str, Snapshot]:
+        """Each family's history as one metrics snapshot, keyed by
+        fingerprint in first-seen order (treat as read-only)."""
+        for parts in self._parts.values():
+            if len(parts) != 1:
+                parts[:] = [merge_snapshots(*parts)]
+        return {fingerprint: parts[0] for fingerprint, parts in self._parts.items()}
 
     def total_runs(self) -> int:
-        return sum(a.runs for a in self.aggregates.values())
+        return sum(
+            history["counters"].get("runs", 0) for history in self.aggregates().values()
+        )
 
 
-def replay_ledger(
-    path: str,
-    metrics: Optional[MetricsRegistry] = None,
-    recent_limit: int = DEFAULT_RECENT_RECORDS,
-) -> LedgerState:
+def replay_ledger(path: str, metrics: Optional[MetricsRegistry] = None) -> LedgerState:
     """Replay a ledger file read-only; missing files replay to empty state."""
-    return fold(
-        lambda: LedgerState(recent_limit=recent_limit),
-        read_records(read_log(path), metrics, "ledger"),
-    )
+    return fold(LedgerState, read_records(read_log(path), metrics, "ledger"))
 
 
 def _live_records(state: LedgerState) -> List[Dict[str, object]]:
@@ -515,15 +358,11 @@ def _live_records(state: LedgerState) -> List[Dict[str, object]]:
     trend display without double counting.
     """
     records: List[Dict[str, object]] = []
-    for fingerprint in state.order:
-        aggregate = state.aggregates[fingerprint]
-        records.append(
-            {"rec": "aggregate", "fp": fingerprint, "agg": aggregate.to_dict()}
+    for fingerprint, history in state.aggregates().items():
+        records.append({"rec": "aggregate", "fp": fingerprint, "agg": history})
+        records.extend(
+            dict(raw, folded=True) for raw in state.recent.get(fingerprint, [])
         )
-        for raw in state.recent.get(fingerprint, []):
-            carried = dict(raw)
-            carried["folded"] = True
-            records.append(carried)
     return records
 
 
@@ -543,21 +382,11 @@ class RunLedger:
     durability contract — are :class:`~repro.obs.appendlog.AppendLog`'s.
     """
 
-    def __init__(
-        self,
-        path: str,
-        metrics: Optional[MetricsRegistry] = None,
-        recent_records: int = DEFAULT_RECENT_RECORDS,
-    ) -> None:
+    def __init__(self, path: str, metrics: Optional[MetricsRegistry] = None) -> None:
         self.path = path
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._log = AppendLog(
-            path,
-            "ledger",
-            LEDGER_SCHEMA,
-            lambda: LedgerState(recent_limit=recent_records),
-            _live_records,
-            MAX_BYTES,
+            path, "ledger", LEDGER_SCHEMA, LedgerState, _live_records, MAX_BYTES,
             self.metrics,
         )
 
@@ -620,14 +449,10 @@ class RunLedger:
 
     # -- queries -----------------------------------------------------------
 
-    def aggregates(self) -> Dict[str, FamilyAggregate]:
-        """Live per-family aggregates (treat as read-only)."""
+    def aggregates(self) -> Dict[str, Snapshot]:
+        """Live per-family history snapshots (treat as read-only)."""
         with self._log.lock:
-            return dict(self._log.state.aggregates)
-
-    def family(self, fingerprint: str) -> Optional[FamilyAggregate]:
-        with self._log.lock:
-            return self._log.state.aggregates.get(fingerprint)
+            return self._log.state.aggregates()
 
     def recent(self, fingerprint: str) -> List[Dict[str, object]]:
         """The family's recent raw records (newest last)."""
@@ -643,7 +468,7 @@ class RunLedger:
         """Metrics snapshot with live occupancy gauges refreshed."""
         with self._log.lock:
             state = self._log.state
-            self.metrics.gauge("ledger.families").set(float(len(state.aggregates)))
+            self.metrics.gauge("ledger.families").set(float(len(state.aggregates())))
             self.metrics.gauge("ledger.runs.total").set(float(state.total_runs()))
             return self.metrics.snapshot()
 

@@ -25,42 +25,27 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, List
 
-__all__ = ["TraceEvent", "Tracer", "NULL_TRACER"]
+__all__ = ["TraceEvent", "Tracer"]
 
 
 @dataclass
 class TraceEvent:
-    """One recorded span or instantaneous event.
-
-    ``trace_id``/``span_id``/``parent_id`` are optional correlation fields
-    (see :mod:`repro.obs.context`): events carrying them stitch into one
-    per-job tree even when recorded in different processes.  They are
-    omitted from :meth:`to_dict` when unset, so uncorrelated events keep
-    their historical exported shape.
-    """
+    """One recorded span or instantaneous event."""
 
     name: str
     start: float  #: monotonic-clock start time (seconds)
     duration: float = 0.0  #: zero for instantaneous events
     attrs: Dict[str, object] = field(default_factory=dict)
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "name": self.name,
             "start": self.start,
             "duration": self.duration,
             "attrs": dict(self.attrs),
         }
-        if self.span_id is not None:
-            data["trace_id"] = self.trace_id
-            data["span_id"] = self.span_id
-            data["parent_id"] = self.parent_id
-        return data
 
 
 class Tracer:
@@ -103,21 +88,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class _NullTracer(Tracer):
-    """A tracer that records nothing (zero-overhead default)."""
-
-    def __init__(self) -> None:
-        super().__init__(max_events=1)
-
-    def event(self, name: str, **attrs: object) -> TraceEvent:
-        return TraceEvent(name=name, start=0.0, attrs=attrs)
-
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[TraceEvent]:
-        yield TraceEvent(name=name, start=0.0, attrs=attrs)
-
-
-#: Shared no-op tracer for call sites that accept an optional tracer.
-NULL_TRACER = _NullTracer()

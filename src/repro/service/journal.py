@@ -148,14 +148,12 @@ class _ReplayState:
 
     def __init__(self) -> None:
         self.jobs: Dict[str, JournalJob] = {}
-        self.order: List[str] = []
 
     def _job(self, key: str) -> JournalJob:
         job = self.jobs.get(key)
         if job is None:
             job = JournalJob(key=key)
             self.jobs[key] = job
-            self.order.append(key)
         return job
 
     def apply(self, record: Dict[str, object]) -> None:
@@ -196,7 +194,7 @@ class _ReplayState:
             self._job(key).done = True
 
     def incomplete(self) -> List[JournalJob]:
-        return [self.jobs[key] for key in self.order if not self.jobs[key].done]
+        return [job for job in self.jobs.values() if not job.done]
 
 
 def replay_journal(

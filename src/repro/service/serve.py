@@ -108,7 +108,7 @@ def list_jobs(store: ResultStore) -> List[dict]:
     seen = set()
     history = None
     if store.directory is not None:
-        history = replay_ledger(ledger_path(store.directory)).aggregates
+        history = replay_ledger(ledger_path(store.directory)).aggregates()
         for job in replay_journal(journal_path(store.directory)).values():
             if job.done:
                 continue

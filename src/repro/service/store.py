@@ -563,7 +563,7 @@ class ResultStore:
                 ledger_bytes = 0
             if ledger_bytes:
                 state = replay_ledger(runs_file)
-                ledger_families = len(state.aggregates)
+                ledger_families = len(state.aggregates())
                 ledger_runs = state.total_runs()
         counters = self.metrics.snapshot()["counters"]
         return {

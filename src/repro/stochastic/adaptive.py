@@ -29,6 +29,7 @@ Two refinements compose with the loop:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -106,6 +107,12 @@ def run_until_precision(
         Size of the first batch (doubled per round by ``growth_factor``).
     growth_factor:
         Geometric batch growth (> 1).
+    timeout:
+        Wall-clock budget in seconds for the whole session; when it runs
+        out the result so far returns flagged ``timed_out``.
+    workers:
+        Workers for the first batch only: later batches run in-process
+        whatever ``workers`` is.
     bound:
         Concentration inequality for the stopping rule: ``"hoeffding"``
         (default), ``"bernstein"`` (variance-adaptive empirical Bernstein
@@ -139,6 +146,7 @@ def run_until_precision(
         1, int(math.ceil(math.log(max(ceiling / initial_batch, 1.0), growth_factor))) + 1
     )
     per_round_delta = delta / (len(properties) * max_batches)
+    deadline = None if timeout is None else time.monotonic() + timeout
 
     aggregate: Optional[StochasticResult] = None
     next_index = 0
@@ -165,7 +173,7 @@ def run_until_precision(
                     trajectories=next_index + size,
                     seed=seed,
                     sample_shots=0,
-                    timeout=timeout,
+                    timeout=None if deadline is None else deadline - time.monotonic(),
                 )
         else:
             # Re-run with the larger total; estimates are cumulative because
@@ -180,7 +188,7 @@ def run_until_precision(
                 size,
                 seed,
                 sample_shots=0,
-                timeout=timeout,
+                deadline=deadline,
             )
             aggregate.merge(chunk)
         next_index += size

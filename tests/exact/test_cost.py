@@ -12,7 +12,7 @@ from repro.exact.cost import (
     stochastic_budget,
 )
 from repro.noise import ErrorRates, NoiseModel
-from repro.obs.ledger import FamilyAggregate, circuit_fingerprint
+from repro.obs.ledger import LedgerState, circuit_fingerprint
 from repro.simulators.ddsim import DDBackend
 from repro.simulators.gateplan import compile_plan
 from repro.stochastic import BasisProbability, ClassicalOutcome
@@ -254,24 +254,22 @@ class TestDispatchBoundary:
 
 def _seeded_history(circuit, model, exact_peak=0, state_peak=0, fallbacks=0):
     fingerprint = circuit_fingerprint(circuit, model)
-    aggregate = FamilyAggregate(fingerprint)
+    state = LedgerState()
     if exact_peak:
-        aggregate.observe_run(
+        state.apply(
             {"rec": "run", "fp": fingerprint, "method": "exact",
              "qubits": circuit.num_qubits, "depth": circuit.depth(),
              "peak_nodes": exact_peak}
         )
     if state_peak:
-        aggregate.observe_run(
+        state.apply(
             {"rec": "run", "fp": fingerprint, "method": "stochastic",
              "qubits": circuit.num_qubits, "depth": circuit.depth(),
              "peak_nodes": state_peak, "trajectories_per_second": 100.0}
         )
     for _ in range(fallbacks):
-        aggregate.observe_fallback(
-            {"rec": "fallback", "fp": fingerprint, "nodes": exact_peak * 4}
-        )
-    return {fingerprint: aggregate}
+        state.apply({"rec": "fallback", "fp": fingerprint, "nodes": exact_peak * 4})
+    return state.aggregates()
 
 
 class TestMeasuredCostModel:
@@ -295,12 +293,6 @@ class TestMeasuredCostModel:
         (fingerprint,) = history
         evidence = MeasuredCostModel(history).exact_size(fingerprint, 3)
         assert evidence.nodes == float(4**3)
-
-    def test_confidence_floor_demands_min_observations(self):
-        history = _seeded_history(ghz(12), PAPER_NOISE, exact_peak=500)
-        (fingerprint,) = history
-        strict = MeasuredCostModel(history, min_observations=2)
-        assert strict.exact_size(fingerprint, 12).source == "worst_case"
 
     def test_fallbacks_are_censored_evidence(self):
         history = _seeded_history(

@@ -190,7 +190,7 @@ def _ledger_view(aggregates, recent):
     """Aggregates plus recent windows; rotation's ``folded`` stamp dropped."""
     return {
         fp: (
-            aggregate.to_dict(),
+            aggregate,
             [
                 {k: v for k, v in record.items() if k != "folded"}
                 for record in recent.get(fp, [])
@@ -226,7 +226,7 @@ class Ledger:
     @staticmethod
     def replay(path):
         state = replay_ledger(path)
-        return _ledger_view(state.aggregates, state.recent)
+        return _ledger_view(state.aggregates(), state.recent)
 
     @staticmethod
     def live(view):
@@ -436,5 +436,5 @@ class TestTornAppendDoesNotPoisonTheNext:
                     cpu_seconds=0.5, elapsed_seconds=1.0, trajectories=10,
                     effective_trajectories=10.0, trajectories_per_second=10.0,
                 )
-        family = replay_ledger(runs).aggregates[FPS[0]]
-        assert (family.runs, family.exact_runs) == (1, 1)
+        counters = replay_ledger(runs).aggregates()[FPS[0]]["counters"]
+        assert (counters["runs"], counters["exact_runs"]) == (1, 1)

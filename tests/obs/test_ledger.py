@@ -11,14 +11,16 @@ from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.obs import ledger as ledger_module
 from repro.obs.ledger import (
-    FamilyAggregate,
     LEDGER_SCHEMA,
+    LedgerState,
     RunLedger,
     circuit_fingerprint,
+    family_totals,
     ledger_path,
+    median_rate,
     replay_ledger,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 
 PAPER_NOISE = NoiseModel.paper_defaults()
 FP = "a" * 16
@@ -52,22 +54,27 @@ def wal(tmp_path):
     return ledger_path(str(tmp_path))
 
 
+def _family(history, fp=FP):
+    """A family's counters and gauges by name, from an ``aggregates()``."""
+    return family_totals(history[fp])
+
+
 class TestRoundTrip:
     def test_runs_replay_into_family_aggregates(self, wal):
         with RunLedger(wal) as ledger:
             _record_run(ledger, method="stochastic", peak=30)
             _record_run(ledger, method="exact", peak=500)
             ledger.record_fallback(KEY, FP, nodes=4000, ceiling=1000)
-        state = replay_ledger(wal)
-        family = state.aggregates[FP]
-        assert family.runs == 2
-        assert family.exact_runs == 1 and family.stochastic_runs == 1
-        assert family.fallbacks == 1
-        assert family.exact_peak_nodes == 500
-        assert family.state_peak_nodes == 30
-        assert family.fallback_peak_nodes == 4000
-        assert family.mean_p_clean() == pytest.approx(0.9)
-        assert family.median_rate() > 0.0
+        history = replay_ledger(wal).aggregates()[FP]
+        family = family_totals(history)
+        assert family["runs"] == 2
+        assert family["exact_runs"] == 1 and family["stochastic_runs"] == 1
+        assert family["fallbacks"] == 1
+        assert family["exact_peak_nodes"] == 500
+        assert family["state_peak_nodes"] == 30
+        assert family["fallback_peak_nodes"] == 4000
+        assert family["p_clean_sum"] / family["p_clean_count"] == pytest.approx(0.9)
+        assert median_rate(history) > 0.0
 
     def test_dense_runs_fold_their_censored_peak_apart(self, wal):
         """A ``statevector`` run's peak is where its engine choice stopped
@@ -76,12 +83,11 @@ class TestRoundTrip:
             _record_run(ledger, peak=30, engine="dd")
             _record_run(ledger, peak=95, engine="statevector")
             _record_run(ledger, peak=64, engine="statevector")
-        family = replay_ledger(wal).aggregates[FP]
-        assert (family.state_peak_nodes, family.dense_peak_nodes) == (30, 95)
-        assert family.state_nodes_hist["count"] == 1
-        legacy = family.to_dict()
-        del legacy["dense_peak_nodes"]  # an aggregate folded before the field
-        assert FamilyAggregate.from_dict(legacy).dense_peak_nodes == 0
+        history = replay_ledger(wal).aggregates()[FP]
+        family = family_totals(history)
+        assert (family["state_peak_nodes"], family["dense_peak_nodes"]) == (30, 95)
+        rates = history["histograms"]
+        assert (rates["rate.dd"]["count"], rates["rate.statevector"]["count"]) == (1, 2)
 
     def test_history_prints_the_dense_peak_as_a_lower_bound(self, tmp_path, capsys):
         from repro.cli import main
@@ -95,7 +101,7 @@ class TestRoundTrip:
 
     def test_missing_file_replays_empty(self, tmp_path):
         state = replay_ledger(str(tmp_path / "nope" / "runs.jsonl"))
-        assert state.aggregates == {}
+        assert state.aggregates() == {}
 
     def test_recent_window_keeps_raw_records(self, wal):
         with RunLedger(wal) as ledger:
@@ -103,10 +109,10 @@ class TestRoundTrip:
                 _record_run(ledger, rate=float(i + 1))
         state = replay_ledger(wal)
         window = state.recent[FP]
-        assert len(window) == 8  # DEFAULT_RECENT_RECORDS
+        assert len(window) == 8  # RECENT_RECORDS
         assert window[-1]["trajectories_per_second"] == 12.0
         # The aggregate still counted every run, not just the window.
-        assert state.aggregates[FP].runs == 12
+        assert _family(state.aggregates())["runs"] == 12
 
 
 class TestTornTail:
@@ -121,9 +127,9 @@ class TestTornTail:
         with open(wal, "wb") as handle:
             handle.write(torn)
         metrics = MetricsRegistry()
-        state = replay_ledger(wal, metrics)
-        assert state.aggregates[FP].runs == 1
-        assert state.aggregates[FP].exact_runs == 0
+        family = _family(replay_ledger(wal, metrics).aggregates())
+        assert family["runs"] == 1
+        assert family["exact_runs"] == 0
         assert metrics.snapshot()["counters"]["ledger.replay.torn_skipped"] == 1
 
     def test_unterminated_but_parseable_tail_is_skipped(self, wal):
@@ -137,9 +143,9 @@ class TestTornTail:
         )
         with open(wal, "ab") as handle:
             handle.write(record.encode("utf-8"))  # no trailing newline
-        state = replay_ledger(wal)
-        assert state.aggregates[FP].exact_runs == 0
-        assert state.aggregates[FP].exact_peak_nodes == 0
+        family = _family(replay_ledger(wal).aggregates())
+        assert family["exact_runs"] == 0
+        assert family["exact_peak_nodes"] == 0
 
     def test_bad_interior_line_is_skipped(self, wal):
         with RunLedger(wal) as ledger:
@@ -151,8 +157,7 @@ class TestTornTail:
         with open(wal, "wb") as handle:
             handle.write(b"\n".join(lines) + b"\n")
         metrics = MetricsRegistry()
-        state = replay_ledger(wal, metrics)
-        assert state.aggregates[FP].runs == 2
+        assert _family(replay_ledger(wal, metrics).aggregates())["runs"] == 2
         assert metrics.snapshot()["counters"]["ledger.replay.bad_skipped"] == 1
 
     def test_open_time_rotation_heals_torn_tail(self, wal):
@@ -162,7 +167,7 @@ class TestTornTail:
         with open(wal, "r+b") as handle:
             handle.truncate(os.path.getsize(wal) - 7)
         with RunLedger(wal) as reopened:
-            assert reopened.aggregates()[FP].runs == 1
+            assert _family(reopened.aggregates())["runs"] == 1
         with open(wal, "rb") as handle:
             raw = handle.read()
         assert raw.endswith(b"\n")
@@ -176,35 +181,51 @@ class TestRotation:
             _record_run(ledger, peak=30)
             _record_run(ledger, method="exact", peak=500)
             ledger.record_fallback(KEY, FP, nodes=4000, ceiling=1000)
-            baseline = ledger.aggregates()[FP].to_dict()
+            baseline = ledger.aggregates()[FP]
         for _ in range(3):  # each open rotates
             with RunLedger(wal) as reopened:
-                family = reopened.aggregates()[FP]
-                assert family.to_dict() == baseline
+                assert reopened.aggregates()[FP] == baseline
                 # Raw records survive rotation for trend display...
                 assert len(reopened.recent(FP)) == 3
                 # ...stamped folded so replay keeps them out of the sums.
                 assert all(r.get("folded") for r in reopened.recent(FP))
+
+    def test_reopen_prints_the_same_history(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = str(tmp_path)
+        with RunLedger(ledger_path(store)) as ledger:
+            _record_run(ledger, peak=30, engine="dd")
+            _record_run(ledger, peak=95, rate=400.0, engine="statevector")
+            _record_run(ledger, method="exact", peak=500)
+            ledger.record_fallback(KEY, OTHER_FP, nodes=4000, ceiling=1000)
+        printed = []
+        for _ in range(2):
+            for argv in (["history", "--json", "--trend"], ["history"]):
+                main(argv + ["--store", store])
+            printed.append(capsys.readouterr().out)
+            RunLedger(ledger_path(store)).close()  # the open rotates
+        assert printed[0] == printed[1]
 
     def test_size_rotation_compacts_but_preserves_telemetry(self, wal, monkeypatch):
         monkeypatch.setattr(ledger_module, "MAX_BYTES", 2_000)
         with RunLedger(wal) as ledger:
             for i in range(100):
                 _record_run(ledger, rate=float(i + 1))
-            assert ledger.aggregates()[FP].runs == 100
+            assert _family(ledger.aggregates())["runs"] == 100
             rotations = ledger.metrics.snapshot()["counters"]["ledger.rotations"]
             assert rotations > 1  # open-time plus at least one size-triggered
         assert os.path.getsize(wal) < 10_000
-        assert replay_ledger(wal).aggregates[FP].runs == 100
+        assert _family(replay_ledger(wal).aggregates())["runs"] == 100
 
     def test_multiple_families_kept_apart(self, wal):
         with RunLedger(wal) as ledger:
             _record_run(ledger, fp=FP, peak=30)
             _record_run(ledger, fp=OTHER_FP, method="exact", peak=700)
         with RunLedger(wal) as reopened:
-            assert reopened.aggregates()[FP].stochastic_runs == 1
-            assert reopened.aggregates()[OTHER_FP].exact_peak_nodes == 700
-            assert reopened.family("f" * 16) is None
+            assert _family(reopened.aggregates())["stochastic_runs"] == 1
+            assert _family(reopened.aggregates(), OTHER_FP)["exact_peak_nodes"] == 700
+            assert "f" * 16 not in reopened.aggregates()
 
 
 def _assert_close(left, right):
@@ -227,7 +248,7 @@ def _assert_close(left, right):
 
 
 class TestAggregateMergeAlgebra:
-    """Aggregates must be associative so rotation order never matters."""
+    """Family snapshots merge associatively, so rotation order never matters."""
 
     @staticmethod
     def _random_records(rng, count):
@@ -259,13 +280,10 @@ class TestAggregateMergeAlgebra:
 
     @staticmethod
     def _fold(records):
-        aggregate = FamilyAggregate(FP)
+        state = LedgerState()
         for record in records:
-            if record["rec"] == "run":
-                aggregate.observe_run(record)
-            else:
-                aggregate.observe_fallback(record)
-        return aggregate
+            state.apply(record)
+        return state.aggregates()[FP]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_any_partition_merges_to_the_same_aggregate(self, seed):
@@ -275,31 +293,17 @@ class TestAggregateMergeAlgebra:
         # Split at two random cut points into three chunks, merge pairwise
         # in both association orders: (a+b)+c and a+(b+c).
         i, j = sorted(rng.sample(range(1, 40), 2))
-        parts = [records[:i], records[i:j], records[j:]]
-        left = self._fold(parts[0])
-        left.merge(self._fold(parts[1]))
-        left.merge(self._fold(parts[2]))
-        bc = self._fold(parts[1])
-        bc.merge(self._fold(parts[2]))
-        right = self._fold(parts[0])
-        right.merge(bc)
-        _assert_close(left.to_dict(), right.to_dict())
-        _assert_close(left.to_dict(), whole.to_dict())
-
-    def test_aggregate_without_engine_split_reads_as_one_legacy_engine(self):
-        aggregate = self._fold(self._random_records(random.Random(7), 25))
-        legacy = aggregate.to_dict()
-        del legacy["engine_rate_hists"]
-        clone = FamilyAggregate.from_dict(legacy)
-        assert set(clone.engine_rate_hists) == {""}
-        assert clone.engine_rate_hists[""] == aggregate.rate_hist
-
-    def test_roundtrip_through_dict(self):
-        rng = random.Random(99)
-        aggregate = self._fold(self._random_records(rng, 25))
-        clone = FamilyAggregate.from_dict(aggregate.to_dict())
-        clone.fingerprint = FP
-        assert clone.to_dict() == aggregate.to_dict()
+        a, b, c = (self._fold(records[:i]), self._fold(records[i:j]),
+                   self._fold(records[j:]))
+        left = merge_snapshots(merge_snapshots(a, b), c)
+        right = merge_snapshots(a, merge_snapshots(b, c))
+        _assert_close(left, right)
+        _assert_close(left, whole)
+        # Rotation's path: a family's aggregate record, then later records.
+        rotated = self._fold(
+            [{"rec": "aggregate", "fp": FP, "agg": a}] + records[i:]
+        )
+        _assert_close(rotated, whole)
 
 
 class TestFingerprint:
@@ -345,17 +349,16 @@ class TestFaultSites:
             assert counters["ledger.write.errors"] == 1
             assert counters["ledger.degraded.skipped"] == 1
             # The running process still dispatches on fresh history.
-            assert ledger.aggregates()[FP].runs == 2
+            assert _family(ledger.aggregates())["runs"] == 2
         # Crash durability for the shed records is what was lost.
-        assert FP not in replay_ledger(wal).aggregates
+        assert FP not in replay_ledger(wal).aggregates()
 
     def test_torn_ledger_fault_tears_the_tail(self, wal, monkeypatch):
         self._arm(monkeypatch, "torn-ledger")
         with RunLedger(wal) as ledger:
             _record_run(ledger)
         metrics = MetricsRegistry()
-        state = replay_ledger(wal, metrics)
-        assert FP not in state.aggregates
+        assert FP not in replay_ledger(wal, metrics).aggregates()
         assert metrics.snapshot()["counters"]["ledger.replay.torn_skipped"] == 1
 
 

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import Tracer
 
 
 class TestTracer:
@@ -57,11 +57,3 @@ class TestTracer:
         assert len(tracer) == 0
         assert tracer.dropped == 0
 
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        NULL_TRACER.event("ignored")
-        with NULL_TRACER.span("also.ignored"):
-            pass
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.export() == []

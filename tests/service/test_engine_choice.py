@@ -34,7 +34,7 @@ from repro.circuits.library import (
 from repro.faults import FaultPlan, FaultSpec, PLAN_ENV, reset_injector_cache
 from repro.noise import NoiseModel
 from repro.obs.export import read_event_log
-from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path
+from repro.obs.ledger import RunLedger, circuit_fingerprint, family_totals, ledger_path
 from repro.service import JobSpec, ResultStore, Scheduler
 from repro.service.journal import JobJournal, journal_path
 from repro.service.scheduler import _outcome_anomaly
@@ -493,10 +493,10 @@ class TestEngineReporting:
             with Scheduler(workers=1, ledger=ledger) as scheduler:
                 scheduler.run(qaoa_spec(trajectories=8), timeout=120)
             (record,) = ledger.recent(family_key)
-            family = ledger.family(family_key)
+            family = family_totals(ledger.aggregates()[family_key])
         assert record["engine"] == "statevector"
         assert record["peak_nodes"] == 23
-        assert (family.dense_peak_nodes, family.state_peak_nodes) == (23, 0)
+        assert (family["dense_peak_nodes"], family["state_peak_nodes"]) == (23, 0)
         assert main(["history", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "state>=23" in out

@@ -14,7 +14,13 @@ import pytest
 from repro.circuits.library import ghz, qaoa_maxcut
 from repro.exact.cost import estimate_costs
 from repro.noise import NoiseModel
-from repro.obs.ledger import RunLedger, circuit_fingerprint, ledger_path, replay_ledger
+from repro.obs.ledger import (
+    RunLedger,
+    circuit_fingerprint,
+    family_totals,
+    ledger_path,
+    replay_ledger,
+)
 from repro.service import JobSpec, ResultStore, Scheduler
 from repro.stochastic import BasisProbability
 
@@ -64,9 +70,9 @@ class TestMeasuredFlip:
             # Phase B: force one exact run to seed the family's rho peak.
             seeded = scheduler.run(spec_for(method="exact", seed=1), timeout=120)
             assert seeded.method == "exact"
-            family = ledger.family(fingerprint)
-            assert family is not None and family.exact_runs == 1
-            assert 0 < family.exact_peak_nodes < 4**QUBITS
+            family = family_totals(ledger.aggregates()[fingerprint])
+            assert family["exact_runs"] == 1
+            assert 0 < family["exact_peak_nodes"] < 4**QUBITS
 
             # Phase C: the same family under auto now dispatches exact on
             # measured rho evidence (fresh seed dodges the result cache).
@@ -85,7 +91,7 @@ class TestMeasuredFlip:
 
         # Both completed runs are durably in the ledger on disk.
         state = replay_ledger(ledger_path(store.directory))
-        assert state.aggregates[fingerprint].exact_runs == 2
+        assert family_totals(state.aggregates()[fingerprint])["exact_runs"] == 2
 
     def test_escape_hatch_reproduces_worst_case_routing(self, store, ledger):
         with Scheduler(workers=1, store=store, ledger=ledger) as scheduler:
@@ -124,12 +130,11 @@ class TestFallbackFeedback:
             assert result.method == "stochastic"
             counters = scheduler.metrics_snapshot()["counters"]
             assert counters["dispatch.fallback"] == 1
-        family = ledger.family(fingerprint)
-        assert family is not None
-        assert family.fallbacks == 1
-        assert family.fallback_peak_nodes > 16
+        family = family_totals(ledger.aggregates()[fingerprint])
+        assert family["fallbacks"] == 1
+        assert family["fallback_peak_nodes"] > 16
         # The completed stochastic retry also landed as a run record.
-        assert family.stochastic_runs == 1
+        assert family["stochastic_runs"] == 1
         # Censored evidence keeps measured dispatch honest: the measured
         # exact size is floored at the fallback peak, not the ceiling.
         from repro.exact.cost import MeasuredCostModel
@@ -138,7 +143,7 @@ class TestFallbackFeedback:
             fingerprint, QUBITS
         )
         assert evidence.censored
-        assert evidence.nodes >= family.fallback_peak_nodes
+        assert evidence.nodes >= family["fallback_peak_nodes"]
 
 
 class TestCensoredDensePeak:
@@ -204,5 +209,5 @@ class TestLedgerContents:
         assert record["trajectories_per_second"] > 0.0
         assert 0.0 < record["p_clean"] <= 1.0
         assert "P(|0000>)" in record["halfwidths"]
-        family = ledger.family(fingerprint)
-        assert family.state_peak_nodes == record["peak_nodes"]
+        family = family_totals(ledger.aggregates()[fingerprint])
+        assert family["state_peak_nodes"] == record["peak_nodes"]

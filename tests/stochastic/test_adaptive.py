@@ -1,10 +1,11 @@
 """Tests for adaptive (run-until-precision) Monte-Carlo sampling."""
 
 import math
+import time
 
 import pytest
 
-from repro.circuits.library import ghz
+from repro.circuits.library import ghz, qft
 from repro.noise import NoiseModel
 from repro.stochastic import (
     BasisProbability,
@@ -211,3 +212,21 @@ class TestAdaptiveSampling:
             run_until_precision(
                 ghz(2), [BasisProbability("00")], epsilon=0.1, initial_batch=0
             )
+
+    def test_timeout_bounds_the_whole_session(self, monkeypatch):
+        """The timeout is one budget for every batch, not one per batch."""
+        monkeypatch.setenv("REPRO_TRAJECTORY_MODE", "stratified")
+        timeout = 1.0
+        started = time.monotonic()
+        run = run_until_precision(
+            qft(8),
+            [IdealFidelity()],
+            epsilon=0.002,
+            noise_model=NoiseModel.paper_defaults(),
+            initial_batch=64,
+            timeout=timeout,
+        )
+        elapsed = time.monotonic() - started
+        assert run.result.timed_out
+        assert run.batches >= 2
+        assert elapsed < timeout + 0.5
