@@ -25,8 +25,10 @@ Durability is the :class:`~repro.obs.appendlog.AppendLog` contract the job
 journal follows too (fsync'd appends, torn-tail distrust on replay, ENOSPC
 degraded mode, atomic rotation; counters under ``ledger.*``).
 
-A family's history is one :mod:`repro.obs.metrics` snapshot.  Each ``run``
-or ``fallback`` record folds in as a small snapshot of its own, merged by
+A family's history is one :mod:`repro.obs.metrics` snapshot.  Replay
+folds each ``run`` or ``fallback`` record, in record order, into the
+family's running :class:`~repro.obs.metrics.MetricsRegistry`, which the
+family's ``aggregate`` record seeds.  Snapshots merge by
 :func:`~repro.obs.metrics.merge_snapshots` — associative, so any partition
 of the record stream merges to the same history:
 
@@ -39,7 +41,7 @@ of the record stream merges to the same history:
   second by trajectory engine (``rate.`` for records without one).
 
 A new per-family statistic is one registry call in
-:func:`_record_snapshot`.  Rotation *compacts history instead of
+:func:`_fold_record`.  Rotation *compacts history instead of
 discarding it*: each family's snapshot becomes its ``aggregate`` record,
 and a bounded window of recent raw records per family is carried over for
 trend display.
@@ -105,7 +107,9 @@ RECENT_RECORDS = 8
 
 #: Throughput bucket upper bounds in trajectories/second (powers of two
 #: spanning sub-1/s exact passes to ~10^7/s effective stratified rates; an
-#: implicit +inf bucket follows).  Fixed bounds keep merges associative.
+#: implicit +inf bucket follows).  Fixed bounds keep merges associative, and
+#: replay folds raw records into an aggregate's rate histograms, so other
+#: bounds are a new record layout (a schema bump).
 RATE_BUCKETS: Tuple[float, ...] = tuple(float(2.0**k) for k in range(-6, 24))
 
 
@@ -202,19 +206,18 @@ GAUGES: Tuple[str, ...] = (
 RATE = "rate."
 
 
-def _record_snapshot(record: Mapping[str, object]) -> Snapshot:
-    """One ``run`` or ``fallback`` record as a family-history snapshot."""
-    registry = MetricsRegistry()
-    counter, gauge = registry.counter, registry.gauge
+def _fold_record(history: MetricsRegistry, record: Mapping[str, object]) -> None:
+    """Fold one ``run`` or ``fallback`` record into a family's history."""
+    counter, gauge = history.counter, history.gauge
     if record["rec"] == "fallback":
         counter("fallbacks").inc()
         nodes = int(record.get("nodes", 0) or 0)
         if nodes > 0:
-            gauge("fallback_peak_nodes").set(nodes)
-        return registry.snapshot()
+            gauge("fallback_peak_nodes").max(nodes)
+        return
     counter("runs").inc()
-    gauge("qubits").set(int(record.get("qubits", 0)))
-    gauge("depth").set(int(record.get("depth", 0)))
+    gauge("qubits").max(int(record.get("qubits", 0)))
+    gauge("depth").max(int(record.get("depth", 0)))
     engine = str(record.get("engine", ""))
     if record.get("method", "stochastic") == "exact":
         counter("exact_runs").inc()
@@ -224,10 +227,10 @@ def _record_snapshot(record: Mapping[str, object]) -> Snapshot:
         peak = "dense_peak_nodes" if engine == "statevector" else "state_peak_nodes"
         rate = record.get("trajectories_per_second")
         if isinstance(rate, (int, float)) and rate > 0.0:
-            registry.histogram(RATE + engine, RATE_BUCKETS).observe(float(rate))
+            history.histogram(RATE + engine, RATE_BUCKETS).observe(float(rate))
     nodes = int(record.get("peak_nodes", 0))
     if nodes > 0:
-        gauge(peak).set(nodes)
+        gauge(peak).max(nodes)
     counter("cpu_seconds").inc(float(record.get("cpu_seconds", 0.0) or 0.0))
     counter("trajectories").inc(int(record.get("trajectories", 0) or 0))
     counter("effective_trajectories").inc(
@@ -237,7 +240,6 @@ def _record_snapshot(record: Mapping[str, object]) -> Snapshot:
     if isinstance(p_clean, (int, float)):
         counter("p_clean_sum").inc(float(p_clean))
         counter("p_clean_count").inc()
-    return registry.snapshot()
 
 
 def _from_v1_layout(agg: Mapping[str, object]) -> Snapshot:
@@ -303,10 +305,11 @@ class LedgerState:
     """
 
     def __init__(self) -> None:
-        #: Each family's history as snapshots in record order, merged into
-        #: one only when read, so replay folds a record without copying its
-        #: family's snapshot.
-        self._parts: Dict[str, List[Snapshot]] = {}
+        #: Each family's running history, in first-seen order: every record
+        #: adds to it in record order, so sums add one record at a time.
+        self._families: Dict[str, MetricsRegistry] = {}
+        #: Snapshots of ``_families`` as last read, until the family changes.
+        self._snapshots: Dict[str, Snapshot] = {}
         self.recent: Dict[str, List[Dict[str, object]]] = {}
 
     def apply(self, record: Dict[str, object]) -> None:
@@ -317,15 +320,23 @@ class LedgerState:
         if kind == "aggregate":
             payload = record.get("agg")
             if isinstance(payload, Mapping):
-                self._parts.setdefault(fingerprint, []).append(
-                    payload if "counters" in payload else _from_v1_layout(payload)
+                family = self._families.get(fingerprint)
+                self._families[fingerprint] = MetricsRegistry.from_snapshot(
+                    merge_snapshots(
+                        None if family is None else family.snapshot(),
+                        payload if "counters" in payload else _from_v1_layout(payload),
+                    )
                 )
+                self._snapshots.pop(fingerprint, None)
             return
         if kind not in ("run", "fallback"):
             return
-        parts = self._parts.setdefault(fingerprint, [])
+        family = self._families.get(fingerprint)
+        if family is None:
+            family = self._families[fingerprint] = MetricsRegistry()
         if not record.get("folded"):
-            parts.append(_record_snapshot(record))
+            _fold_record(family, record)
+            self._snapshots.pop(fingerprint, None)
         window = self.recent.setdefault(fingerprint, [])
         window.append(dict(record))
         if len(window) > RECENT_RECORDS:
@@ -334,10 +345,11 @@ class LedgerState:
     def aggregates(self) -> Dict[str, Snapshot]:
         """Each family's history as one metrics snapshot, keyed by
         fingerprint in first-seen order (treat as read-only)."""
-        for parts in self._parts.values():
-            if len(parts) != 1:
-                parts[:] = [merge_snapshots(*parts)]
-        return {fingerprint: parts[0] for fingerprint, parts in self._parts.items()}
+        snapshots = self._snapshots
+        for fingerprint, family in self._families.items():
+            if fingerprint not in snapshots:
+                snapshots[fingerprint] = family.snapshot()
+        return {fingerprint: snapshots[fingerprint] for fingerprint in self._families}
 
     def total_runs(self) -> int:
         return sum(

@@ -148,9 +148,30 @@ class MetricsRegistry:
         instrument = self._histograms.get(name)
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, bounds)
-        elif instrument.bounds != tuple(float(b) for b in bounds):
+        # The first test passes the common call, the same tuple of floats,
+        # without converting every bound.
+        elif instrument.bounds != bounds and instrument.bounds != tuple(
+            float(b) for b in bounds
+        ):
             raise ValueError(f"histogram {name!r} re-registered with different bounds")
         return instrument
+
+    @classmethod
+    def from_snapshot(cls, snapshot: Dict[str, Dict[str, object]]) -> "MetricsRegistry":
+        """A registry whose instruments hold ``snapshot``'s values, so that
+        recording continues from them; its :meth:`snapshot` equals
+        ``snapshot``."""
+        registry = cls()
+        for name, value in snapshot.get("counters", {}).items():
+            registry.counter(name).value = value
+        for name, value in snapshot.get("gauges", {}).items():
+            registry.gauge(name).set(value)
+        for name, data in snapshot.get("histograms", {}).items():
+            histogram = registry.histogram(name, data["bounds"])
+            histogram.counts = list(data["counts"])
+            histogram.total = float(data["sum"])
+            histogram.count = int(data["count"])
+        return registry
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:

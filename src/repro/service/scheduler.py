@@ -102,7 +102,7 @@ from ..exact.simulator import default_node_ceiling
 from ..faults.inject import get_injector
 from ..obs.context import job_trace_context
 from ..obs.ledger import RunLedger, circuit_fingerprint
-from ..obs.metrics import MetricsRegistry, merge_snapshots
+from ..obs.metrics import TIME_BUCKETS, MetricsRegistry, merge_snapshots
 from ..obs.tracing import Tracer
 from ..stochastic.results import PropertyEstimate, StochasticResult
 from .job import JobSpec, JobState, JobStatus, job_engine
@@ -352,10 +352,25 @@ class _Job:
         #: (see Scheduler._chunk_size), None while the job has planned no
         #: chunks.
         self.chunking: Optional[str] = None
+        #: CPU seconds per trajectory of the job's circuit family in the
+        #: ledger when its chunks were planned; None without such history.
+        self.rate: Optional[float] = None
+        #: Monotonic instant its chunks were planned, until its first chunk
+        #: dispatch observes the queue wait.
+        self.planned_at: Optional[float] = None
 
     @property
     def total_retries(self) -> int:
         return sum(self.retries.values())
+
+    def remaining_work(self) -> Tuple[bool, float]:
+        """Dispatch rank, least first: a measured job by the CPU seconds its
+        uncommitted trajectories (pending and in-flight chunks) will take,
+        every unmeasured job after the measured ones, all alike."""
+        if self.rate is None:
+            return True, 0.0
+        remaining = self.spec.trajectories - self.aggregate.completed_trajectories
+        return False, remaining * self.rate
 
     def finished(self) -> bool:
         return self.done.is_set()
@@ -384,6 +399,14 @@ class _Job:
 class Scheduler:
     """Persistent-pool scheduler for stochastic simulation jobs.
 
+    An idle worker gets the next pending chunk of the active job with the
+    least remaining work: its uncommitted trajectories times its circuit
+    family's CPU seconds per trajectory in the ``ledger``, as read when its
+    chunks were planned.  Jobs without that history come after the
+    measured ones, and ties keep submission order, so without a ledger
+    chunks go out first come, first served.  The order moves no result
+    bit: seeds derive from trajectory indices and estimate sums are exact.
+
     Parameters
     ----------
     workers:
@@ -401,7 +424,8 @@ class Scheduler:
         that history every job gets 8 chunks per worker.  Either way the
         result is the same bits (index-derived seeds, exact estimate
         sums); only how often streaming estimates refresh and how much a
-        lost chunk costs change.
+        lost chunk costs change.  An explicit size still ranks the job by
+        its measured work.
     max_retries:
         Requeue budget per chunk before the whole job is failed.
         A chunk that has killed more than ``max_retries`` workers is
@@ -432,7 +456,8 @@ class Scheduler:
         as censored observations, and ``method="auto"`` dispatch consults
         the accumulated family history through the measured cost model
         (``dispatch.measured`` / ``dispatch.worst_case`` count which basis
-        each decision used).
+        each decision used).  The same history sizes chunks and ranks jobs
+        for dispatch.
     """
 
     def __init__(
@@ -514,6 +539,8 @@ class Scheduler:
             "scheduler.drain.forced",
         ):
             self.metrics.counter(name)
+        # Seconds from a job's chunk plan to its first chunk dispatch.
+        self.metrics.histogram("scheduler.queue_wait_seconds", TIME_BUCKETS)
         self.tracer = Tracer(max_events=2048)
         #: Active fault injector (``REPRO_FAULT_PLAN``; None in production).
         #: Scheduler-side sites: queue-drop / queue-delay at dispatch time.
@@ -523,10 +550,10 @@ class Scheduler:
 
         self._ctx = multiprocessing.get_context(_MP_CONTEXT)
         self._lock = threading.RLock()
-        #: The unfinished jobs, by key, in submission order: what the
-        #: dispatcher's passes walk, FIFO.  A job leaves when it finishes
-        #: (_settle), and its store record answers for it from then on;
-        #: only the jobs shutdown cancels stay.
+        #: The unfinished jobs, by key, in submission order, which breaks
+        #: ties in the dispatcher's least-remaining-work rank.  A job leaves
+        #: when it finishes (_settle), and its store record answers for it
+        #: from then on; only the jobs shutdown cancels stay.
         self._active: Dict[str, _Job] = {}
         #: Fencing token of the next dispatch, of any job.
         self._next_token = 0
@@ -936,19 +963,15 @@ class Scheduler:
         work ``W`` (``M`` times the CPU seconds per trajectory of its
         family's recent stochastic runs in the ledger) split into
         ``workers x min(8, max(1, ceil(W / (workers x _CHUNK_SECONDS))))``
-        chunks.  ``default``: no ledger or no such history, 8 chunks per
-        worker.
+        chunks.  ``default``: no ledger or no such history (``job.rate``
+        is None), 8 chunks per worker.
         """
         if self.chunk_size is not None:
             return self.chunk_size, "explicit"
         trajectories = job.spec.trajectories
         per_worker, basis = _CHUNKS_PER_WORKER, "default"
-        rate = (
-            None if self.ledger is None
-            else _cpu_per_trajectory(self.ledger.recent(job.fingerprint))
-        )
-        if rate is not None:
-            work = trajectories * rate
+        if job.rate is not None:
+            work = trajectories * job.rate
             per_worker = min(
                 per_worker,
                 max(1, math.ceil(work / (self.workers * _CHUNK_SECONDS))),
@@ -966,7 +989,12 @@ class Scheduler:
         # the merged result independent of the chunking too.  Job keys are
         # unaffected either way.  A resume, from the store's checkpoint or
         # the journal's, cuts its remaining spans with the size a fresh job
-        # of the spec would get.
+        # of the spec would get.  The family's rate also ranks the job for
+        # dispatch, whatever the plan's basis.
+        job.rate = (
+            None if self.ledger is None
+            else _cpu_per_trajectory(self.ledger.recent(job.fingerprint))
+        )
         size, basis = self._chunk_size(job)
         remaining = _remaining_spans(job.spec.trajectories, job.base_spans)
         backend_kind = job.chunk_backend()
@@ -994,6 +1022,7 @@ class Scheduler:
         if job.chunks:
             job.state = JobState.RUNNING
             job.chunking = basis
+            job.planned_at = time.monotonic()
             self.metrics.counter(f"chunking.{basis}").inc()
             self.tracer.event(
                 "job.plan", job=job.key[:16], chunks=len(job.chunks),
@@ -1176,6 +1205,11 @@ class Scheduler:
                     job.pending.append(index)
 
     def _assign_chunks(self) -> None:
+        """Hand each idle worker the next pending chunk of the active job
+        with the least remaining work (:meth:`_Job.remaining_work`).  A
+        dispatch leaves that work as it was, in flight, so one ranking
+        serves the whole pass: the least job's chunks go out until it has
+        none pending, then the next job's."""
         depth = sum(len(job.pending) for job in self._active.values())
         self.metrics.gauge("scheduler.queue_depth").max(depth)
         if self._draining:
@@ -1183,8 +1217,9 @@ class Scheduler:
         idle = self._idle_workers()
         if not idle:
             return
-        # A snapshot: a requeue below may fail, and so settle, a job.
-        for job in list(self._active.values()):
+        # A sorted copy, also because a requeue below may fail, and so
+        # settle, a job; the sort is stable, so ties keep submission order.
+        for job in sorted(self._active.values(), key=_Job.remaining_work):
             while idle and job.pending:
                 index = job.pending.popleft()
                 task = job.chunks[index]
@@ -1209,6 +1244,11 @@ class Scheduler:
                         )
                         continue
                 handle = idle.pop()
+                if job.planned_at is not None:
+                    self.metrics.histogram("scheduler.queue_wait_seconds").observe(
+                        time.monotonic() - job.planned_at
+                    )
+                    job.planned_at = None
                 job.in_flight.add(index)
                 # A fresh fencing token per dispatch, stamped on the task and
                 # echoed in the outcome: only this dispatch's report commits.

@@ -479,6 +479,12 @@ def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
     """A ledger holding one finished run of ``spec``'s circuit family with
     a fixed CPU cost, so the plan it leads to involves no clock."""
     ledger = RunLedger(str(path))
+    record_family(ledger, spec, cpu_seconds, trajectories, method)
+    return ledger
+
+
+def record_family(ledger, spec, cpu_seconds, trajectories, method="stochastic"):
+    """Append one finished run of ``spec``'s circuit family to ``ledger``."""
     ledger.record_run(
         key="0" * 64,
         fingerprint=circuit_fingerprint(spec.circuit, spec.noise_model, spec.backend_kind),
@@ -492,7 +498,6 @@ def seeded_ledger(path, spec, cpu_seconds, trajectories, method="stochastic"):
         effective_trajectories=float(trajectories),
         trajectories_per_second=1.0,
     )
-    return ledger
 
 
 def plan_of(scheduler, spec):
@@ -511,6 +516,31 @@ def plan_of(scheduler, spec):
     del scheduler._plan_chunks
     assert result.completed_trajectories == spec.trajectories
     return scheduler.plan_for(key), sizes
+
+
+#: A stratified DD job and a dense ``auto`` job: the two engines whose
+#: result bits must not depend on the chunk plan or the dispatch order.
+BITS_SPECS = [
+    JobSpec.build(
+        ghz(10), NoiseModel.paper_defaults(), (IdealFidelity(),),
+        trajectories=64, seed=11,
+    ),
+    JobSpec.build(
+        qaoa_maxcut(7, measure=False),
+        NoiseModel.paper_defaults(),
+        (IdealFidelity(), BasisProbability("0101010")),
+        trajectories=25,
+        seed=11,
+        method="auto",
+    ),
+]
+BITS_IDS = ["ghz10-dd-stratified", "qaoa7-dense-auto"]
+
+#: Result fields that must be equal bit for bit between two runs of a spec.
+BITS_FIELDS = (
+    "estimates", "outcome_counts", "clean_outcome_counts", "errors_fired",
+    "strata", "peak_nodes", "backend_kind", "completed_trajectories",
+)
 
 
 class TestMeasuredChunking:
@@ -624,24 +654,7 @@ class TestMeasuredChunking:
         with Scheduler(workers=2) as scheduler:
             assert plan_of(scheduler, spec)[0] == (16, "default")
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            JobSpec.build(
-                ghz(10), NoiseModel.paper_defaults(), (IdealFidelity(),),
-                trajectories=64, seed=11,
-            ),
-            JobSpec.build(
-                qaoa_maxcut(7, measure=False),
-                NoiseModel.paper_defaults(),
-                (IdealFidelity(), BasisProbability("0101010")),
-                trajectories=25,
-                seed=11,
-                method="auto",
-            ),
-        ],
-        ids=["ghz10-dd-stratified", "qaoa7-dense-auto"],
-    )
+    @pytest.mark.parametrize("spec", BITS_SPECS, ids=BITS_IDS)
     def test_measured_plan_gives_the_default_plans_bits(self, tmp_path, spec):
         with Scheduler(workers=2) as scheduler:
             default_plan, _ = plan_of(scheduler, spec)
@@ -664,3 +677,110 @@ class TestMeasuredChunking:
         ):
             assert measured.to_dict().get(field) == default.to_dict().get(field), field
 
+
+def finish_order(scheduler, specs):
+    """Key prefixes of the jobs in the order they finalized, when ``specs``
+    were submitted, in order, while dispatch was held, then released."""
+    with scheduler._lock:
+        scheduler._draining = True
+    keys = [scheduler.submit(spec) for spec in specs]
+    with scheduler._lock:
+        scheduler._draining = False
+        scheduler._wake()
+    for key in keys:
+        scheduler.result(key, timeout=120)
+    return [
+        event["attrs"]["job"]
+        for event in scheduler.trace_events()
+        if event["name"] == "job.finalize"
+    ]
+
+
+class TestDispatchOrder:
+    """An idle worker gets a chunk of the job with the least remaining work
+    (uncommitted trajectories x the family's CPU per trajectory); jobs
+    without ledger history come after measured ones, ties in submission
+    order.  The ledger CPU is fixed, so no ranking reads a clock."""
+
+    LONG = ghz_spec(n=4, trajectories=40)
+    SHORT = ghz_spec(n=5, trajectories=40)
+
+    def test_short_job_submitted_second_finishes_first(self, tmp_path):
+        # LONG: 40 x 10 s of measured work, 8 chunks on one worker; SHORT:
+        # 40 x 1e-4 s, one chunk.
+        with seeded_ledger(tmp_path / "runs.jsonl", self.LONG, 100.0, 10) as ledger:
+            record_family(ledger, self.SHORT, 0.01, 100)
+            with Scheduler(workers=1, ledger=ledger) as scheduler:
+                order = finish_order(scheduler, [self.LONG, self.SHORT])
+                assert scheduler.plan_for(self.LONG.job_key()) == (8, "measured")
+        assert order == [self.SHORT.job_key()[:16], self.LONG.job_key()[:16]]
+
+    def test_unmeasured_jobs_keep_submission_order(self):
+        later = ghz_spec(n=5, trajectories=8)
+        with Scheduler(workers=1) as scheduler:
+            order = finish_order(scheduler, [self.LONG, later])
+        assert order == [self.LONG.job_key()[:16], later.job_key()[:16]]
+
+    def test_measured_job_goes_ahead_of_an_earlier_unmeasured_one(self, tmp_path):
+        # Only SHORT's family has history, and a large one: measured work
+        # of any size ranks before unmeasured work.
+        with seeded_ledger(tmp_path / "runs.jsonl", self.SHORT, 100.0, 10) as ledger:
+            with Scheduler(workers=1, ledger=ledger) as scheduler:
+                order = finish_order(scheduler, [self.LONG, self.SHORT])
+        assert order == [self.SHORT.job_key()[:16], self.LONG.job_key()[:16]]
+
+    @pytest.mark.parametrize("spec", BITS_SPECS, ids=BITS_IDS)
+    def test_sharing_the_pool_moves_no_bit(self, tmp_path, spec):
+        # Explicit 8-trajectory chunks on two workers; the other job's
+        # smaller measured work sends its chunks out first, and the
+        # subject's follow on whichever worker frees.
+        other = ghz_spec(n=6, trajectories=48, seed=3)
+        with seeded_ledger(tmp_path / "alone.jsonl", spec, 0.001, 100) as ledger:
+            with Scheduler(workers=2, chunk_size=8, ledger=ledger) as scheduler:
+                alone = scheduler.run(spec, timeout=120)
+        with seeded_ledger(tmp_path / "shared.jsonl", spec, 0.001, 100) as ledger:
+            record_family(ledger, other, 0.001, 1000)
+            with Scheduler(workers=2, chunk_size=8, ledger=ledger) as scheduler:
+                order = finish_order(scheduler, [spec, other])
+                shared = scheduler.result(spec.job_key())
+        assert order == [other.job_key()[:16], spec.job_key()[:16]]
+        for field in BITS_FIELDS:
+            assert shared.to_dict().get(field) == alone.to_dict().get(field), field
+
+
+class TestQueueWait:
+    """``scheduler.queue_wait_seconds``: one observation per job, from its
+    chunk plan to its first chunk dispatch."""
+
+    @staticmethod
+    def waits(scheduler):
+        return scheduler.metrics_snapshot()["histograms"]["scheduler.queue_wait_seconds"]
+
+    def test_one_observation_per_job_that_dispatched_a_chunk(self):
+        with Scheduler(workers=2) as scheduler:
+            assert self.waits(scheduler)["count"] == 0  # pre-registered
+            scheduler.run(ghz_spec(seed=1), timeout=120)
+            scheduler.run(ghz_spec(seed=2), timeout=120)
+            scheduler.run(ghz_spec(seed=1), timeout=120)  # a store hit
+            exact = scheduler.run(ghz_spec(n=3, method="exact"), timeout=120)
+            histogram = self.waits(scheduler)
+        assert exact.method == "exact"
+        assert histogram["count"] == 2
+        assert 0.0 <= histogram["sum"] < 60.0
+
+    def test_fallback_and_resume_observe_their_own_first_dispatch(self, tmp_path):
+        spec = ghz_spec(trajectories=32)
+        done = run_trajectory_span(
+            spec.circuit, spec.noise_model, spec.properties, spec.backend_kind,
+            0, 8, spec.seed, sample_shots=spec.sample_shots,
+        )
+        store = ResultStore(directory=str(tmp_path / "store"))
+        store.put_partial(spec.job_key(), [(0, 8)], done)
+        with Scheduler(workers=2, store=store, exact_node_ceiling=2) as scheduler:
+            scheduler.run(spec, timeout=120)
+            fallen = scheduler.run(ghz_spec(n=3, method="exact"), timeout=120)
+            counters = scheduler.metrics_snapshot()["counters"]
+            histogram = self.waits(scheduler)
+        assert counters["scheduler.jobs_resumed"] == counters["dispatch.fallback"] == 1
+        assert fallen.method == "stochastic"
+        assert histogram["count"] == 2
